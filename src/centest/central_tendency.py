@@ -17,7 +17,13 @@ import numpy as np
 from .bandwidth import bandwidth_rule_of_thumb
 from .errors import SingularMatrixError
 from .identification import ForecastDataset, StackedMoments, stacked_moments
-from .numerics import Kernel, chi_square_quantile, chi_square_sf, gaussian_kernel, solve_spd
+from .numerics import (
+    Kernel,
+    chi_square_quantile,
+    chi_square_sf,
+    floored_eigh,
+    gaussian_kernel,
+)
 
 DEFAULT_ALPHA_LEVELS = (0.05, 0.10)
 DEFAULT_GRID_RESOLUTION = 50
@@ -78,40 +84,82 @@ def combined_moment(theta, stacked: StackedMoments) -> np.ndarray:
     return np.einsum("r,trk->tk", th, stacked.per_obs)
 
 
-def sigma_hat(phi: np.ndarray, cluster_labels=None) -> np.ndarray:
-    """Uncentered covariance of the combined moment.
+def _wave_sums(rows: np.ndarray, cluster_labels) -> np.ndarray:
+    """Sum ``rows`` over observations (the leading axis) within each wave.
 
-    Without clusters: (1/T) sum_t phi_t phi_t'. With clusters, observations
-    are summed within each wave before the outer product, which collapses to
-    the plain estimator when every observation is its own wave. Waves are
-    processed in order of first appearance, keeping the reduction order
-    fixed regardless of label encoding.
+    Waves are processed in order of first appearance, keeping the reduction
+    order fixed regardless of label encoding.
     """
-    phi = np.asarray(phi, dtype=float)
-    t = phi.shape[0]
-    if cluster_labels is None:
-        return phi.T @ phi / t
     labels = np.asarray(cluster_labels)
-    if labels.size != t:
+    if labels.size != rows.shape[0]:
         raise ValueError("cluster labels must cover every observation")
     _, first_pos, inverse = np.unique(labels, return_index=True, return_inverse=True)
     order = np.argsort(first_pos, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    wave_sums = np.zeros((order.size, phi.shape[1]))
-    np.add.at(wave_sums, rank[inverse], phi)
-    return wave_sums.T @ wave_sums / t
+    sums = np.zeros((order.size, *rows.shape[1:]))
+    np.add.at(sums, rank[inverse], rows)
+    return sums
+
+
+def sigma_hat(phi: np.ndarray, cluster_labels=None) -> np.ndarray:
+    """Uncentered covariance of the combined moment.
+
+    Without clusters: (1/T) sum_t phi_t phi_t'. With clusters, observations
+    are summed within each wave before the outer product, which collapses to
+    the plain estimator when every observation is its own wave.
+    """
+    phi = np.asarray(phi, dtype=float)
+    rows = phi if cluster_labels is None else _wave_sums(phi, cluster_labels)
+    return rows.T @ rows / phi.shape[0]
+
+
+def gmm_objectives_from_stacked(
+    thetas, stacked: StackedMoments, cluster_labels=None
+) -> tuple[np.ndarray, list[str | None]]:
+    """S_T at every row of ``thetas`` (n, 3) in one batched pass.
+
+    The combined moment is linear in theta, so with g_r = T^{-1/2} sum_t
+    psi_{t,r} and the k x k blocks M_rs of (1/T) R'R, where R holds the
+    stacked rows (wave sums under clusters) flattened to 3k columns,
+
+        g(theta) = sum_r theta_r g_r,  Sigma(theta) = sum_{r,s} theta_r theta_s M_rs.
+
+    The blocks are built once; every Sigma(theta) then goes through one
+    batched eigendecomposition and S = sum_i (q_i' g)^2 / lambda_i. Returns
+    the objectives and, per point, None or the eigenvalue-floor note of a
+    singular Sigma(theta), whose objective is NaN.
+    """
+    th = np.atleast_2d(np.asarray(thetas, dtype=float))
+    t, n_rows, k = stacked.per_obs.shape
+    rows = stacked.per_obs.reshape(t, n_rows * k)
+    g = (np.ones(t) @ rows).reshape(n_rows, k) / np.sqrt(t)
+    if cluster_labels is not None:
+        rows = _wave_sums(rows, cluster_labels)
+    blocks = (rows.T @ rows / t).reshape(n_rows, k, n_rows, k).transpose(0, 2, 1, 3)
+
+    pairs = (th[:, :, None] * th[:, None, :]).reshape(-1, n_rows * n_rows)
+    sigmas = (pairs @ blocks.reshape(n_rows * n_rows, k * k)).reshape(-1, k, k)
+    lam, q, notes = floored_eigh(sigmas)
+    ok = [p for p, note in enumerate(notes) if note is None]
+    proj = (th[ok] @ g)[:, None, :] @ q[ok]
+    objectives = np.full(th.shape[0], np.nan)
+    objectives[ok] = np.sum(proj[:, 0, :] ** 2 / lam[ok], axis=1)
+    return objectives, notes
 
 
 def gmm_objective_from_stacked(
     theta, stacked: StackedMoments, cluster_labels=None
 ) -> float:
-    """S_T(theta) from precomputed stacked rows (the grid-scan fast path)."""
-    phi = combined_moment(theta, stacked)
-    t = phi.shape[0]
-    g = phi.sum(axis=0) / np.sqrt(t)
-    sigma = sigma_hat(phi, cluster_labels)
-    return float(g @ solve_spd(sigma, g))
+    """S_T(theta) from precomputed stacked rows: the one-theta case of
+    gmm_objectives_from_stacked. A singular Sigma(theta) raises
+    SingularMatrixError."""
+    (s,), (note,) = gmm_objectives_from_stacked(
+        _theta_array(theta), stacked, cluster_labels
+    )
+    if note is not None:
+        raise SingularMatrixError(note)
+    return float(s)
 
 
 def gmm_objective(
@@ -188,7 +236,9 @@ def confidence_set(
 
     A point belongs to the 1-alpha confidence set iff S_T <= Q_k(1-alpha).
     The bandwidth is computed once from the forecast errors and shared by
-    every theta. Per-point singular covariances are recorded and skipped.
+    every theta, and all points are scored in one batched pass (see
+    gmm_objectives_from_stacked). Per-point singular covariances are recorded
+    as NaN, non-member points with a note.
     """
     if m < 1:
         raise ValueError(f"grid resolution must be >= 1, got {m}")
@@ -206,33 +256,23 @@ def confidence_set(
     k = dataset.n_instruments
     thresholds = {a: chi_square_quantile(k, 1.0 - a) for a in alpha_levels}
 
-    points: list[GridPoint] = []
-    for i in range(m + 1):
-        for j in range(m - i + 1):
-            weights = SimplexWeights(i / m, j / m, (m - i - j) / m)
-            try:
-                s = gmm_objective_from_stacked(weights, stacked, cluster_labels)
-            except SingularMatrixError as exc:
-                points.append(
-                    GridPoint(
-                        index=(i, j),
-                        weights=weights,
-                        objective=float("nan"),
-                        p_value=float("nan"),
-                        memberships={a: False for a in alpha_levels},
-                        note=str(exc),
-                    )
-                )
-                continue
-            points.append(
-                GridPoint(
-                    index=(i, j),
-                    weights=weights,
-                    objective=s,
-                    p_value=chi_square_sf(k, s),
-                    memberships={a: s <= thresholds[a] for a in alpha_levels},
-                )
-            )
+    weights = simplex_grid(m)
+    objectives, notes = gmm_objectives_from_stacked(
+        [w.as_array() for w in weights], stacked, cluster_labels
+    )
+    indices = [(i, j) for i in range(m + 1) for j in range(m - i + 1)]
+    # a singular point has a NaN objective, which fails every threshold
+    points = [
+        GridPoint(
+            index=index,
+            weights=w,
+            objective=s,
+            p_value=float("nan") if note is not None else chi_square_sf(k, s),
+            memberships={a: s <= thresholds[a] for a in alpha_levels},
+            note=note,
+        )
+        for index, w, s, note in zip(indices, weights, objectives.tolist(), notes)
+    ]
     return ConfidenceSetGrid(
         resolution=m,
         points=points,

@@ -119,12 +119,20 @@ def _read_price_column(path) -> np.ndarray:
 
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = _csv.reader(handle)
-        header = [name.strip() for name in next(reader)]
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path} is empty") from None
         if "price" not in header:
             raise MissingColumnError("price")
         idx = header.index("price")
         values = []
         for r, row in enumerate(reader):
+            if idx >= len(row):
+                raise ValueError(
+                    f"row {r + 2} has {len(row)} of {len(header)} fields; "
+                    "column 'price' is missing"
+                )
             cell = row[idx].strip()
             try:
                 values.append(float(cell))

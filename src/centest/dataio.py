@@ -47,8 +47,9 @@ def load_csv(
 
     The file must contain numeric columns ``y`` (realizations) and ``x``
     (forecasts) plus the named instrument columns; ``with_const`` synthesizes
-    a constant instrument named ``const`` in front of them. Parse failures
-    report the offending row and column.
+    a constant instrument named ``const`` in front of them. Short rows, parse
+    failures and non-integer cluster labels raise ValueError naming the
+    offending row and column.
     """
     path = Path(path)
     instrument_columns = list(instrument_columns)
@@ -73,6 +74,11 @@ def load_csv(
     parsed = {name: np.empty(len(rows)) for name in needed}
     for r, row in enumerate(rows):
         for name in needed:
+            if column_index[name] >= len(row):
+                raise ValueError(
+                    f"row {r + 2} has {len(row)} of {len(header)} fields; "
+                    f"column {name!r} is missing"
+                )
             cell = row[column_index[name]].strip()
             try:
                 parsed[name][r] = float(cell)
@@ -90,7 +96,15 @@ def load_csv(
         )
     clusters = None
     if cluster_column is not None:
-        clusters = parsed[cluster_column].astype(np.int64)
+        labels = parsed[cluster_column]
+        integral = (labels == np.trunc(labels)) & (np.abs(labels) < 2.0 ** 63)
+        if not integral.all():
+            r = int(np.argmin(integral))
+            raise ValueError(
+                f"cluster label {rows[r][column_index[cluster_column]].strip()!r} "
+                f"at row {r + 2}, column {cluster_column!r} is not an integer"
+            )
+        clusters = labels.astype(np.int64)
     return ForecastDataset(
         realizations=parsed[REALIZATION_COLUMN],
         forecasts=parsed[FORECAST_COLUMN],

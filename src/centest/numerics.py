@@ -145,6 +145,32 @@ def chi_square_quantile(df: int, p: float) -> float:
     return float(2.0 * special.gammainccinv(df / 2.0, 1.0 - p))
 
 
+def floored_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """Eigendecomposition of the symmetric part of one (k, k) matrix or of a
+    stack (n, k, k), with the relative eigenvalue floor applied to each.
+
+    Returns the ascending eigenvalues, the eigenvectors (as columns) and, per
+    matrix, None when it passes the floor or else the SingularMatrixError
+    message. A matrix fails when its smallest eigenvalue is at or below
+    RELATIVE_EIG_FLOOR times its largest, or its largest is not positive.
+    """
+    lam, q = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
+    spectra = lam.reshape(-1, lam.shape[-1])
+    notes = [
+        f"eigenvalue {lo:.6e} below relative floor {RELATIVE_EIG_FLOOR:g} * {hi:.6e}"
+        if lo <= RELATIVE_EIG_FLOOR * hi or hi <= 0.0 else None
+        for lo, hi in zip(spectra[:, 0].tolist(), spectra[:, -1].tolist())
+    ]
+    return lam, q, notes
+
+
+def _eigh_above_floor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lam, q, (note,) = floored_eigh(m)
+    if note is not None:
+        raise SingularMatrixError(note)
+    return lam, q
+
+
 def inverse_sqrt_spd(m: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix.
 
@@ -157,27 +183,14 @@ def inverse_sqrt_spd(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(m).max()))):
         raise ValueError("matrix is not symmetric")
-    sym = 0.5 * (m + m.T)
-    lam, q = np.linalg.eigh(sym)
-    if lam[0] <= RELATIVE_EIG_FLOOR * lam[-1] or lam[-1] <= 0.0:
-        raise SingularMatrixError(
-            f"eigenvalue {lam[0]:.6e} below relative floor "
-            f"{RELATIVE_EIG_FLOOR:g} * {lam[-1]:.6e}"
-        )
+    lam, q = _eigh_above_floor(m)
     return (q * lam ** -0.5) @ q.T
 
 
 def solve_spd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve m @ x = rhs for symmetric positive definite m under the same
     eigenvalue floor as inverse_sqrt_spd."""
-    m = np.asarray(m, dtype=float)
-    sym = 0.5 * (m + m.T)
-    lam, q = np.linalg.eigh(sym)
-    if lam[0] <= RELATIVE_EIG_FLOOR * lam[-1] or lam[-1] <= 0.0:
-        raise SingularMatrixError(
-            f"eigenvalue {lam[0]:.6e} below relative floor "
-            f"{RELATIVE_EIG_FLOOR:g} * {lam[-1]:.6e}"
-        )
+    lam, q = _eigh_above_floor(np.asarray(m, dtype=float))
     return q @ ((q.T @ rhs) / lam)
 
 

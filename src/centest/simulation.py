@@ -27,6 +27,8 @@ from .bandwidth import bandwidth_rule_of_thumb
 from .central_tendency import (
     SimplexWeights,
     gmm_objective_from_stacked,
+    gmm_objectives_from_stacked,
+    simplex_grid,
 )
 from .errors import DegenerateErrors, SingularMatrixError
 from .identification import (
@@ -668,6 +670,7 @@ class GridCoverageReport:
     replications: int
     successes: int
     nominal_level: float
+    failures: dict[str, int] = field(default_factory=dict)
 
 
 def run_grid_coverage_experiment(
@@ -680,16 +683,21 @@ def run_grid_coverage_experiment(
     kernel: Kernel | None = None,
 ) -> GridCoverageReport:
     """Coverage of every simplex grid point across replications: the
-    per-point average membership of the level-% confidence set."""
-    from .central_tendency import simplex_grid  # local to avoid cycle at import
+    per-point average membership of the level-% confidence set.
 
+    All grid points of a replication are scored in one batched pass. A
+    replication with degenerate errors or with any singular grid point is a
+    failure, counted by exception name, and left out of the rates.
+    """
     if replications < 100:
         raise ValueError(f"need at least 100 replications, got {replications}")
     instrument_set = InstrumentSet(instrument_set)
     kernel = kernel or gaussian_kernel()
     thetas = simplex_grid(m)
+    theta_rows = [th.as_array() for th in thetas]
     counts = np.zeros(len(thetas))
     successes = 0
+    failures: dict[str, int] = {}
     quantile = None
     for r in range(replications):
         path = simulate_dgp(config, RandomStream(config.seed, _path_stream(r)))
@@ -701,10 +709,13 @@ def run_grid_coverage_experiment(
             stacked = stacked_moments(dataset, delta, kernel)
             if quantile is None:
                 quantile = chi_square_quantile(dataset.n_instruments, level)
-            s_values = np.array([
-                gmm_objective_from_stacked(th, stacked) for th in thetas
-            ])
-        except (DegenerateErrors, SingularMatrixError):
+            s_values, notes = gmm_objectives_from_stacked(theta_rows, stacked)
+            singular = next((note for note in notes if note is not None), None)
+            if singular is not None:
+                raise SingularMatrixError(singular)
+        except (DegenerateErrors, SingularMatrixError) as exc:
+            name = type(exc).__name__
+            failures[name] = failures.get(name, 0) + 1
             continue
         successes += 1
         counts += s_values <= quantile
@@ -716,4 +727,5 @@ def run_grid_coverage_experiment(
         replications=replications,
         successes=successes,
         nominal_level=level,
+        failures=failures,
     )

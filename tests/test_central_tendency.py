@@ -20,6 +20,7 @@ from centest import (
     mode_test,
     sigma_hat,
     simplex_grid,
+    solve_spd,
     stacked_moments,
 )
 
@@ -280,3 +281,24 @@ class TestConfidenceSet:
         assert [p.index for p in grid.points] == [
             (i, j) for i in range(4) for j in range(4 - i)
         ]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("cluster", [False, True])
+    def test_batched_scan_matches_per_point_reference(self, rng, k, cluster):
+        # the batched block-quadratic scan against S_T rebuilt point by point
+        # from the combined moment, its covariance and an SPD solve
+        ds = make_dataset(rng, t=150, k=k, skew=0.5, cluster=cluster)
+        delta = 0.7
+        grid = confidence_set(ds, m=10, delta=delta)
+        stacked = stacked_moments(ds, delta)
+        assert len(grid.points) == 66
+        for p in grid.points:
+            phi = combined_moment(p.weights, stacked)
+            g = phi.sum(axis=0) / np.sqrt(phi.shape[0])
+            expected = float(g @ solve_spd(sigma_hat(phi, ds.cluster_labels), g))
+            assert p.note is None
+            assert p.objective == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert p.p_value == chi_square_sf(k, p.objective)
+            assert p.p_value == pytest.approx(chi_square_sf(k, expected), rel=1e-12)
+            for a in grid.alpha_levels:
+                assert p.memberships[a] == (expected <= chi_square_quantile(k, 1 - a))

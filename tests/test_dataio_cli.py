@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import centest
 
 from centest import (
     DgpConfig,
@@ -60,6 +66,28 @@ class TestLoadCsv:
         f.write_text("y,x,w\n1,2,0\n3,4,0\n5,6,1\n")
         ds = load_csv(f, [], cluster_column="w", with_const=True)
         assert np.array_equal(ds.cluster_labels, [0, 0, 1])
+
+    def test_ragged_row_reports_row_and_column(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x,wave\n1,2,0\n2,3\n")
+        with pytest.raises(ValueError, match=r"row 3 .*'wave'"):
+            load_csv(f, [], cluster_column="wave", with_const=True)
+
+    def test_fractional_cluster_label_rejected(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x,w\n1,2,1.5\n3,4,1.7\n5,6,2\n")
+        with pytest.raises(ValueError, match=r"'1.5' at row 2, column 'w'"):
+            load_csv(f, [], cluster_column="w", with_const=True)
+        f.write_text("y,x,w\n1,2,3.0\n3,4,nan\n")
+        with pytest.raises(ValueError, match=r"'nan' at row 3"):
+            load_csv(f, [], cluster_column="w", with_const=True)
+
+    def test_integer_valued_float_labels_load(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x,w\n1,2,3.0\n3,4,-1\n5,6,3\n")
+        ds = load_csv(f, [], cluster_column="w", with_const=True)
+        assert ds.cluster_labels.dtype == np.int64
+        assert np.array_equal(ds.cluster_labels, [3, -1, 3])
 
     def test_no_instruments_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -281,6 +309,36 @@ class TestCli:
         bad.write_text("y,z\n1,2\n3,4\n")
         assert main(["test", "--input", str(bad), "--functional", "mean",
                      "--with-const"]) == 2
+
+    @pytest.mark.parametrize("text, flags", [
+        ("y,x,wave\n2,3\n4,5,1\n", ["--with-const", "--cluster", "wave"]),
+        ("y,x,wave\n2,3,1.5\n4,5,1.7\n", ["--with-const", "--cluster", "wave"]),
+        ("date,price\n1,10.0\n2\n3,11.0\n4,12.0\n", ["--random-walk"]),
+        ("", ["--random-walk"]),
+    ])
+    def test_malformed_csv_exits_2_without_traceback(self, tmp_path, capsys,
+                                                     text, flags):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        code = main(["cset", "--input", str(f), "--grid-m", "2", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("centest: error:")
+        assert "Traceback" not in err
+
+    def test_ragged_row_exits_2_from_the_command_line(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text("y,x,wave\n2,3\n4,5,1\n")
+        src = Path(centest.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "centest.cli", "cset", "--input", str(f),
+             "--with-const", "--cluster", "wave"],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "row 2 has 2 of 3 fields; column 'wave' is missing" in proc.stderr
 
     def test_degenerate_data_exit_code(self, tmp_path):
         f = tmp_path / "flat.csv"

@@ -21,6 +21,7 @@ from centest import (
     kernel_eval,
     solve_spd,
 )
+from centest.numerics import floored_eigh
 
 
 def central_difference(f, u, h=1e-6):
@@ -240,6 +241,25 @@ class TestInverseSqrtSpd:
     def test_solve_spd_singular(self):
         with pytest.raises(SingularMatrixError):
             solve_spd(np.zeros((2, 2)), np.ones(2))
+
+
+    def test_floored_eigh_flags_each_matrix_of_a_stack(self):
+        # a stack mixing a well-conditioned, a rank-one, a near-floor and a
+        # zero matrix: each gets the verdict and message of solve_spd alone
+        stack = np.array([
+            [[2.0, 1.0], [1.0, 2.0]],
+            [[1.0, 1.0], [1.0, 1.0]],
+            [[1.0, 0.0], [0.0, 5e-11]],
+            [[0.0, 0.0], [0.0, 0.0]],
+        ])
+        lam, q, notes = floored_eigh(stack)
+        assert lam.shape == (4, 2) and q.shape == (4, 2, 2)
+        assert notes[0] is None
+        for m, note in zip(stack[1:], notes[1:]):
+            with pytest.raises(SingularMatrixError) as exc:
+                solve_spd(m, np.ones(2))
+            assert note == str(exc.value)
+            assert "below relative floor" in note
 
 
 def normal_pdf(mean, sd):

@@ -468,3 +468,27 @@ class TestExperiments:
         assert report.successes == 200
         assert np.all(report.rates >= 0.82)
         assert np.all(report.rates <= 0.97)
+
+    def test_grid_coverage_counts_singular_replication(self, monkeypatch):
+        # one grid point of one replication turns singular: the whole
+        # replication is a counted failure and stays out of the rates
+        import centest.simulation as simulation
+
+        real = simulation.gmm_objectives_from_stacked
+        calls = []
+
+        def one_singular_point(thetas, stacked, cluster_labels=None):
+            objectives, notes = real(thetas, stacked, cluster_labels)
+            calls.append(None)
+            if len(calls) == 7:
+                objectives[2], notes[2] = np.nan, "eigenvalue forced below floor"
+            return objectives, notes
+
+        monkeypatch.setattr(simulation, "gmm_objectives_from_stacked",
+                            one_singular_point)
+        cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.0, n_obs=200, seed=3)
+        report = run_grid_coverage_experiment(cfg, [0, 0, 1], 2, 100, m=2)
+        assert len(calls) == 100
+        assert report.failures == {"SingularMatrixError": 1}
+        assert report.successes == 99
+        assert np.all(np.isfinite(report.rates))
