@@ -67,12 +67,6 @@ class TestLoadCsv:
         ds = load_csv(f, [], cluster_column="w", with_const=True)
         assert np.array_equal(ds.cluster_labels, [0, 0, 1])
 
-    def test_ragged_row_reports_row_and_column(self, tmp_path):
-        f = tmp_path / "d.csv"
-        f.write_text("y,x,wave\n1,2,0\n2,3\n")
-        with pytest.raises(ValueError, match=r"row 3 .*'wave'"):
-            load_csv(f, [], cluster_column="wave", with_const=True)
-
     def test_fractional_cluster_label_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("y,x,w\n1,2,1.5\n3,4,1.7\n5,6,2\n")
@@ -311,7 +305,6 @@ class TestCli:
                      "--with-const"]) == 2
 
     @pytest.mark.parametrize("text, flags", [
-        ("y,x,wave\n2,3\n4,5,1\n", ["--with-const", "--cluster", "wave"]),
         ("y,x,wave\n2,3,1.5\n4,5,1.7\n", ["--with-const", "--cluster", "wave"]),
         ("date,price\n1,10.0\n2\n3,11.0\n4,12.0\n", ["--random-walk"]),
         ("", ["--random-walk"]),
