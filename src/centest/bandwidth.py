@@ -41,7 +41,11 @@ def median_abs_deviation(errors) -> float:
     e = np.asarray(errors, dtype=float)
     if e.size == 0:
         raise ValueError("median_abs_deviation needs a nonempty vector")
-    return float(np.median(np.abs(e - np.median(e))))
+    return _mad_about(e, np.median(e))
+
+
+def _mad_about(e: np.ndarray, median) -> float:
+    return float(np.median(np.abs(e - median)))
 
 
 def pearson_second_skewness(errors) -> float:
@@ -50,10 +54,14 @@ def pearson_second_skewness(errors) -> float:
     Raises DegenerateErrors when the standard deviation is zero.
     """
     e = np.asarray(errors, dtype=float)
+    return _skewness_about(e, np.median(e))
+
+
+def _skewness_about(e: np.ndarray, median) -> float:
     sd = float(e.std())
     if sd == 0.0:
         raise DegenerateErrors("errors have zero standard deviation")
-    return float(3.0 * (e.mean() - np.median(e)) / sd)
+    return float(3.0 * (e.mean() - median) / sd)
 
 
 def bandwidth_rule_of_thumb(errors, n_obs: int | None = None) -> BandwidthReport:
@@ -77,10 +85,11 @@ def bandwidth_rule_of_thumb(errors, n_obs: int | None = None) -> BandwidthReport
     n = int(n_obs) if n_obs is not None else int(e.size)
     if n < 2:
         raise ValueError(f"sample size must be >= 2, got {n}")
-    mad = median_abs_deviation(e)
+    median = np.median(e)  # shared by the MAD and the skewness
+    mad = _mad_about(e, median)
     if mad == 0.0:
         raise DegenerateErrors("forecast errors have zero median absolute deviation")
-    skew = pearson_second_skewness(e)
+    skew = _skewness_about(e, median)
     k1 = MAD_SCALE * mad
     k2 = float(np.exp(-SKEW_DAMPING * abs(skew)))
     delta = k1 * k2 * n ** (-BANDWIDTH_EXPONENT)

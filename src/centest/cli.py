@@ -187,6 +187,11 @@ def _cmd_cset(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    distorted = args.distortion is not None or args.kappa != 0.0
+    if distorted and args.experiment != "power":
+        raise argparse.ArgumentTypeError(
+            "--distortion and --kappa apply to power experiments only"
+        )
     config = DgpConfig(
         dgp=args.dgp,
         skewness=args.gamma,

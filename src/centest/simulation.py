@@ -11,13 +11,21 @@ variance ramp, an AR(1), and an AR(1)-GARCH(1,1). Optimal forecasts add the
 relevant centrality of xi, scaled by sigma_{t+1}, to the conditional
 location. Replications are keyed by (seed, replication index) substreams, so
 any scheduling across workers reproduces the same aggregate report.
+
+Paths are simulated in blocks of up to ``_CHUNK`` replications: each path
+still draws its innovations from its own stream, and the time-series
+recursions then take one vector step per time step across the block.
+Blocking never changes the draws, and a single path is the one-row case of
+the same kernel, so a path is bitwise the same however it was made.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 from scipy import optimize, special
@@ -35,6 +43,7 @@ from .identification import (
     ForecastDataset,
     _identification_matrix,
     _weight_matrices_from_arrays,
+    forecast_errors,
     stacked_moments,
 )
 from .numerics import (
@@ -57,6 +66,10 @@ MAX_MOMENT_SKEWNESS = float(
 # distortion noise from 2r + 1; the implied-theta pooling uses a disjoint
 # block so that it never shares draws with the evaluation replications.
 _IMPLIED_THETA_BASE = 1 << 40
+
+# Paths simulated together. A block's arrays hold _CHUNK * (burn_in + T + 2)
+# values each, so memory does not grow with the replication count.
+_CHUNK = 128
 
 
 def _path_stream(r: int) -> int:
@@ -117,6 +130,8 @@ class DgpConfig:
             )
         if self.n_obs < 2:
             raise ValueError(f"sample size must be >= 2, got {self.n_obs}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.dgp in _TIME_SERIES and self.burn_in < 1:
             raise ValueError("time-series DGPs need burn_in >= 1")
 
@@ -232,6 +247,19 @@ class SimulatedPath:
     extra_instrument: np.ndarray
 
 
+def simulate_paths(
+    config: DgpConfig, stream_ids: Iterable[int]
+) -> Iterator[SimulatedPath]:
+    """Yield one path per ``RandomStream(config.seed, id)``, in order.
+
+    Time-series paths are simulated ``_CHUNK`` at a time; each draws from its
+    own stream, so a path does not depend on the block it was made in.
+    """
+    return _simulate_streams(
+        config, (RandomStream(config.seed, i) for i in stream_ids)
+    )
+
+
 def simulate_dgp(config: DgpConfig, stream: RandomStream | None = None) -> SimulatedPath:
     """Simulate a path; identical (config, stream) reproduce it bitwise.
 
@@ -239,59 +267,85 @@ def simulate_dgp(config: DgpConfig, stream: RandomStream | None = None) -> Simul
     starts from its unconditional variance of 1.
     """
     stream = stream or RandomStream(config.seed, 0)
-    rng = stream.generator()
+    return next(_simulate_streams(config, iter([stream])))
+
+
+def _simulate_streams(
+    config: DgpConfig, streams: Iterator[RandomStream]
+) -> Iterator[SimulatedPath]:
     spec = skew_normal_params(config.skewness)
+    if config.dgp not in _TIME_SERIES:
+        for stream in streams:
+            yield _cross_section_path(config, spec, stream.generator())
+        return
+    while block := list(islice(streams, _CHUNK)):
+        yield from _time_series_block(config, spec, block)
+
+
+def _cross_section_path(
+    config: DgpConfig, spec: SkewNormalSpec, rng: np.random.Generator
+) -> SimulatedPath:
     t = config.n_obs
-
-    if config.dgp in (Dgp.HOMOSKEDASTIC_IID, Dgp.HETEROSKEDASTIC):
-        z = np.empty((t, 4))
-        z[:, 0] = 1.0
-        z[:, 1:] = rng.normal(
-            loc=_CROSS_SECTION_MEANS[1:], scale=_CROSS_SECTION_SDS[1:], size=(t, 3)
-        )
-        cond_loc = z @ _CROSS_SECTION_ZETA
-        if config.dgp is Dgp.HOMOSKEDASTIC_IID:
-            sigma_next = np.ones(t)
-        else:
-            # sigma_{t+1} = 0.5 + 1.5 (t+1)/T with t = 1..T
-            sigma_next = 0.5 + 1.5 * (np.arange(1, t + 1) + 1.0) / t
-        xi = spec.sample(rng, t)
-        return SimulatedPath(
-            realizations=cond_loc + sigma_next * xi,
-            cond_loc=cond_loc,
-            sigma_next=sigma_next,
-            innovations=xi,
-            covariates=z,
-            extra_instrument=z[:, 1].copy(),
-        )
-
-    n = config.burn_in + t + 2
-    xi = spec.sample(rng, n)
-    if config.dgp is Dgp.AR1:
-        y = lfilter([1.0], [1.0, -_AR_COEF], xi)
-        sig = np.ones(n)
-    else:
-        y = np.empty(n)
-        sig2 = np.empty(n)
-        s2 = 1.0  # unconditional variance of the GARCH recursion
-        prev = 0.0
-        for i in range(n):
-            sig2[i] = s2
-            y[i] = _AR_COEF * prev + np.sqrt(s2) * xi[i]
-            prev = y[i]
-            s2 = _GARCH_CONST + _GARCH_PERSIST * s2 + _GARCH_ARCH * s2 * xi[i] ** 2
-        sig = np.sqrt(sig2)
-    b = config.burn_in
-    y_lag = y[b: b + t]
-    y_curr = y[b + 1: b + t + 1]
-    return SimulatedPath(
-        realizations=y[b + 2: b + t + 2].copy(),
-        cond_loc=_AR_COEF * y_curr,
-        sigma_next=sig[b + 2: b + t + 2].copy(),
-        innovations=xi[b + 2: b + t + 2].copy(),
-        covariates=y_curr[:, None].copy(),
-        extra_instrument=y_lag.copy(),
+    z = np.empty((t, 4))
+    z[:, 0] = 1.0
+    z[:, 1:] = rng.normal(
+        loc=_CROSS_SECTION_MEANS[1:], scale=_CROSS_SECTION_SDS[1:], size=(t, 3)
     )
+    cond_loc = z @ _CROSS_SECTION_ZETA
+    if config.dgp is Dgp.HOMOSKEDASTIC_IID:
+        sigma_next = np.ones(t)
+    else:
+        # sigma_{t+1} = 0.5 + 1.5 (t+1)/T with t = 1..T
+        sigma_next = 0.5 + 1.5 * (np.arange(1, t + 1) + 1.0) / t
+    xi = spec.sample(rng, t)
+    return SimulatedPath(
+        realizations=cond_loc + sigma_next * xi,
+        cond_loc=cond_loc,
+        sigma_next=sigma_next,
+        innovations=xi,
+        covariates=z,
+        extra_instrument=z[:, 1].copy(),
+    )
+
+
+def _time_series_block(
+    config: DgpConfig, spec: SkewNormalSpec, streams: list[RandomStream]
+) -> list[SimulatedPath]:
+    """AR(1) or AR(1)-GARCH(1,1) paths, one row per stream."""
+    t, b = config.n_obs, config.burn_in
+    n = b + t + 2
+    xi = np.stack([spec.sample(stream.generator(), n) for stream in streams])
+    if config.dgp is Dgp.AR1:
+        sig, shocks = np.ones_like(xi), xi
+    else:
+        sig = _garch_sigma(xi)
+        shocks = sig * xi
+    y = lfilter([1.0], [1.0, -_AR_COEF], shocks, axis=1)
+    return [
+        SimulatedPath(
+            realizations=y[j, b + 2: b + t + 2].copy(),
+            cond_loc=_AR_COEF * y[j, b + 1: b + t + 1],
+            sigma_next=sig[j, b + 2: b + t + 2].copy(),
+            innovations=xi[j, b + 2: b + t + 2].copy(),
+            covariates=y[j, b + 1: b + t + 1, None].copy(),
+            extra_instrument=y[j, b: b + t].copy(),
+        )
+        for j in range(len(streams))
+    ]
+
+
+def _garch_sigma(xi: np.ndarray) -> np.ndarray:
+    """Conditional standard deviations of the GARCH(1,1) recursion for each
+    row of innovations, starting from the unconditional variance of 1: one
+    vector step per time step across the rows."""
+    rows, n = xi.shape
+    squares = np.ascontiguousarray((xi * xi).T)
+    s2 = np.empty((n, rows))
+    s2[0] = 1.0
+    for i in range(n - 1):
+        s2[i + 1] = (_GARCH_CONST + _GARCH_PERSIST * s2[i]
+                     + _GARCH_ARCH * s2[i] * squares[i])
+    return np.sqrt(s2).T
 
 
 def _beta_array(beta) -> np.ndarray:
@@ -462,10 +516,8 @@ def implied_theta(
         )
 
     errors_parts, instruments_parts = [], []
-    for r in range(draws):
-        path = simulate_dgp(
-            config, RandomStream(config.seed, _IMPLIED_THETA_BASE + r)
-        )
+    streams = range(_IMPLIED_THETA_BASE, _IMPLIED_THETA_BASE + draws)
+    for path in simulate_paths(config, streams):
         x = optimal_forecasts(path, config, b)
         errors_parts.append(x - path.realizations)
         instruments_parts.append(build_instruments(path, x, instrument_set))
@@ -538,6 +590,49 @@ def _mc_se(rate: float, n: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / n)) if n > 0 else float("nan")
 
 
+def _check_replications(replications: int) -> None:
+    if replications < 100:
+        raise ValueError(f"need at least 100 replications, got {replications}")
+
+
+def _run_replications(
+    config: DgpConfig,
+    replications: int,
+    beta,
+    instrument_set: InstrumentSet,
+    score: Callable[[ForecastDataset], object],
+    distortion: Distortion | str | None = None,
+    kappa: float = 0.0,
+) -> tuple[list, dict[str, int]]:
+    """The one replication loop behind every experiment.
+
+    Replication r simulates its path from stream 2r, forms the beta
+    forecasts, distorts them with noise from stream 2r + 1 when
+    ``distortion`` is set, builds the instruments and dataset, and scores
+    it. A replication whose scoring raises DegenerateErrors or
+    SingularMatrixError is counted by exception name and skipped. Returns
+    the scores of the successful replications, in order, and the counts.
+    """
+    scores = []
+    failures: dict[str, int] = {}
+    paths = simulate_paths(config, (_path_stream(r) for r in range(replications)))
+    for r, path in enumerate(paths):
+        x = optimal_forecasts(path, config, beta)
+        if distortion is not None:
+            x = distort_forecasts(
+                x, distortion, kappa, RandomStream(config.seed, _noise_stream(r))
+            )
+        dataset = ForecastDataset(
+            path.realizations, x, build_instruments(path, x, instrument_set)
+        )
+        try:
+            scores.append(score(dataset))
+        except (DegenerateErrors, SingularMatrixError) as exc:
+            name = type(exc).__name__
+            failures[name] = failures.get(name, 0) + 1
+    return scores, failures
+
+
 def run_size_experiment(
     config: DgpConfig,
     instrument_set: InstrumentSet | int,
@@ -554,33 +649,21 @@ def run_size_experiment(
     the size design. Per-replication failures (degenerate errors, singular
     covariances) are counted, not fatal.
     """
-    if replications < 100:
-        raise ValueError(f"need at least 100 replications, got {replications}")
+    _check_replications(replications)
     if not 0.0 <= nominal_alpha < 1.0:
         raise ValueError(f"nominal level must lie in [0, 1), got {nominal_alpha}")
     instrument_set = InstrumentSet(instrument_set)
     kernel = kernel or gaussian_kernel()
-    rejections = 0
-    successes = 0
-    failures: dict[str, int] = {}
-    for r in range(replications):
-        path = simulate_dgp(config, RandomStream(config.seed, _path_stream(r)))
-        x = optimal_forecasts(path, config, [0.0, 0.0, 1.0])
-        if distortion is not None:
-            x = distort_forecasts(
-                x, distortion, kappa, RandomStream(config.seed, _noise_stream(r))
-            )
-        instruments = build_instruments(path, x, instrument_set)
-        dataset = ForecastDataset(path.realizations, x, instruments)
-        try:
-            result = mode_test(dataset, kernel=kernel)
-        except (DegenerateErrors, SingularMatrixError) as exc:
-            name = type(exc).__name__
-            failures[name] = failures.get(name, 0) + 1
-            continue
-        successes += 1
-        rejections += result.p_value < nominal_alpha
-    rate = rejections / successes if successes else float("nan")
+
+    def rejects(dataset: ForecastDataset) -> bool:
+        return mode_test(dataset, kernel=kernel).p_value < nominal_alpha
+
+    outcomes, failures = _run_replications(
+        config, replications, [0.0, 0.0, 1.0], instrument_set, rejects,
+        distortion, kappa,
+    )
+    successes = len(outcomes)
+    rate = sum(outcomes) / successes if successes else float("nan")
     return SimulationReport(
         kind="size" if distortion is None else "power",
         config=config,
@@ -594,6 +677,11 @@ def run_size_experiment(
         details={"distortion": None if distortion is None else Distortion(distortion).value,
                  "kappa": kappa},
     )
+
+
+def _stacked_for(dataset: ForecastDataset, kernel: Kernel):
+    delta = bandwidth_rule_of_thumb(forecast_errors(dataset), dataset.n_obs).delta
+    return stacked_moments(dataset, delta, kernel)
 
 
 def run_coverage_experiment(
@@ -611,37 +699,25 @@ def run_coverage_experiment(
     theta* is the implied singleton, the midpoint of an implied segment, or
     the beta representative under symmetry.
     """
-    if replications < 100:
-        raise ValueError(f"need at least 100 replications, got {replications}")
+    _check_replications(replications)
     if not 0.0 < level < 1.0:
         raise ValueError(f"coverage level must lie in (0, 1), got {level}")
     instrument_set = InstrumentSet(instrument_set)
     kernel = kernel or gaussian_kernel()
     theta_set = implied_theta(config, beta, draws, instrument_set, kernel)
     theta = theta_set.evaluation_point
-    covered = 0
-    successes = 0
-    failures: dict[str, int] = {}
-    quantile_cache: dict[int, float] = {}
-    for r in range(replications):
-        path = simulate_dgp(config, RandomStream(config.seed, _path_stream(r)))
-        x = optimal_forecasts(path, config, beta)
-        instruments = build_instruments(path, x, instrument_set)
-        dataset = ForecastDataset(path.realizations, x, instruments)
-        try:
-            delta = bandwidth_rule_of_thumb(x - path.realizations, dataset.n_obs).delta
-            stacked = stacked_moments(dataset, delta, kernel)
-            s = gmm_objective_from_stacked(theta, stacked)
-        except (DegenerateErrors, SingularMatrixError) as exc:
-            name = type(exc).__name__
-            failures[name] = failures.get(name, 0) + 1
-            continue
-        k = dataset.n_instruments
-        if k not in quantile_cache:
-            quantile_cache[k] = chi_square_quantile(k, level)
-        successes += 1
-        covered += s <= quantile_cache[k]
-    rate = covered / successes if successes else float("nan")
+    # the instrument set's value is its column count k
+    quantile = chi_square_quantile(int(instrument_set), level)
+
+    def covers(dataset: ForecastDataset) -> bool:
+        s = gmm_objective_from_stacked(theta, _stacked_for(dataset, kernel))
+        return s <= quantile
+
+    outcomes, failures = _run_replications(
+        config, replications, beta, instrument_set, covers
+    )
+    successes = len(outcomes)
+    rate = sum(outcomes) / successes if successes else float("nan")
     return SimulationReport(
         kind="coverage",
         config=config,
@@ -689,43 +765,32 @@ def run_grid_coverage_experiment(
     replication with degenerate errors or with any singular grid point is a
     failure, counted by exception name, and left out of the rates.
     """
-    if replications < 100:
-        raise ValueError(f"need at least 100 replications, got {replications}")
+    _check_replications(replications)
     instrument_set = InstrumentSet(instrument_set)
     kernel = kernel or gaussian_kernel()
     thetas = simplex_grid(m)
     theta_rows = [th.as_array() for th in thetas]
-    counts = np.zeros(len(thetas))
-    successes = 0
-    failures: dict[str, int] = {}
-    quantile = None
-    for r in range(replications):
-        path = simulate_dgp(config, RandomStream(config.seed, _path_stream(r)))
-        x = optimal_forecasts(path, config, beta)
-        instruments = build_instruments(path, x, instrument_set)
-        dataset = ForecastDataset(path.realizations, x, instruments)
-        try:
-            delta = bandwidth_rule_of_thumb(x - path.realizations, dataset.n_obs).delta
-            stacked = stacked_moments(dataset, delta, kernel)
-            if quantile is None:
-                quantile = chi_square_quantile(dataset.n_instruments, level)
-            s_values, notes = gmm_objectives_from_stacked(theta_rows, stacked)
-            singular = next((note for note in notes if note is not None), None)
-            if singular is not None:
-                raise SingularMatrixError(singular)
-        except (DegenerateErrors, SingularMatrixError) as exc:
-            name = type(exc).__name__
-            failures[name] = failures.get(name, 0) + 1
-            continue
-        successes += 1
-        counts += s_values <= quantile
-    rates = counts / successes if successes else np.full(len(thetas), np.nan)
+    quantile = chi_square_quantile(int(instrument_set), level)
+
+    def memberships(dataset: ForecastDataset) -> np.ndarray:
+        s_values, notes = gmm_objectives_from_stacked(
+            theta_rows, _stacked_for(dataset, kernel)
+        )
+        singular = next((note for note in notes if note is not None), None)
+        if singular is not None:
+            raise SingularMatrixError(singular)
+        return s_values <= quantile
+
+    outcomes, failures = _run_replications(
+        config, replications, beta, instrument_set, memberships
+    )
+    rates = np.mean(outcomes, axis=0) if outcomes else np.full(len(thetas), np.nan)
     return GridCoverageReport(
         resolution=m,
         thetas=thetas,
         rates=rates,
         replications=replications,
-        successes=successes,
+        successes=len(outcomes),
         nominal_level=level,
         failures=failures,
     )

@@ -83,6 +83,15 @@ class TestBandwidthRule:
             math.exp(-3.0 * abs(report.skewness_hat)), rel=1e-15
         )
 
+    @pytest.mark.parametrize("t", [41, 40])
+    def test_report_matches_public_functions_exactly(self, t):
+        # the rule shares one median between the MAD and the skewness
+        rng = np.random.default_rng(t)
+        e = rng.standard_normal(t) + 0.4 * rng.standard_normal(t) ** 2
+        report = bandwidth_rule_of_thumb(e)
+        assert report.mad == median_abs_deviation(e)
+        assert report.skewness_hat == pearson_second_skewness(e)
+
     @given(st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=50, deadline=None)
     def test_positive_homogeneity(self, c):

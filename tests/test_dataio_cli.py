@@ -295,6 +295,31 @@ class TestCli:
         assert main(["simulate", "--experiment", "power", "--dgp", "ar1",
                      "--sample-size", "100", "--replications", "100"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--experiment", "size", "--distortion", "noise", "--kappa", "0.5"],
+        ["--experiment", "size", "--kappa", "0.5"],
+        ["--experiment", "coverage", "--distortion", "bias"],
+    ])
+    def test_simulate_rejects_distortion_outside_power(self, tmp_path, capsys,
+                                                       flags):
+        out = tmp_path / "sim.json"
+        code = main(["simulate", *flags, "--dgp", "homoskedastic-iid",
+                     "--sample-size", "100", "--replications", "100",
+                     "--out-json", str(out)])
+        assert code == 1
+        assert "power experiments only" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_simulate_seed_out_of_range_exits_2(self, capsys, seed):
+        code = main(["simulate", "--experiment", "size", "--dgp", "ar1",
+                     "--sample-size", "100", "--replications", "100",
+                     f"--seed={seed}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("centest: error: seed must lie in [0, 2**64)")
+        assert "Traceback" not in err
+
     def test_data_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.csv"
         assert main(["test", "--input", str(missing), "--functional", "mean",

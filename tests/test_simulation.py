@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, optimize
 
 from centest import (
+    DegenerateErrors,
     DgpConfig,
     Distortion,
     ForecastDataset,
@@ -19,9 +20,13 @@ from centest import (
     run_grid_coverage_experiment,
     run_size_experiment,
     simulate_dgp,
+    simulate_paths,
     skew_normal_params,
 )
+from centest.dataio import report_to_dict
 from centest.simulation import MAX_MOMENT_SKEWNESS
+
+DGPS = ["homoskedastic-iid", "heteroskedastic", "ar1", "ar-garch"]
 
 
 def raw_sn_pdf(shape):
@@ -193,6 +198,62 @@ class TestSimulateDgp:
     def test_burn_in_validation(self):
         with pytest.raises(ValueError):
             DgpConfig(dgp="ar1", skewness=0.0, n_obs=50, seed=1, burn_in=0)
+
+    def test_garch_matches_hand_recursion(self):
+        cfg = DgpConfig(dgp="ar-garch", skewness=0.5, n_obs=10, seed=9, burn_in=3)
+        path = simulate_dgp(cfg)
+        rng = RandomStream(9, 0).generator()
+        xi = skew_normal_params(0.5).sample(rng, 3 + 10 + 2)
+        y = np.zeros(xi.size)
+        sig = np.zeros(xi.size)
+        s2, prev = 1.0, 0.0
+        for i, e in enumerate(xi):
+            sig[i] = math.sqrt(s2)
+            y[i] = 0.5 * prev + sig[i] * e
+            prev = y[i]
+            s2 = 0.1 + 0.8 * s2 + 0.1 * s2 * e * e
+        assert np.allclose(path.realizations, y[5:15], rtol=1e-13, atol=1e-13)
+        assert np.allclose(path.sigma_next, sig[5:15], rtol=1e-13, atol=0.0)
+        assert np.array_equal(path.innovations, xi[5:15])
+        assert np.allclose(path.cond_loc, 0.5 * y[4:14], rtol=1e-13, atol=1e-13)
+        assert np.allclose(path.extra_instrument, y[3:13], rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            DgpConfig(dgp="ar1", skewness=0.0, n_obs=50, seed=seed)
+
+    def test_seed_range_endpoints_accepted(self):
+        for seed in (0, (1 << 64) - 1):
+            assert DgpConfig(dgp="ar1", skewness=0.0, n_obs=50, seed=seed).seed == seed
+
+
+FIELDS = ("realizations", "cond_loc", "sigma_next", "innovations",
+          "covariates", "extra_instrument")
+
+
+class TestSimulatePaths:
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("dgp", DGPS)
+    def test_blocks_match_single_streams_bitwise(self, monkeypatch, dgp, chunk):
+        import centest.simulation as simulation
+
+        if chunk is not None:
+            monkeypatch.setattr(simulation, "_CHUNK", chunk)
+        cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=20, seed=33, burn_in=5)
+        # 131 ids, out of order, cross the default block boundary at 128
+        ids = [3 * i + 1 for i in range(130)] + [0]
+        paths = list(simulate_paths(cfg, ids))
+        assert len(paths) == len(ids)
+        for stream_id, path in zip(ids, paths):
+            single = simulate_dgp(cfg, RandomStream(cfg.seed, stream_id))
+            for name in FIELDS:
+                assert np.array_equal(getattr(path, name), getattr(single, name))
+                assert getattr(path, name).shape == getattr(single, name).shape
+
+    def test_empty_stream_list(self):
+        cfg = DgpConfig(dgp="ar-garch", skewness=0.0, n_obs=20, seed=1)
+        assert list(simulate_paths(cfg, [])) == []
 
 
 class TestOptimalForecasts:
@@ -468,6 +529,64 @@ class TestExperiments:
         assert report.successes == 200
         assert np.all(report.rates >= 0.82)
         assert np.all(report.rates <= 0.97)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_reports_independent_of_block_size(self, monkeypatch, chunk):
+        import centest.simulation as simulation
+
+        cfg = DgpConfig(dgp="ar-garch", skewness=0.5, n_obs=60, seed=34,
+                        burn_in=20)
+
+        def reports():
+            return (
+                report_to_dict(run_size_experiment(cfg, 3, 100)),
+                report_to_dict(run_size_experiment(
+                    cfg, 2, 100, distortion="noise", kappa=0.4)),
+                report_to_dict(run_coverage_experiment(
+                    cfg, [0.5, 0.0, 0.5], 2, 100, draws=20)),
+                run_grid_coverage_experiment(cfg, [0, 0, 1], 2, 100, m=2),
+            )
+
+        *base, base_grid = reports()
+        monkeypatch.setattr(simulation, "_CHUNK", chunk)
+        *other, other_grid = reports()
+        assert other == base
+        assert np.array_equal(other_grid.rates, base_grid.rates)
+        assert other_grid.successes == base_grid.successes
+        assert other_grid.failures == base_grid.failures
+
+    def test_forced_failure_counts_its_replication_alone(self, monkeypatch):
+        # replication 130 sits in the second block of 128 paths; its failure
+        # must leave every other replication's p-value untouched
+        import centest.simulation as simulation
+
+        real = simulation.mode_test
+        cfg = DgpConfig(dgp="ar-garch", skewness=0.25, n_obs=60, seed=35,
+                        burn_in=20)
+
+        def run(fail_at):
+            p_values = []
+
+            def failing_mode_test(dataset, **kwargs):
+                if len(p_values) == fail_at:
+                    p_values.append(None)
+                    raise DegenerateErrors("forced")
+                result = real(dataset, **kwargs)
+                p_values.append(result.p_value)
+                return result
+
+            monkeypatch.setattr(simulation, "mode_test", failing_mode_test)
+            return run_size_experiment(cfg, 2, 200, nominal_alpha=0.5), p_values
+
+        clean, clean_p = run(None)
+        failed, failed_p = run(130)
+        assert clean.failures == {} and clean.successes == 200
+        assert failed.failures == {"DegenerateErrors": 1}
+        assert failed.successes == 199
+        assert failed_p[130] is None
+        assert failed_p[:130] + failed_p[131:] == clean_p[:130] + clean_p[131:]
+        rejections = sum(p < 0.5 for p in failed_p if p is not None)
+        assert failed.rate == rejections / 199
 
     def test_grid_coverage_counts_singular_replication(self, monkeypatch):
         # one grid point of one replication turns singular: the whole
