@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio
 from .central_tendency import confidence_set
 from .errors import DegenerateErrors, MissingColumnError, SingularMatrixError
@@ -106,41 +104,11 @@ def _load_dataset(args):
                 "--random-walk builds its own dataset; do not combine it with "
                 "--instruments/--with-const/--cluster"
             )
-        prices = _read_price_column(args.input)
-        return dataio.random_walk_forecasts(prices)
+        return dataio.random_walk_forecasts(dataio.load_prices(args.input))
     columns = [c for c in args.instruments.split(",") if c]
     return dataio.load_csv(
         args.input, columns, cluster_column=args.cluster, with_const=args.with_const
     )
-
-
-def _read_price_column(path) -> np.ndarray:
-    import csv as _csv
-
-    with Path(path).open(newline="", encoding="utf-8") as handle:
-        reader = _csv.reader(handle)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        if "price" not in header:
-            raise MissingColumnError("price")
-        idx = header.index("price")
-        values = []
-        for r, row in enumerate(reader):
-            if idx >= len(row):
-                raise ValueError(
-                    f"row {r + 2} has {len(row)} of {len(header)} fields; "
-                    "column 'price' is missing"
-                )
-            cell = row[idx].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ValueError(
-                    f"non-numeric value {cell!r} at row {r + 2}, column 'price'"
-                ) from None
-    return np.asarray(values)
 
 
 def _cmd_test(args) -> int:

@@ -23,6 +23,7 @@ SCHEMA_VERSION = 1
 REALIZATION_COLUMN = "y"
 FORECAST_COLUMN = "x"
 CONST_COLUMN = "const"
+PRICE_COLUMN = "price"
 
 # Figure shading: member of the tightest (largest-alpha) set, member of some
 # set only, outside every set.
@@ -35,6 +36,108 @@ def _fmt_data(x: float) -> str:
 
 def _fmt_svg(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _integral(labels: np.ndarray) -> np.ndarray:
+    """Which labels are integers that int64 holds exactly (NaN and inf are not)."""
+    return (labels == np.trunc(labels)) & (np.abs(labels) < 2.0 ** 63)
+
+
+def _strict_float(cell: str) -> float | None:
+    """float(cell), refused where loadtxt's C parser refuses it: non-ASCII
+    digits and "_" digit separators. None when the cell is not a number."""
+    if not cell.isascii() or "_" in cell:
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _find_fault(rows, header, index, label_column) -> int:
+    """Walk the data rows and raise the first fault, naming its row and
+    column: a short or blank row, a non-numeric cell, then a non-integer
+    label. Return the number of rows when there is none."""
+    labels, label_cells = [], []
+    row_number = 1
+    for row_number, row in enumerate(rows, start=2):
+        for name, j in index.items():
+            if j >= len(row):
+                raise ValueError(
+                    f"row {row_number} has {len(row)} of {len(header)} fields; "
+                    f"column {name!r} is missing"
+                )
+            cell = row[j].strip()
+            value = _strict_float(cell)
+            if value is None:
+                raise ValueError(
+                    f"non-numeric value {cell!r} at row {row_number}, column {name!r}"
+                )
+            if name == label_column:
+                labels.append(value)
+                label_cells.append(cell)
+    if label_column is not None:
+        integral = _integral(np.array(labels))
+        if not integral.all():
+            r = int(np.argmin(integral))
+            raise ValueError(
+                f"cluster label {label_cells[r]!r} at row {r + 2}, "
+                f"column {label_column!r} is not an integer"
+            )
+    return row_number - 1
+
+
+def _read_columns(path, names, label_column: str | None = None) -> dict:
+    """Parse the named numeric columns of a headered CSV into float arrays.
+
+    The header is read with ``csv``; the needed columns of every data line
+    are parsed in one ``np.loadtxt`` pass. Cells may be quoted with ``"``
+    and padded with whitespace, and must be ASCII decimal numbers. A
+    ``label_column``, if given, is parsed too and must hold integers that
+    int64 holds exactly. An empty file, a missing column, a short or blank
+    row, a non-numeric cell or a non-integer label raises
+    ``MissingColumnError`` or a ``ValueError`` naming the row and column.
+    """
+    import io
+
+    path = Path(path)
+    with path.open(encoding="utf-8") as handle:
+        try:
+            header = [name.strip() for name in next(csv.reader(handle))]
+        except StopIteration:
+            raise ValueError(f"{path} is empty") from None
+        body = handle.read()
+    wanted = [*names] if label_column is None else [*names, label_column]
+    for name in wanted:
+        if name not in header:
+            raise MissingColumnError(name)
+    index = {name: header.index(name) for name in wanted}
+    n_lines = body.count("\n")
+    if body and not body.endswith("\n"):
+        n_lines += 1
+
+    table = np.empty((0, len(index)))
+    if body and not body.isspace():  # loadtxt warns when it finds no data
+        try:
+            table = np.loadtxt(
+                io.StringIO(body), delimiter=",", quotechar='"', comments=None,
+                usecols=list(index.values()), ndmin=2,
+            )
+        except ValueError:
+            table = None
+    # loadtxt skips blank lines and keeps a quoted line break inside its row,
+    # so when its row count is not the line count the walk decides.
+    if (
+        table is None
+        or len(table) != n_lines
+        or (label_column is not None
+            and not _integral(table[:, list(index).index(label_column)]).all())
+    ):
+        n_rows = _find_fault(csv.reader(io.StringIO(body)), header, index,
+                             label_column)
+        if table is None or len(table) != n_rows:
+            raise ValueError(f"{path}: the data rows could not be parsed")
+    return dict(zip(index, np.ascontiguousarray(table.T)))
 
 
 def load_csv(
@@ -51,66 +154,37 @@ def load_csv(
     failures and non-integer cluster labels raise ValueError naming the
     offending row and column.
     """
-    path = Path(path)
     instrument_columns = list(instrument_columns)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        header = [name.strip() for name in header]
-        needed = [REALIZATION_COLUMN, FORECAST_COLUMN, *instrument_columns]
-        if cluster_column is not None:
-            needed.append(cluster_column)
-        for name in needed:
-            if name not in header:
-                raise MissingColumnError(name)
-        rows = list(reader)
-    if len(rows) < 2:
-        raise ValueError(f"{path} has {len(rows)} data rows; need at least 2")
+    columns = _read_columns(
+        path,
+        [REALIZATION_COLUMN, FORECAST_COLUMN, *instrument_columns],
+        label_column=cluster_column,
+    )
+    n_rows = len(columns[REALIZATION_COLUMN])
+    if n_rows < 2:
+        raise ValueError(f"{Path(path)} has {n_rows} data rows; need at least 2")
 
-    column_index = {name: header.index(name) for name in needed}
-    parsed = {name: np.empty(len(rows)) for name in needed}
-    for r, row in enumerate(rows):
-        for name in needed:
-            if column_index[name] >= len(row):
-                raise ValueError(
-                    f"row {r + 2} has {len(row)} of {len(header)} fields; "
-                    f"column {name!r} is missing"
-                )
-            cell = row[column_index[name]].strip()
-            try:
-                parsed[name][r] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"non-numeric value {cell!r} at row {r + 2}, column {name!r}"
-                ) from None
-
-    instruments = [parsed[name] for name in instrument_columns]
+    instruments = [columns[name] for name in instrument_columns]
     if with_const:
-        instruments.insert(0, np.ones(len(rows)))
+        instruments.insert(0, np.ones(n_rows))
     if not instruments:
         raise ValueError(
             "no instruments selected; pass instrument columns or with_const"
         )
     clusters = None
     if cluster_column is not None:
-        labels = parsed[cluster_column]
-        integral = (labels == np.trunc(labels)) & (np.abs(labels) < 2.0 ** 63)
-        if not integral.all():
-            r = int(np.argmin(integral))
-            raise ValueError(
-                f"cluster label {rows[r][column_index[cluster_column]].strip()!r} "
-                f"at row {r + 2}, column {cluster_column!r} is not an integer"
-            )
-        clusters = labels.astype(np.int64)
+        clusters = columns[cluster_column].astype(np.int64)
     return ForecastDataset(
-        realizations=parsed[REALIZATION_COLUMN],
-        forecasts=parsed[FORECAST_COLUMN],
+        realizations=columns[REALIZATION_COLUMN],
+        forecasts=columns[FORECAST_COLUMN],
         instruments=np.column_stack(instruments),
         cluster_labels=clusters,
     )
+
+
+def load_prices(path) -> np.ndarray:
+    """Read the ``price`` column of a headered CSV, for random_walk_forecasts."""
+    return _read_columns(path, [PRICE_COLUMN])[PRICE_COLUMN]
 
 
 def write_dataset_csv(dataset: ForecastDataset, path, instrument_names=None) -> None:

@@ -26,10 +26,13 @@ class Functional(str, Enum):
 FUNCTIONALS = (Functional.MEAN, Functional.MEDIAN, Functional.MODE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForecastDataset:
     """Aligned forecasts, realizations and instruments; the unit every test
     consumes.
+
+    Frozen, and its arrays are read-only views of the inputs, so a dataset
+    cannot be edited past the checks made when it is built.
 
     Attributes
     ----------
@@ -50,28 +53,37 @@ class ForecastDataset:
     cluster_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.realizations = np.asarray(self.realizations, dtype=float)
-        self.forecasts = np.asarray(self.forecasts, dtype=float)
-        self.instruments = np.atleast_2d(np.asarray(self.instruments, dtype=float))
-        if self.instruments.shape[0] == 1 and self.realizations.size > 1:
-            self.instruments = self.instruments.T
-        t = self.realizations.size
+        realizations = np.asarray(self.realizations, dtype=float)
+        forecasts = np.asarray(self.forecasts, dtype=float)
+        instruments = np.atleast_2d(np.asarray(self.instruments, dtype=float))
+        if instruments.shape[0] == 1 and realizations.size > 1:
+            instruments = instruments.T
+        t = realizations.size
         if t < 2:
             raise ValueError(f"need at least 2 observations, got {t}")
-        if self.forecasts.size != t or self.instruments.shape[0] != t:
+        if forecasts.size != t or instruments.shape[0] != t:
             raise ValueError(
                 "realizations, forecasts and instruments must share length "
-                f"(got {t}, {self.forecasts.size}, {self.instruments.shape[0]})"
+                f"(got {t}, {forecasts.size}, {instruments.shape[0]})"
             )
-        if self.instruments.shape[1] < 1:
+        if instruments.shape[1] < 1:
             raise ValueError("need at least one instrument column")
-        for name in ("realizations", "forecasts", "instruments"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        arrays = {
+            "realizations": realizations,
+            "forecasts": forecasts,
+            "instruments": instruments,
+        }
+        for name, values in arrays.items():
+            if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} contain non-finite values")
         if self.cluster_labels is not None:
-            self.cluster_labels = np.asarray(self.cluster_labels)
-            if self.cluster_labels.size != t:
+            arrays["cluster_labels"] = np.asarray(self.cluster_labels)
+            if arrays["cluster_labels"].size != t:
                 raise ValueError("cluster labels must cover every observation")
+        for name, values in arrays.items():
+            view = values.view()  # not a copy; the caller's array stays writable
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n_obs(self) -> int:

@@ -253,10 +253,16 @@ class RandomStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        # Philox keys are two uint64 words; reducing out-of-range values
+        # would give different descriptors the same draws.
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            if not 0 <= value < 1 << 64:
+                raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.seed % (1 << 64), self.stream_id % (1 << 64)], dtype=np.uint64
-        )
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, stream_id: int) -> "RandomStream":

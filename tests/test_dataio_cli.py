@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
@@ -6,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import centest
 
@@ -26,7 +31,13 @@ from centest import (
     write_dataset_csv,
 )
 from centest.cli import main
-from centest.dataio import grid_from_dict, grid_to_csv, grid_to_dict, grid_to_svg
+from centest.dataio import (
+    grid_from_dict,
+    grid_to_csv,
+    grid_to_dict,
+    grid_to_svg,
+    load_prices,
+)
 
 from conftest import make_dataset
 
@@ -104,6 +115,181 @@ class TestLoadCsv:
         assert np.array_equal(back.forecasts, ds.forecasts)
         assert np.array_equal(back.instruments, ds.instruments)
         assert np.array_equal(back.cluster_labels, ds.cluster_labels)
+
+    def test_bit_exact_with_quoted_and_padded_cells(self, tmp_path):
+        y = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0,
+                      np.nextafter(1.0, 2.0), -2.2250738585072014e-308, 7.0])
+        x = np.array([1e-300 / 3.0, -1.7976931348623157e308, 2.0 / 3.0, 0.0,
+                      -5e-324, 123456789.12345679, np.pi, -np.e])
+        ds = ForecastDataset(y, x, np.column_stack([np.ones(8), x[::-1]]),
+                             cluster_labels=np.array([3, -1, 0, 7, 7, 2, -40, 3]))
+        f = tmp_path / "exact.csv"
+        write_dataset_csv(ds, f, instrument_names=["const", "xr"])
+        lines = f.read_text().splitlines()
+        # quote every cell of the odd data rows, pad every cell of the even ones
+        edited = [lines[0]] + [
+            ",".join(f'"{c}"' if t % 2 else f"  {c}\t" for c in line.split(","))
+            for t, line in enumerate(lines[1:])
+        ]
+        f.write_text("\n".join(edited) + "\n")
+        back = load_csv(f, ["const", "xr"], cluster_column="cluster")
+        for name in ("realizations", "forecasts", "instruments"):
+            written, read = getattr(ds, name), getattr(back, name)
+            assert np.array_equal(read, written)
+            assert np.array_equal(read.view(np.int64), written.view(np.int64))
+        assert back.cluster_labels.dtype == np.int64
+        assert np.array_equal(back.cluster_labels, ds.cluster_labels)
+
+    @pytest.mark.parametrize("text, message", [
+        ("y,x\n1,2\n\n3,4\n", "row 3 has 0 of 2 fields; column 'y' is missing"),
+        ("y,x\n1,2\n3,4\n\n", "row 4 has 0 of 2 fields; column 'y' is missing"),
+        ("y,x\n1,2\n  \n3,4\n", "non-numeric value '' at row 3, column 'y'"),
+    ])
+    def test_blank_line_is_an_error(self, tmp_path, text, message):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(f, [], with_const=True)
+
+    def test_quoted_line_break_in_another_column_loads(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text('y,note,x\n1,"two\nlines",2\n3,plain,4\n5,"",6\n')
+        ds = load_csv(f, [], with_const=True)
+        assert np.array_equal(ds.realizations, [1.0, 3.0, 5.0])
+        assert np.array_equal(ds.forecasts, [2.0, 4.0, 6.0])
+
+
+class TestStricterCells:
+    """Cells float() reads but the C parser does not: "_" digit separators
+    and non-ASCII digits. They exit 2 like any other non-numeric cell."""
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\uff17"])
+    def test_dataset_cell(self, tmp_path, capsys, cell):
+        assert float(cell) > 0
+        f = tmp_path / "d.csv"
+        f.write_text(f"y,x\n1,2\n3,{cell}\n5,6\n", encoding="utf-8")
+        code = main(["test", "--input", str(f), "--functional", "mean",
+                     "--with-const"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            f"centest: error: non-numeric value {cell!r} at row 3, column 'x'\n"
+        )
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662"])
+    def test_price_cell(self, tmp_path, capsys, cell):
+        f = tmp_path / "p.csv"
+        f.write_text(f"price\n1\n2\n{cell}\n4\n", encoding="utf-8")
+        code = main(["test", "--input", str(f), "--functional", "mean",
+                     "--random-walk"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            f"centest: error: non-numeric value {cell!r} at row 4, "
+            "column 'price'\n"
+        )
+
+
+_COLUMNS = ("y", "x", "z", "w", "price")
+_NUMBER = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6).map(repr),
+    st.integers(-99, 99).map(str),
+)
+_TOKEN = st.sampled_from(
+    ["", "oops", "1_000", "\u0661", "nan", "inf", "1e", "-", "0x1", "1.5"]
+)
+
+
+@st.composite
+def _cell(draw, column, faulty):
+    numbers = st.integers(-3, 3).map(str) if column == "w" else _NUMBER
+    text = draw(st.one_of(numbers, numbers, numbers, _TOKEN) if faulty else numbers)
+    pads = st.sampled_from(["", " ", "\t"])
+    if draw(st.booleans()):
+        # a space before the opening quote makes the quote part of the cell
+        lead = draw(pads) if faulty else ""
+        return f'{lead}"{draw(pads)}{text}{draw(pads)}"{draw(pads)}'
+    return f"{draw(pads)}{text}{draw(pads)}"
+
+
+@st.composite
+def _csv_text(draw):
+    columns = ["y", "x", *draw(st.lists(st.sampled_from(["z", "w", "price"]),
+                                        unique=True))]
+    if draw(st.integers(0, 7)) == 0:
+        columns.remove(draw(st.sampled_from(["y", "x"])))
+    columns = draw(st.permutations(columns))
+    faulty = draw(st.booleans())  # clean files are the ones that load
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 12))):
+        width = len(columns)
+        if faulty and draw(st.integers(0, 9)) == 0:  # ragged or blank
+            width = draw(st.integers(0, len(columns) + 1))
+        padded = [*columns, *columns][:width]
+        lines.append(",".join(draw(_cell(c, faulty)) for c in padded))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _float_parse(path, names):
+    """The reference: csv rows, every cell stripped and read by float()."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    header = [name.strip() for name in rows[0]]
+    index = {name: header.index(name) for name in names}
+    return {
+        name: np.array([float(row[j].strip()) for row in rows[1:]])
+        for name, j in index.items()
+    }
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+class TestReaderFuzz:
+    @given(text=_csv_text(), cluster=st.booleans(), const=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_cli_and_loader_agree_with_float_parse(self, tmp_path_factory, text,
+                                                   cluster, const):
+        f = tmp_path_factory.mktemp("fuzz") / "d.csv"
+        f.write_text(text, encoding="utf-8")
+        header = text.split("\n", 1)[0].split(",")
+        instruments = ["z"] if "z" in header else []
+        flags = ["--instruments", ",".join(instruments)]
+        flags += ["--with-const"] if const or not instruments else []
+        flags += ["--cluster", "w"] if cluster else []
+
+        code = _run_cli(["test", "--input", str(f), "--functional", "mean",
+                         *flags])
+        try:
+            ds = load_csv(f, instruments, cluster_column="w" if cluster else None,
+                          with_const=const or not instruments)
+        except (ValueError, MissingColumnError):
+            assert code == 2
+        else:
+            ref = _float_parse(f, ["y", "x", *instruments,
+                                   *(["w"] if cluster else [])])
+            assert np.array_equal(ds.realizations, ref["y"])
+            assert np.array_equal(ds.forecasts, ref["x"])
+            if instruments:
+                assert np.array_equal(ds.instruments[:, -1], ref["z"])
+            if cluster:
+                assert np.array_equal(ds.cluster_labels, ref["w"])
+
+        code = _run_cli(["test", "--input", str(f), "--functional", "mean",
+                         "--random-walk"])
+        try:
+            prices = load_prices(f)
+        except (ValueError, MissingColumnError):
+            assert code == 2
+        else:
+            assert np.array_equal(prices, _float_parse(f, ["price"])["price"],
+                                  equal_nan=True)
 
 
 class TestRandomWalk:

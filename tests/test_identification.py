@@ -38,6 +38,23 @@ class TestForecastDataset:
         assert ds.instruments.shape == (3, 1)
         assert ds.n_obs == 3 and ds.n_instruments == 1
 
+    def test_frozen_with_read_only_views(self):
+        y = np.array([1.0, 2.0, 3.0])
+        labels = np.array([0, 0, 1])
+        ds = ForecastDataset(y, y + 1.0, np.ones((3, 1)), cluster_labels=labels)
+        with pytest.raises(AttributeError):
+            ds.realizations = np.zeros(3)  # type: ignore[misc]
+        for values in (ds.realizations, ds.forecasts, ds.instruments,
+                       ds.cluster_labels):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 5.0
+        # views, not copies: the caller's arrays are shared and stay writable
+        assert np.shares_memory(ds.realizations, y)
+        assert np.shares_memory(ds.cluster_labels, labels)
+        y[0] = 7.0
+        labels[0] = 4
+        assert y.flags.writeable and labels.flags.writeable
+
 
 class TestForecastErrors:
     def test_direct_subtraction(self):

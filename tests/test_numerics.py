@@ -321,6 +321,16 @@ class TestRandomStream:
         s = RandomStream(9)
         assert s.substream(5) == RandomStream(9, 5)
 
+    def test_key_outside_uint64_rejected(self):
+        for seed, stream_id, name in [(-1, 5, "seed"), (1 << 64, 5, "seed"),
+                                      (3, -1, "stream_id"),
+                                      (3, 1 << 64, "stream_id")]:
+            with pytest.raises(ValueError,
+                               match=rf"{name} must lie in \[0, 2\*\*64\)"):
+                RandomStream(seed, stream_id)
+        top = RandomStream((1 << 64) - 1, (1 << 64) - 1).generator().random(4)
+        assert np.all((0.0 <= top) & (top < 1.0))
+
     def test_kernel_dataclass_is_frozen(self):
         with pytest.raises(Exception):
             gaussian_kernel().deriv_sq_integral = 1.0  # type: ignore[misc]
