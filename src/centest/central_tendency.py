@@ -117,35 +117,50 @@ def sigma_hat(phi: np.ndarray, cluster_labels=None) -> np.ndarray:
 def gmm_objectives_from_stacked(
     thetas, stacked: StackedMoments, cluster_labels=None
 ) -> tuple[np.ndarray, list[str | None]]:
-    """S_T at every row of ``thetas`` (n, 3) in one batched pass.
+    """S_T at every row of ``thetas`` (n, 3) in one batched pass: the
+    one-dataset case of _objectives_block. Returns the objectives and, per
+    point, None or the eigenvalue-floor note of a singular Sigma(theta),
+    whose objective is NaN."""
+    th = np.atleast_2d(np.asarray(thetas, dtype=float))
+    objectives, (notes,) = _objectives_block(th, stacked.per_obs[None], cluster_labels)
+    return objectives[0], notes
+
+
+def _objectives_block(
+    thetas: np.ndarray, per_obs: np.ndarray, cluster_labels=None
+) -> tuple[np.ndarray, list[list[str | None]]]:
+    """S_T at every theta (P, 3) for every dataset of a block of stacked rows
+    (B, T, 3, k); cluster labels apply to a one-dataset block.
 
     The combined moment is linear in theta, so with g_r = T^{-1/2} sum_t
-    psi_{t,r} and the k x k blocks M_rs of (1/T) R'R, where R holds the
-    stacked rows (wave sums under clusters) flattened to 3k columns,
+    psi_{t,r} and the k x k blocks M_rs of (1/T) R'R, where R holds a
+    dataset's stacked rows (wave sums under clusters) flattened to 3k
+    columns,
 
         g(theta) = sum_r theta_r g_r,  Sigma(theta) = sum_{r,s} theta_r theta_s M_rs.
 
-    The blocks are built once; every Sigma(theta) then goes through one
-    batched eigendecomposition and S = sum_i (q_i' g)^2 / lambda_i. Returns
-    the objectives and, per point, None or the eigenvalue-floor note of a
-    singular Sigma(theta), whose objective is NaN.
+    The blocks are built once per dataset; every Sigma(theta) then goes
+    through one batched eigendecomposition and S = sum_i (q_i' g)^2 /
+    lambda_i. Returns the (B, P) objectives and, per dataset, the P notes:
+    None or the eigenvalue-floor note of a singular Sigma(theta), whose
+    objective is NaN.
     """
-    th = np.atleast_2d(np.asarray(thetas, dtype=float))
-    t, n_rows, k = stacked.per_obs.shape
-    rows = stacked.per_obs.reshape(t, n_rows * k)
-    g = (np.ones(t) @ rows).reshape(n_rows, k) / np.sqrt(t)
+    b, t, n_rows, k = per_obs.shape
+    p = thetas.shape[0]
+    rows = per_obs.reshape(b, t, n_rows * k)
+    g = (np.ones(t) @ rows).reshape(b, n_rows, k) / np.sqrt(t)
     if cluster_labels is not None:
-        rows = _wave_sums(rows, cluster_labels)
-    blocks = (rows.T @ rows / t).reshape(n_rows, k, n_rows, k).transpose(0, 2, 1, 3)
+        rows = _wave_sums(rows[0], cluster_labels)[None]
+    blocks = (np.swapaxes(rows, 1, 2) @ rows / t).reshape(b, n_rows, k, n_rows, k)
+    blocks = blocks.transpose(0, 1, 3, 2, 4).reshape(b, n_rows * n_rows, k * k)
 
-    pairs = (th[:, :, None] * th[:, None, :]).reshape(-1, n_rows * n_rows)
-    sigmas = (pairs @ blocks.reshape(n_rows * n_rows, k * k)).reshape(-1, k, k)
-    lam, q, notes = floored_eigh(sigmas)
-    ok = [p for p, note in enumerate(notes) if note is None]
-    proj = (th[ok] @ g)[:, None, :] @ q[ok]
-    objectives = np.full(th.shape[0], np.nan)
-    objectives[ok] = np.sum(proj[:, 0, :] ** 2 / lam[ok], axis=1)
-    return objectives, notes
+    pairs = (thetas[:, :, None] * thetas[:, None, :]).reshape(p, n_rows * n_rows)
+    lam, q, notes = floored_eigh((pairs @ blocks).reshape(b, p, k, k))
+    ok = np.array([note is None for note in notes]).reshape(b, p)
+    proj = ((thetas @ g)[:, :, None, :] @ q)[:, :, 0, :]
+    safe_lam = np.where(ok[:, :, None], lam, 1.0)
+    objectives = np.where(ok, np.sum(proj ** 2 / safe_lam, axis=2), np.nan)
+    return objectives, [notes[i * p:(i + 1) * p] for i in range(b)]
 
 
 def gmm_objective_from_stacked(

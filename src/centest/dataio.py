@@ -38,9 +38,15 @@ def _fmt_svg(x: float) -> str:
     return f"{x:.6g}"
 
 
+# Labels are parsed as float64, which holds every integer below 2**53 in
+# magnitude exactly; at and above it distinct labels can parse equal.
+_LABEL_LIMIT = 2.0 ** 53
+
+
 def _integral(labels: np.ndarray) -> np.ndarray:
-    """Which labels are integers that int64 holds exactly (NaN and inf are not)."""
-    return (labels == np.trunc(labels)) & (np.abs(labels) < 2.0 ** 63)
+    """Which labels are integers below 2**53 in magnitude (NaN and inf are
+    not)."""
+    return (labels == np.trunc(labels)) & (np.abs(labels) < _LABEL_LIMIT)
 
 
 def _strict_float(cell: str) -> float | None:
@@ -77,13 +83,16 @@ def _find_fault(rows, header, index, label_column) -> int:
                 labels.append(value)
                 label_cells.append(cell)
     if label_column is not None:
-        integral = _integral(np.array(labels))
+        labels = np.array(labels)
+        integral = _integral(labels)
         if not integral.all():
             r = int(np.argmin(integral))
-            raise ValueError(
-                f"cluster label {label_cells[r]!r} at row {r + 2}, "
-                f"column {label_column!r} is not an integer"
-            )
+            where = (f"cluster label {label_cells[r]!r} at row {r + 2}, "
+                     f"column {label_column!r}")
+            if np.isfinite(labels[r]) and labels[r] == np.trunc(labels[r]):
+                raise ValueError(f"{where} is not below 2**53 in magnitude, "
+                                 "so it cannot be read exactly")
+            raise ValueError(f"{where} is not an integer")
     return row_number - 1
 
 
@@ -93,10 +102,11 @@ def _read_columns(path, names, label_column: str | None = None) -> dict:
     The header is read with ``csv``; the needed columns of every data line
     are parsed in one ``np.loadtxt`` pass. Cells may be quoted with ``"``
     and padded with whitespace, and must be ASCII decimal numbers. A
-    ``label_column``, if given, is parsed too and must hold integers that
-    int64 holds exactly. An empty file, a missing column, a short or blank
-    row, a non-numeric cell or a non-integer label raises
-    ``MissingColumnError`` or a ``ValueError`` naming the row and column.
+    ``label_column``, if given, is parsed too and must hold integers below
+    2**53 in magnitude, which float64 holds exactly. An empty file, a
+    missing column, a short or blank row, a non-numeric cell or a label
+    that is not such an integer raises ``MissingColumnError`` or a
+    ``ValueError`` naming the row and column.
     """
     import io
 

@@ -24,3 +24,15 @@ class MissingColumnError(ValueError):
     def __init__(self, column: str):
         self.column = column
         super().__init__(f"required column {column!r} not found in input header")
+
+
+def raise_row_failure(failures: list) -> None:
+    """Raise the failure a one-row block recorded, if it has one.
+
+    Block kernels return, for each row, None or the exception the matching
+    single-dataset function raises; that function is the kernel's one-row
+    case and raises through here.
+    """
+    (failure,) = failures
+    if failure is not None:
+        raise failure

@@ -13,8 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SingularMatrixError
-from .numerics import RELATIVE_EIG_FLOOR, Kernel, gaussian_kernel, inverse_sqrt_spd
+from .errors import SingularMatrixError, raise_row_failure
+from .numerics import RELATIVE_EIG_FLOOR, Kernel, floored_eigh, gaussian_kernel
 
 
 class Functional(str, Enum):
@@ -26,13 +26,15 @@ class Functional(str, Enum):
 FUNCTIONALS = (Functional.MEAN, Functional.MEDIAN, Functional.MODE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastDataset:
     """Aligned forecasts, realizations and instruments; the unit every test
     consumes.
 
     Frozen, and its arrays are read-only views of the inputs, so a dataset
-    cannot be edited past the checks made when it is built.
+    cannot be edited past the checks made when it is built. Two datasets are
+    equal when they hold the same fields with equal arrays; a dataset is not
+    hashable.
 
     Attributes
     ----------
@@ -53,37 +55,40 @@ class ForecastDataset:
     cluster_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        realizations = np.asarray(self.realizations, dtype=float)
-        forecasts = np.asarray(self.forecasts, dtype=float)
+        realizations = np.atleast_1d(np.asarray(self.realizations, dtype=float))
+        forecasts = np.atleast_1d(np.asarray(self.forecasts, dtype=float))
         instruments = np.atleast_2d(np.asarray(self.instruments, dtype=float))
         if instruments.shape[0] == 1 and realizations.size > 1:
             instruments = instruments.T
-        t = realizations.size
-        if t < 2:
-            raise ValueError(f"need at least 2 observations, got {t}")
-        if forecasts.size != t or instruments.shape[0] != t:
-            raise ValueError(
-                "realizations, forecasts and instruments must share length "
-                f"(got {t}, {forecasts.size}, {instruments.shape[0]})"
-            )
-        if instruments.shape[1] < 1:
-            raise ValueError("need at least one instrument column")
+        _check_aligned(realizations, forecasts, instruments)
         arrays = {
             "realizations": realizations,
             "forecasts": forecasts,
             "instruments": instruments,
         }
-        for name, values in arrays.items():
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} contain non-finite values")
         if self.cluster_labels is not None:
             arrays["cluster_labels"] = np.asarray(self.cluster_labels)
-            if arrays["cluster_labels"].size != t:
+            if arrays["cluster_labels"].size != realizations.size:
                 raise ValueError("cluster labels must cover every observation")
         for name, values in arrays.items():
             view = values.view()  # not a copy; the caller's array stays writable
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+
+    def __eq__(self, other):
+        if not isinstance(other, ForecastDataset):
+            return NotImplemented
+        return all(
+            a is b if a is None or b is None else np.array_equal(a, b)
+            for a, b in (
+                (self.realizations, other.realizations),
+                (self.forecasts, other.forecasts),
+                (self.instruments, other.instruments),
+                (self.cluster_labels, other.cluster_labels),
+            )
+        )
+
+    __hash__ = None
 
     @property
     def n_obs(self) -> int:
@@ -92,6 +97,29 @@ class ForecastDataset:
     @property
     def n_instruments(self) -> int:
         return self.instruments.shape[1]
+
+
+def _check_aligned(realizations, forecasts, instruments) -> None:
+    """The length and finiteness checks every dataset passes, for one
+    dataset ((T,) outcomes and forecasts, (T, k) instruments) or for every
+    row of a block ((B, T) and (B, T, k))."""
+    t = realizations.shape[-1]
+    if t < 2:
+        raise ValueError(f"need at least 2 observations, got {t}")
+    if forecasts.shape[-1] != t or instruments.shape[-2] != t:
+        raise ValueError(
+            "realizations, forecasts and instruments must share length "
+            f"(got {t}, {forecasts.shape[-1]}, {instruments.shape[-2]})"
+        )
+    if instruments.shape[-1] < 1:
+        raise ValueError("need at least one instrument column")
+    for name, values in (
+        ("realizations", realizations),
+        ("forecasts", forecasts),
+        ("instruments", instruments),
+    ):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} contain non-finite values")
 
 
 def forecast_errors(dataset: ForecastDataset) -> np.ndarray:
@@ -114,26 +142,35 @@ def identification_values(
               delta**(-1/2), sign-aligned with eps.
     """
     kind = Functional(kind)
-    e = np.asarray(errors, dtype=float)
+    if kind is Functional.MODE and (delta is None or delta <= 0):
+        raise ValueError(f"mode values need a positive bandwidth, got {delta}")
+    return _values(kind, np.asarray(errors, dtype=float), delta,
+                   kernel or gaussian_kernel())
+
+
+def _values(kind: Functional, e: np.ndarray, delta, kernel: Kernel) -> np.ndarray:
     if kind is Functional.MEAN:
         return e.copy()
     if kind is Functional.MEDIAN:
         return np.sign(e)
-    if delta is None or delta <= 0:
-        raise ValueError(f"mode values need a positive bandwidth, got {delta}")
-    kernel = kernel or gaussian_kernel()
     return delta ** -0.5 * kernel.deriv_at(-e / delta)
 
 
 def _identification_matrix(errors, delta, kernel) -> np.ndarray:
-    """(3, T) matrix of identification values, rows ordered mean/median/mode."""
-    return np.stack(
-        [identification_values(f, errors, delta, kernel) for f in FUNCTIONALS]
-    )
+    """Identification values with rows ordered mean/median/mode: (3, T) for
+    errors (T,) and one bandwidth, (B, 3, T) for a block (B, T) and one
+    bandwidth per row."""
+    e = np.asarray(errors, dtype=float)
+    d = np.expand_dims(np.asarray(delta, dtype=float), -1)
+    kernel = kernel or gaussian_kernel()
+    return np.stack([_values(f, e, d, kernel) for f in FUNCTIONALS], axis=-2)
 
 
-def _weight_matrices_from_arrays(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Weight matrices for given identification values (3, T) and instruments.
+def _weight_matrices_from_arrays(
+    values: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, list]:
+    """Weight matrices for a block of identification values (B, 3, T) and
+    instruments (B, T, k).
 
     Every row shares the whitener G = [(1/T) sum h h']^{-1/2} and gets its own
     scalar c_r = sqrt(k / tr(G M_r G)), M_r the row's uncentered second-moment
@@ -143,27 +180,48 @@ def _weight_matrices_from_arrays(values: np.ndarray, h: np.ndarray) -> np.ndarra
     each row differently and break that); when a row's values are
     uncorrelated with the instruments, c_r G is the row's exact inverse
     square root, so the two constructions agree there and for k = 1 always.
+
+    Returns the (B, 3, k, k) weights and, per dataset, None or the
+    SingularMatrixError that makes it unusable: a whitener below the
+    eigenvalue floor first, then the mean, median and mode row scales in
+    that order. A failed dataset gets finite placeholder weights.
     """
-    t, k = h.shape
-    try:
-        whitener = inverse_sqrt_spd(h.T @ h / t)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
+    b, t, k = h.shape
+    lam, q, notes = floored_eigh(np.swapaxes(h, 1, 2) @ h / t)
+    failures = [
+        None if note is None else SingularMatrixError(
             f"instrument second-moment matrix is singular "
-            f"(collinear instruments?): {exc}"
-        ) from exc
-    out = np.empty((3, k, k))
-    for r, functional in enumerate(FUNCTIONALS):
-        vh = values[r][:, None] * h
-        moment = vh.T @ vh / t
-        scale = float(np.trace(whitener @ moment @ whitener)) / k
-        if not scale > RELATIVE_EIG_FLOOR * max(1.0, float(np.trace(moment))):
-            raise SingularMatrixError(
-                f"second-moment matrix for the {functional.value} row is "
-                f"singular (whitened trace {scale:.6e})"
+            f"(collinear instruments?): {note}"
+        )
+        for note in notes
+    ]
+    lam[[failure is not None for failure in failures]] = 1.0
+    whitener = (q * lam[:, None, :] ** -0.5) @ np.swapaxes(q, 1, 2)
+    scales = np.empty((b, 3))
+    floors = np.empty((b, 3))
+    for r in range(3):
+        vh = values[:, r, :, None] * h
+        moment = np.swapaxes(vh, 1, 2) @ vh / t
+        scales[:, r] = np.trace(whitener @ moment @ whitener, axis1=1, axis2=2) / k
+        floors[:, r] = RELATIVE_EIG_FLOOR * np.maximum(
+            1.0, np.trace(moment, axis1=1, axis2=2))
+    bad = ~(scales > floors)
+    for i in np.flatnonzero(bad.any(axis=1)).tolist():
+        if failures[i] is None:
+            r = int(np.argmax(bad[i]))
+            failures[i] = SingularMatrixError(
+                f"second-moment matrix for the {FUNCTIONALS[r].value} row is "
+                f"singular (whitened trace {scales[i, r]:.6e})"
             )
-        out[r] = whitener / np.sqrt(scale)
-    return out
+    scales[bad] = 1.0
+    return whitener[:, None] / np.sqrt(scales)[:, :, None, None], failures
+
+
+def _row_weights(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The (3, k, k) weights of one dataset; raises its failure."""
+    weights, failures = _weight_matrices_from_arrays(values[None], h[None])
+    raise_row_failure(failures)
+    return weights[0]
 
 
 def weighting_matrices(
@@ -178,16 +236,19 @@ def weighting_matrices(
     estimator used downstream); see _weight_matrices_from_arrays for the
     exact construction and the invariance rationale.
     """
-    kernel = kernel or gaussian_kernel()
-    errors = forecast_errors(dataset)
-    values = _identification_matrix(errors, delta, kernel)
-    return _weight_matrices_from_arrays(values, dataset.instruments)
+    values = _identification_matrix(forecast_errors(dataset), delta, kernel)
+    return _row_weights(values, dataset.instruments)
 
 
 def _assemble_stacked(values, instruments, weights) -> np.ndarray:
-    """per_obs[t, r, :] = values[r, t] * (weights[r] @ instruments[t])."""
-    weighted_h = np.einsum("rij,tj->tri", weights, instruments)
-    return values.T[:, :, None] * weighted_h
+    """per_obs[t, r, :] = values[r, t] * (weights[r] @ instruments[t]), for
+    one dataset or for each of a block with a leading axis on every array."""
+    *lead, n_rows, k, _ = weights.shape
+    # column r k + i of this (k, 3k) matrix is row i of weights[r]
+    columns = np.ascontiguousarray(np.moveaxis(weights, -1, -3))
+    weighted_h = instruments @ columns.reshape(*lead, k, n_rows * k)
+    shape = weighted_h.shape[:-1] + (n_rows, k)
+    return np.swapaxes(values, -1, -2)[..., None] * weighted_h.reshape(shape)
 
 
 @dataclass
@@ -233,10 +294,10 @@ def stacked_moments(
     kernel = kernel or gaussian_kernel()
     if delta <= 0:
         raise ValueError(f"bandwidth must be positive, got {delta}")
+    values = _identification_matrix(forecast_errors(dataset), delta, kernel)
     if weight_matrices is None:
-        weight_matrices = weighting_matrices(dataset, delta, kernel)
+        weight_matrices = _row_weights(values, dataset.instruments)
     else:
         weight_matrices = np.asarray(weight_matrices, dtype=float)
-    values = _identification_matrix(forecast_errors(dataset), delta, kernel)
     per_obs = _assemble_stacked(values, dataset.instruments, weight_matrices)
     return StackedMoments(per_obs=per_obs, bandwidth=delta, weight_matrices=weight_matrices)

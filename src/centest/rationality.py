@@ -19,6 +19,13 @@ shrinking bandwidth:
 
 Both statistics are asymptotically chi-square with k = dim(h) degrees of
 freedom under their null.
+
+The mode test is computed by a block kernel, _mode_tests, that scores many
+datasets of equal length at once (the Monte Carlo harness passes a block of
+replications); mode_test is its one-row case. Per dataset the kernel returns
+the TestResult or the exception mode_test would raise: DegenerateErrors from
+the bandwidth (zero MAD, then zero sd), then SingularMatrixError from the
+covariance floor.
 """
 
 from __future__ import annotations
@@ -27,14 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import bandwidth_rule_of_thumb
+from .bandwidth import _bandwidth_block
+from .errors import SingularMatrixError
 from .identification import (
     ForecastDataset,
     Functional,
     forecast_errors,
     identification_values,
 )
-from .numerics import Kernel, chi_square_sf, gaussian_kernel, solve_spd
+from .numerics import Kernel, chi_square_sf, floored_eigh, gaussian_kernel, solve_spd
 
 
 @dataclass(frozen=True)
@@ -91,27 +99,63 @@ def mode_test(
 
     ``delta`` defaults to the rule-of-thumb bandwidth computed from the
     forecast errors. Raises DegenerateErrors if the errors carry no
-    dispersion and SingularMatrixError if the covariance is singular.
+    dispersion and SingularMatrixError if the covariance is singular. This
+    is the one-row case of _mode_tests.
     """
-    kernel = kernel or gaussian_kernel()
-    errors = forecast_errors(dataset)
-    t = dataset.n_obs
-    if delta is None:
-        delta = bandwidth_rule_of_thumb(errors, t).delta
-    elif delta <= 0:
+    if delta is not None and delta <= 0:
         raise ValueError(f"bandwidth must be positive, got {delta}")
-    h = dataset.instruments
-    kp = kernel.deriv_at(errors / delta)
-    psi = (-(delta ** -2.0) * kp)[:, None] * h
-    moment = delta ** 1.5 * t ** -0.5 * psi.sum(axis=0)
-    omega = (h * (delta ** -1.0 * kp ** 2)[:, None]).T @ h / t
-    statistic = float(moment @ solve_spd(omega, moment))
-    k = dataset.n_instruments
-    return TestResult(
-        statistic=statistic,
-        df=k,
-        p_value=chi_square_sf(k, statistic),
-        functional=Functional.MODE,
-        bandwidth=float(delta),
-        covariance=omega,
+    (result,) = _mode_tests(
+        forecast_errors(dataset)[None], dataset.instruments[None],
+        kernel or gaussian_kernel(), delta,
     )
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _mode_tests(
+    errors: np.ndarray,
+    instruments: np.ndarray,
+    kernel: Kernel,
+    delta: float | None = None,
+) -> list[TestResult | Exception]:
+    """Mode tests of a block of datasets: errors (B, T), instruments (B, T, k).
+
+    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth. Per
+    dataset the result is its TestResult or the exception mode_test raises
+    on it, checked in mode_test's order: the bandwidth's DegenerateErrors
+    (zero MAD, then zero sd), then the covariance's eigenvalue floor
+    (SingularMatrixError). A failed dataset's values are finite
+    placeholders, so it raises no warning and leaves the others unchanged.
+    """
+    b, t, k = instruments.shape
+    if delta is None:
+        bandwidths, failures = _bandwidth_block(errors, t)
+        delta = bandwidths.delta
+    else:
+        delta, failures = np.full(b, float(delta)), [None] * b
+    d = delta[:, None]
+    kp = kernel.deriv_at(errors / d)
+    psi = (-(d ** -2.0) * kp)[:, :, None] * instruments
+    moment = (delta ** 1.5 * t ** -0.5)[:, None] * psi.sum(axis=1)
+    weighted = instruments * (d ** -1.0 * kp ** 2)[:, :, None]
+    omega = np.swapaxes(weighted, 1, 2) @ instruments / t
+    lam, q, notes = floored_eigh(omega)
+    for i, note in enumerate(notes):
+        if failures[i] is None and note is not None:
+            failures[i] = SingularMatrixError(note)
+    ok = np.array([failure is None for failure in failures])
+    proj = (moment[:, None, :] @ q)[:, 0, :]
+    statistics = np.where(
+        ok, np.sum(proj ** 2 / np.where(ok[:, None], lam, 1.0), axis=1), 0.0)
+    return [
+        TestResult(
+            statistic=s,
+            df=k,
+            p_value=chi_square_sf(k, s),
+            functional=Functional.MODE,
+            bandwidth=bw,
+            covariance=omega[i],
+        ) if failures[i] is None else failures[i]
+        for i, (s, bw) in enumerate(zip(statistics.tolist(), delta.tolist()))
+    ]

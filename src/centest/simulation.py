@@ -17,6 +17,15 @@ still draws its innovations from its own stream, and the time-series
 recursions then take one vector step per time step across the block.
 Blocking never changes the draws, and a single path is the one-row case of
 the same kernel, so a path is bitwise the same however it was made.
+
+Each block is also scored in one pass. The bandwidth rule, the weight
+matrices, the stacked moments, the mode test and the GMM objective all have
+block kernels with a leading replication axis, and the single-dataset
+functions are their one-row case. A block kernel returns, per replication,
+its result or the exception the single-dataset function would raise on it,
+found by the same checks in the same order; a failed replication gets
+finite placeholder values, so it neither warns nor changes the others, and
+the replication loop counts it by exception name.
 """
 
 from __future__ import annotations
@@ -31,20 +40,15 @@ import numpy as np
 from scipy import optimize, special
 from scipy.signal import lfilter
 
-from .bandwidth import bandwidth_rule_of_thumb
-from .central_tendency import (
-    SimplexWeights,
-    gmm_objective_from_stacked,
-    gmm_objectives_from_stacked,
-    simplex_grid,
-)
+from .bandwidth import _bandwidth_block, bandwidth_rule_of_thumb
+from .central_tendency import SimplexWeights, _objectives_block, simplex_grid
 from .errors import DegenerateErrors, SingularMatrixError
 from .identification import (
-    ForecastDataset,
+    _assemble_stacked,
+    _check_aligned,
     _identification_matrix,
+    _row_weights,
     _weight_matrices_from_arrays,
-    forecast_errors,
-    stacked_moments,
 )
 from .numerics import (
     Kernel,
@@ -52,7 +56,7 @@ from .numerics import (
     chi_square_quantile,
     gaussian_kernel,
 )
-from .rationality import mode_test
+from .rationality import _mode_tests
 
 _B = np.sqrt(2.0 / np.pi)
 
@@ -528,10 +532,9 @@ def implied_theta(
 
     delta = bandwidth_rule_of_thumb(errors, n_obs=config.n_obs).delta
     values = _identification_matrix(errors, delta, kernel)
-    weights = _weight_matrices_from_arrays(values, instruments)
-    moment_rows = np.empty((3, k))
-    for r in range(3):
-        moment_rows[r] = ((values[r][:, None] * instruments) @ weights[r]).mean(axis=0)
+    weights = _row_weights(values, instruments)
+    # row r: the mean over observations of v_r h' W_r
+    moment_rows = ((values @ instruments / n)[:, None, :] @ weights)[:, 0, :]
 
     quad = moment_rows @ moment_rows.T
     lam, vecs = np.linalg.eigh(quad)
@@ -600,36 +603,51 @@ def _run_replications(
     replications: int,
     beta,
     instrument_set: InstrumentSet,
-    score: Callable[[ForecastDataset], object],
+    score: Callable[[np.ndarray, np.ndarray], list],
     distortion: Distortion | str | None = None,
     kappa: float = 0.0,
 ) -> tuple[list, dict[str, int]]:
     """The one replication loop behind every experiment.
 
+    Replications are scored a block of up to ``_CHUNK`` at a time.
     Replication r simulates its path from stream 2r, forms the beta
     forecasts, distorts them with noise from stream 2r + 1 when
-    ``distortion`` is set, builds the instruments and dataset, and scores
-    it. A replication whose scoring raises DegenerateErrors or
-    SingularMatrixError is counted by exception name and skipped. Returns
-    the scores of the successful replications, in order, and the counts.
+    ``distortion`` is set, and builds its instruments. The block's arrays
+    pass the checks every ForecastDataset passes, and ``score`` gets its
+    forecast errors (B, T) and instruments (B, T, k) in one call. It returns
+    per replication its score, or the DegenerateErrors or SingularMatrixError
+    that scoring that replication alone would raise; such a replication is
+    counted by exception name and skipped. Returns the scores of the
+    successful replications, in order, and the counts.
     """
     scores = []
     failures: dict[str, int] = {}
     paths = simulate_paths(config, (_path_stream(r) for r in range(replications)))
-    for r, path in enumerate(paths):
-        x = optimal_forecasts(path, config, beta)
+    first = 0
+    while block := list(islice(paths, _CHUNK)):
+        forecasts = [optimal_forecasts(path, config, beta) for path in block]
         if distortion is not None:
-            x = distort_forecasts(
-                x, distortion, kappa, RandomStream(config.seed, _noise_stream(r))
-            )
-        dataset = ForecastDataset(
-            path.realizations, x, build_instruments(path, x, instrument_set)
-        )
-        try:
-            scores.append(score(dataset))
-        except (DegenerateErrors, SingularMatrixError) as exc:
-            name = type(exc).__name__
-            failures[name] = failures.get(name, 0) + 1
+            forecasts = [
+                distort_forecasts(x, distortion, kappa,
+                                  RandomStream(config.seed, _noise_stream(first + j)))
+                for j, x in enumerate(forecasts)
+            ]
+        realizations = np.stack([path.realizations for path in block])
+        x = np.stack(forecasts)
+        instruments = np.stack([
+            build_instruments(path, xj, instrument_set)
+            for path, xj in zip(block, forecasts)
+        ])
+        _check_aligned(realizations, x, instruments)
+        for result in score(x - realizations, instruments):
+            if isinstance(result, (DegenerateErrors, SingularMatrixError)):
+                name = type(result).__name__
+                failures[name] = failures.get(name, 0) + 1
+            else:
+                scores.append(result)
+        first += len(block)
+        # free this block before the next one is simulated
+        del block, forecasts, realizations, x, instruments
     return scores, failures
 
 
@@ -655,8 +673,11 @@ def run_size_experiment(
     instrument_set = InstrumentSet(instrument_set)
     kernel = kernel or gaussian_kernel()
 
-    def rejects(dataset: ForecastDataset) -> bool:
-        return mode_test(dataset, kernel=kernel).p_value < nominal_alpha
+    def rejects(errors: np.ndarray, instruments: np.ndarray) -> list:
+        return [
+            test if isinstance(test, Exception) else test.p_value < nominal_alpha
+            for test in _mode_tests(errors, instruments, kernel)
+        ]
 
     outcomes, failures = _run_replications(
         config, replications, [0.0, 0.0, 1.0], instrument_set, rejects,
@@ -679,9 +700,31 @@ def run_size_experiment(
     )
 
 
-def _stacked_for(dataset: ForecastDataset, kernel: Kernel):
-    delta = bandwidth_rule_of_thumb(forecast_errors(dataset), dataset.n_obs).delta
-    return stacked_moments(dataset, delta, kernel)
+def _objective_rows(
+    errors: np.ndarray, instruments: np.ndarray, thetas: np.ndarray, kernel: Kernel
+) -> list:
+    """S_T at every theta (P, 3) for each dataset of a block, at its own
+    rule-of-thumb bandwidth: per dataset its (P,) objectives, or the
+    exception scoring it alone raises, in that path's order: the
+    bandwidth's DegenerateErrors, the weights' SingularMatrixError, then a
+    SingularMatrixError for the first singular Sigma(theta)."""
+    bandwidths, failures = _bandwidth_block(errors, errors.shape[1])
+    values = _identification_matrix(errors, bandwidths.delta, kernel)
+    weights, weight_failures = _weight_matrices_from_arrays(values, instruments)
+    objectives, notes = _objectives_block(
+        thetas, _assemble_stacked(values, instruments, weights)
+    )
+    rows = []
+    for s, failure, weight_failure, row_notes in zip(
+        objectives, failures, weight_failures, notes
+    ):
+        singular = next((note for note in row_notes if note is not None), None)
+        if failure is None:
+            failure = weight_failure
+        if failure is None and singular is not None:
+            failure = SingularMatrixError(singular)
+        rows.append(s if failure is None else failure)
+    return rows
 
 
 def run_coverage_experiment(
@@ -709,9 +752,13 @@ def run_coverage_experiment(
     # the instrument set's value is its column count k
     quantile = chi_square_quantile(int(instrument_set), level)
 
-    def covers(dataset: ForecastDataset) -> bool:
-        s = gmm_objective_from_stacked(theta, _stacked_for(dataset, kernel))
-        return s <= quantile
+    theta_row = theta.as_array()[None]
+
+    def covers(errors: np.ndarray, instruments: np.ndarray) -> list:
+        return [
+            s if isinstance(s, Exception) else bool(s[0] <= quantile)
+            for s in _objective_rows(errors, instruments, theta_row, kernel)
+        ]
 
     outcomes, failures = _run_replications(
         config, replications, beta, instrument_set, covers
@@ -769,17 +816,14 @@ def run_grid_coverage_experiment(
     instrument_set = InstrumentSet(instrument_set)
     kernel = kernel or gaussian_kernel()
     thetas = simplex_grid(m)
-    theta_rows = [th.as_array() for th in thetas]
+    theta_rows = np.array([th.as_array() for th in thetas])
     quantile = chi_square_quantile(int(instrument_set), level)
 
-    def memberships(dataset: ForecastDataset) -> np.ndarray:
-        s_values, notes = gmm_objectives_from_stacked(
-            theta_rows, _stacked_for(dataset, kernel)
-        )
-        singular = next((note for note in notes if note is not None), None)
-        if singular is not None:
-            raise SingularMatrixError(singular)
-        return s_values <= quantile
+    def memberships(errors: np.ndarray, instruments: np.ndarray) -> list:
+        return [
+            s if isinstance(s, Exception) else s <= quantile
+            for s in _objective_rows(errors, instruments, theta_rows, kernel)
+        ]
 
     outcomes, failures = _run_replications(
         config, replications, beta, instrument_set, memberships

@@ -87,6 +87,30 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"'nan' at row 3"):
             load_csv(f, [], cluster_column="w", with_const=True)
 
+    def test_labels_at_or_above_two_to_the_53_rejected(self, tmp_path, capsys):
+        # float64 parsing would read both labels as 2**53 and merge the waves
+        f = tmp_path / "d.csv"
+        f.write_text("y,x,wave\n1,2,9007199254740993\n3,4,9007199254740992\n"
+                     "5,6,1\n")
+        code = main(["test", "--input", str(f), "--functional", "mean",
+                     "--with-const", "--cluster", "wave"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert ("cluster label '9007199254740993' at row 2, column 'wave' is not "
+                "below 2**53 in magnitude") in err
+        f.write_text("y,x,wave\n1,2,1\n3,4,-9007199254740992\n")
+        with pytest.raises(ValueError, match=r"'-9007199254740992' at row 3, "
+                                             r"column 'wave' is not below 2\*\*53"):
+            load_csv(f, [], cluster_column="wave", with_const=True)
+
+    def test_largest_exact_labels_load(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x,w\n1,2,9007199254740991\n3,4,-9007199254740991\n"
+                     "5,6,9007199254740990\n")
+        ds = load_csv(f, [], cluster_column="w", with_const=True)
+        assert ds.cluster_labels.tolist() == [2 ** 53 - 1, 1 - 2 ** 53, 2 ** 53 - 2]
+
     def test_integer_valued_float_labels_load(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("y,x,w\n1,2,3.0\n3,4,-1\n5,6,3\n")

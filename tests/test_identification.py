@@ -55,6 +55,36 @@ class TestForecastDataset:
         labels[0] = 4
         assert y.flags.writeable and labels.flags.writeable
 
+    def test_equal_datasets_compare_equal(self):
+        y = np.array([1.0, 2.0, 3.0])
+        a = ForecastDataset(y, y + 1.0, np.ones((3, 1)), cluster_labels=[0, 0, 1])
+        b = ForecastDataset(y.copy(), y + 1.0, np.ones(3), cluster_labels=[0, 0, 1])
+        assert a == b and not a != b
+        assert ForecastDataset(y, y, np.ones(3)) == ForecastDataset(y, y, np.ones(3))
+
+    def test_unequal_datasets(self):
+        y = np.array([1.0, 2.0, 3.0])
+        base = ForecastDataset(y, y + 1.0, np.ones((3, 1)))
+        assert base != ForecastDataset(y, y + 2.0, np.ones((3, 1)))
+        assert base != ForecastDataset(y + 1.0, y + 1.0, np.ones((3, 1)))
+        assert base != ForecastDataset(y, y + 1.0, np.column_stack([np.ones(3), y]))
+        assert base != (y, y + 1.0, np.ones((3, 1)))
+
+    def test_labels_present_on_one_side_only(self):
+        y = np.array([1.0, 2.0, 3.0])
+        bare = ForecastDataset(y, y + 1.0, np.ones((3, 1)))
+        labelled = ForecastDataset(y, y + 1.0, np.ones((3, 1)),
+                                   cluster_labels=[0, 0, 1])
+        assert bare != labelled and labelled != bare
+        assert labelled != ForecastDataset(y, y + 1.0, np.ones((3, 1)),
+                                           cluster_labels=[0, 1, 1])
+
+    def test_not_hashable(self):
+        ds = ForecastDataset([1.0, 2.0], [1.0, 2.0], np.ones((2, 1)))
+        assert ForecastDataset.__hash__ is None
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(ds)
+
 
 class TestForecastErrors:
     def test_direct_subtraction(self):

@@ -11,6 +11,7 @@ from centest import (
     ForecastDataset,
     InstrumentSet,
     RandomStream,
+    SingularMatrixError,
     ThetaSetKind,
     build_instruments,
     distort_forecasts,
@@ -360,10 +361,7 @@ class TestImpliedTheta:
 
     def test_segment_endpoints_zero_expected_moment(self):
         from centest.bandwidth import bandwidth_rule_of_thumb
-        from centest.identification import (
-            _identification_matrix,
-            _weight_matrices_from_arrays,
-        )
+        from centest.identification import _identification_matrix, _row_weights
 
         cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.5, n_obs=500, seed=21)
         out = implied_theta(cfg, [0, 1, 0], draws=500)
@@ -382,7 +380,7 @@ class TestImpliedTheta:
         n = errors.size
         delta = bandwidth_rule_of_thumb(errors, n_obs=cfg.n_obs).delta
         values = _identification_matrix(errors, delta, None)
-        weights = _weight_matrices_from_arrays(values, h)
+        weights = _row_weights(values, h)
         rows = np.stack([
             (values[r][:, None] * h) @ weights[r] for r in range(3)
         ])  # (3, n, k)
@@ -560,22 +558,24 @@ class TestExperiments:
         # must leave every other replication's p-value untouched
         import centest.simulation as simulation
 
-        real = simulation.mode_test
+        real = simulation._mode_tests
         cfg = DgpConfig(dgp="ar-garch", skewness=0.25, n_obs=60, seed=35,
                         burn_in=20)
 
         def run(fail_at):
             p_values = []
 
-            def failing_mode_test(dataset, **kwargs):
-                if len(p_values) == fail_at:
-                    p_values.append(None)
-                    raise DegenerateErrors("forced")
-                result = real(dataset, **kwargs)
-                p_values.append(result.p_value)
-                return result
+            def failing_mode_tests(*args, **kwargs):
+                results = real(*args, **kwargs)
+                for i, result in enumerate(results):
+                    if len(p_values) == fail_at:
+                        p_values.append(None)
+                        results[i] = DegenerateErrors("forced")
+                    else:
+                        p_values.append(result.p_value)
+                return results
 
-            monkeypatch.setattr(simulation, "mode_test", failing_mode_test)
+            monkeypatch.setattr(simulation, "_mode_tests", failing_mode_tests)
             return run_size_experiment(cfg, 2, 200, nominal_alpha=0.5), p_values
 
         clean, clean_p = run(None)
@@ -593,21 +593,189 @@ class TestExperiments:
         # replication is a counted failure and stays out of the rates
         import centest.simulation as simulation
 
-        real = simulation.gmm_objectives_from_stacked
+        real = simulation._objectives_block
         calls = []
 
-        def one_singular_point(thetas, stacked, cluster_labels=None):
-            objectives, notes = real(thetas, stacked, cluster_labels)
-            calls.append(None)
-            if len(calls) == 7:
-                objectives[2], notes[2] = np.nan, "eigenvalue forced below floor"
+        def one_singular_point(thetas, per_obs, cluster_labels=None):
+            objectives, notes = real(thetas, per_obs, cluster_labels)
+            for row_objectives, row_notes in zip(objectives, notes):
+                calls.append(None)
+                if len(calls) == 7:
+                    row_objectives[2] = np.nan
+                    row_notes[2] = "eigenvalue forced below floor"
             return objectives, notes
 
-        monkeypatch.setattr(simulation, "gmm_objectives_from_stacked",
-                            one_singular_point)
+        monkeypatch.setattr(simulation, "_objectives_block", one_singular_point)
         cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.0, n_obs=200, seed=3)
         report = run_grid_coverage_experiment(cfg, [0, 0, 1], 2, 100, m=2)
         assert len(calls) == 100
         assert report.failures == {"SingularMatrixError": 1}
         assert report.successes == 99
         assert np.all(np.isfinite(report.rates))
+
+
+def _record(monkeypatch, name):
+    """Wrap a block kernel as simulation calls it; return the calls seen."""
+    import centest.simulation as simulation
+
+    real = getattr(simulation, name)
+    seen = []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append((args, out))
+        return out
+
+    monkeypatch.setattr(simulation, name, recording)
+    return seen
+
+
+def _dataset(errors, instruments):
+    # realizations 0 make forecasts - realizations the errors exactly
+    return ForecastDataset(np.zeros(errors.size), errors, instruments)
+
+
+def _failure_block(t=1000):
+    """Rows: clean; zero errors (zero MAD); collinear instruments; errors
+    +-1, whose every |e| exceeds the bandwidth (a zero biweight mode row)."""
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal(t)
+    errors = np.stack([
+        rng.standard_normal(t),
+        np.zeros(t),
+        rng.standard_normal(t),
+        np.where(np.arange(t) % 2 == 0, 1.0, -1.0),
+    ])
+    instruments = np.stack([
+        np.column_stack([np.ones(t), z]),
+        np.column_stack([np.ones(t), z]),
+        np.column_stack([np.ones(t), np.ones(t)]),
+        np.column_stack([np.ones(t), z]),
+    ])
+    return errors, instruments
+
+
+def _raised(call):
+    try:
+        call()
+    except (DegenerateErrors, SingularMatrixError) as exc:
+        return exc
+    return None
+
+
+class TestBlockScoring:
+    @pytest.mark.parametrize("dgp", DGPS)
+    def test_mode_rows_match_one_row_calls(self, monkeypatch, dgp):
+        from centest import mode_test
+
+        seen = _record(monkeypatch, "_mode_tests")
+        cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=80, seed=41, burn_in=20)
+        run_size_experiment(cfg, 3, 100)
+        run_size_experiment(cfg, 2, 100, distortion="noise", kappa=0.3)
+        assert len(seen) == 2
+        for (errors, instruments, kernel), results in seen:
+            for e, h, result in zip(errors, instruments, results):
+                single = mode_test(_dataset(e, h), kernel=kernel)
+                assert result.statistic == pytest.approx(single.statistic, rel=1e-12)
+                assert result.p_value == pytest.approx(single.p_value, rel=1e-12,
+                                                       abs=1e-300)
+                assert (result.p_value < 0.05) == (single.p_value < 0.05)
+                assert result.bandwidth == single.bandwidth
+                assert np.array_equal(result.covariance, single.covariance)
+
+    @pytest.mark.parametrize("dgp", DGPS)
+    def test_objective_rows_match_one_row_calls(self, monkeypatch, dgp):
+        from centest import chi_square_quantile, gmm_objective
+
+        seen = _record(monkeypatch, "_objective_rows")
+        cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=80, seed=42, burn_in=20)
+        run_coverage_experiment(cfg, [0.5, 0.0, 0.5], 2, 100, draws=20)
+        run_grid_coverage_experiment(cfg, [0, 1, 0], 2, 100, m=2)
+        assert len(seen) == 2
+        quantile = chi_square_quantile(2, 0.90)
+        for (errors, instruments, thetas, kernel), rows in seen:
+            for e, h, s in zip(errors, instruments, rows):
+                single = np.array([gmm_objective(th, _dataset(e, h), kernel=kernel)
+                                   for th in thetas])
+                assert s == pytest.approx(single, rel=1e-12)
+                assert np.array_equal(s <= quantile, single <= quantile)
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "biweight"])
+    def test_failed_rows_carry_the_one_row_exception(self, kernel):
+        import warnings
+
+        from centest import get_kernel, gmm_objective, mode_test
+        from centest.rationality import _mode_tests
+        from centest.simulation import _objective_rows
+
+        k = get_kernel(kernel)
+        errors, instruments = _failure_block()
+        thetas = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tests = _mode_tests(errors, instruments, k)
+            objectives = _objective_rows(errors, instruments, thetas, k)
+        for i, (e, h) in enumerate(zip(errors, instruments)):
+            ds = _dataset(e, h)
+            expected = _raised(lambda: mode_test(ds, kernel=k))
+            if expected is None:
+                assert tests[i].statistic == mode_test(ds, kernel=k).statistic
+            else:
+                assert type(tests[i]) is type(expected)
+                assert str(tests[i]) == str(expected)
+            expected = _raised(
+                lambda: [gmm_objective(th, ds, kernel=k) for th in thetas])
+            if expected is None:
+                assert objectives[i] == pytest.approx(
+                    [gmm_objective(th, ds, kernel=k) for th in thetas], rel=1e-12)
+            else:
+                assert type(objectives[i]) is type(expected)
+                assert str(objectives[i]) == str(expected)
+        # every failure the checks can report occurs in the block
+        assert not isinstance(tests[0], Exception)
+        assert isinstance(objectives[0], np.ndarray)
+        assert "median absolute deviation" in str(tests[1])
+        assert "collinear instruments" in str(objectives[2])
+        if kernel == "biweight":
+            assert "for the mode row is singular" in str(objectives[3])
+
+    def test_failed_rows_counted_alone(self, monkeypatch):
+        # replication 3 forecasts its realizations (zero errors) and
+        # replication 5 gets collinear instruments; both sit in one block
+        import centest.simulation as simulation
+
+        real_forecasts = simulation.optimal_forecasts
+        real_instruments = simulation.build_instruments
+
+        def run(experiment, broken):
+            made = {"forecasts": 0, "instruments": 0}
+
+            def forecasts(path, config, beta):
+                made["forecasts"] += 1
+                if broken and made["forecasts"] == 4:
+                    return path.realizations.copy()
+                return real_forecasts(path, config, beta)
+
+            def instruments(path, x, instrument_set):
+                made["instruments"] += 1
+                h = real_instruments(path, x, instrument_set)
+                if broken and made["instruments"] == 6:
+                    h[:, 1] = 1.0
+                return h
+
+            monkeypatch.setattr(simulation, "optimal_forecasts", forecasts)
+            monkeypatch.setattr(simulation, "build_instruments", instruments)
+            return experiment()
+
+        cfg = DgpConfig(dgp="heteroskedastic", skewness=0.5, n_obs=80, seed=43)
+        experiments = {
+            "size": lambda: run_size_experiment(cfg, 2, 100, nominal_alpha=0.5),
+            "coverage": lambda: run_coverage_experiment(cfg, [1, 0, 0], 2, 100),
+        }
+        for experiment in experiments.values():
+            clean = run(experiment, broken=False)
+            failed = run(experiment, broken=True)
+            assert clean.failures == {} and clean.successes == 100
+            assert failed.failures == {"DegenerateErrors": 1, "SingularMatrixError": 1}
+            assert failed.successes == 98
+            assert abs(failed.rate * 98 - round(failed.rate * 98)) < 1e-9
