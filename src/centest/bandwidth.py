@@ -128,3 +128,13 @@ def _bandwidth_block(errors: np.ndarray, n: int) -> tuple[BandwidthReport, list]
     report = BandwidthReport(delta=delta, k1=k1, k2=k2, skewness_hat=skew, mad=mad,
                              n_obs=n)
     return report, failures
+
+
+def _block_bandwidths(errors: np.ndarray, delta=None) -> tuple[np.ndarray, list]:
+    """Bandwidths (B,) of a (B, T) error block and its per-row failures:
+    each row's rule-of-thumb bandwidth at sample size T when ``delta`` is
+    None, else ``delta`` for every row (which then cannot fail)."""
+    if delta is None:
+        report, failures = _bandwidth_block(errors, errors.shape[1])
+        return report.delta, failures
+    return np.full(errors.shape[0], float(delta)), [None] * errors.shape[0]

@@ -29,10 +29,17 @@ class MissingColumnError(ValueError):
 def raise_row_failure(failures: list) -> None:
     """Raise the failure a one-row block recorded, if it has one.
 
-    Block kernels return, for each row, None or the exception the matching
-    single-dataset function raises; that function is the kernel's one-row
-    case and raises through here.
+    Every block kernel returns its per-row values and a failures list
+    holding, for each row, None or the exception the matching single-dataset
+    function raises; that function is the kernel's one-row case and raises
+    through here.
     """
     (failure,) = failures
     if failure is not None:
         raise failure
+
+
+def first_failures(earlier: list, later: list) -> list:
+    """Per row, the earlier check's failure if it has one, else the later's:
+    how a block kernel keeps the one-row path's check order."""
+    return [a if a is not None else b for a, b in zip(earlier, later)]

@@ -13,7 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SingularMatrixError, raise_row_failure
+from .bandwidth import _block_bandwidths
+from .errors import SingularMatrixError, first_failures, raise_row_failure
 from .numerics import RELATIVE_EIG_FLOOR, Kernel, floored_eigh, gaussian_kernel
 
 
@@ -60,6 +61,10 @@ class ForecastDataset:
         instruments = np.atleast_2d(np.asarray(self.instruments, dtype=float))
         if instruments.shape[0] == 1 and realizations.size > 1:
             instruments = instruments.T
+        for name, values in (("realizations", realizations), ("forecasts", forecasts)):
+            if values.ndim != 1:
+                raise ValueError(
+                    f"{name} must be one-dimensional, got shape {values.shape}")
         _check_aligned(realizations, forecasts, instruments)
         arrays = {
             "realizations": realizations,
@@ -142,10 +147,16 @@ def identification_values(
               delta**(-1/2), sign-aligned with eps.
     """
     kind = Functional(kind)
-    if kind is Functional.MODE and (delta is None or delta <= 0):
-        raise ValueError(f"mode values need a positive bandwidth, got {delta}")
+    if kind is Functional.MODE:
+        _check_bandwidth(delta)
     return _values(kind, np.asarray(errors, dtype=float), delta,
                    kernel or gaussian_kernel())
+
+
+def _check_bandwidth(delta) -> None:
+    """The bandwidth check of every caller-supplied mode bandwidth."""
+    if delta is None or delta <= 0:
+        raise ValueError(f"mode values need a positive bandwidth, got {delta}")
 
 
 def _values(kind: Functional, e: np.ndarray, delta, kernel: Kernel) -> np.ndarray:
@@ -206,22 +217,43 @@ def _weight_matrices_from_arrays(
         floors[:, r] = RELATIVE_EIG_FLOOR * np.maximum(
             1.0, np.trace(moment, axis1=1, axis2=2))
     bad = ~(scales > floors)
+    row_failures = [None] * b
     for i in np.flatnonzero(bad.any(axis=1)).tolist():
-        if failures[i] is None:
-            r = int(np.argmax(bad[i]))
-            failures[i] = SingularMatrixError(
-                f"second-moment matrix for the {FUNCTIONALS[r].value} row is "
-                f"singular (whitened trace {scales[i, r]:.6e})"
-            )
+        r = int(np.argmax(bad[i]))
+        row_failures[i] = SingularMatrixError(
+            f"second-moment matrix for the {FUNCTIONALS[r].value} row is "
+            f"singular (whitened trace {scales[i, r]:.6e})"
+        )
     scales[bad] = 1.0
-    return whitener[:, None] / np.sqrt(scales)[:, :, None, None], failures
+    weights = whitener[:, None] / np.sqrt(scales)[:, :, None, None]
+    return weights, first_failures(failures, row_failures)
 
 
-def _row_weights(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The (3, k, k) weights of one dataset; raises its failure."""
-    weights, failures = _weight_matrices_from_arrays(values[None], h[None])
-    raise_row_failure(failures)
-    return weights[0]
+def _weighted_block(
+    errors: np.ndarray,
+    instruments: np.ndarray,
+    kernel: Kernel | None,
+    delta=None,
+    weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Identification values and weight matrices of a block of datasets:
+    errors (B, T), instruments (B, T, k).
+
+    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth;
+    supplied ``weights`` (3, k, k) replace the sample normalization for every
+    dataset. Returns the (B, 3, T) values, the (B, 3, k, k) weights and, per
+    dataset, None or the exception scoring it alone raises, in that path's
+    order: the bandwidth's DegenerateErrors (zero MAD, then zero sd), then
+    the weights' SingularMatrixError (instrument whitener, then row scale).
+    """
+    delta, failures = _block_bandwidths(errors, delta)
+    values = _identification_matrix(errors, delta, kernel)
+    if weights is None:
+        weights, weight_failures = _weight_matrices_from_arrays(values, instruments)
+        failures = first_failures(failures, weight_failures)
+    else:
+        weights = np.repeat(np.asarray(weights, dtype=float)[None], len(errors), 0)
+    return values, weights, failures
 
 
 def weighting_matrices(
@@ -236,8 +268,11 @@ def weighting_matrices(
     estimator used downstream); see _weight_matrices_from_arrays for the
     exact construction and the invariance rationale.
     """
-    values = _identification_matrix(forecast_errors(dataset), delta, kernel)
-    return _row_weights(values, dataset.instruments)
+    _check_bandwidth(delta)
+    _, (weights,), failures = _weighted_block(
+        forecast_errors(dataset)[None], dataset.instruments[None], kernel, delta)
+    raise_row_failure(failures)
+    return weights
 
 
 def _assemble_stacked(values, instruments, weights) -> np.ndarray:
@@ -291,13 +326,11 @@ def stacked_moments(
     only by a positive scalar and a sign flip, both of which cancel in every
     quadratic form.
     """
-    kernel = kernel or gaussian_kernel()
     if delta <= 0:
         raise ValueError(f"bandwidth must be positive, got {delta}")
-    values = _identification_matrix(forecast_errors(dataset), delta, kernel)
-    if weight_matrices is None:
-        weight_matrices = _row_weights(values, dataset.instruments)
-    else:
-        weight_matrices = np.asarray(weight_matrices, dtype=float)
-    per_obs = _assemble_stacked(values, dataset.instruments, weight_matrices)
-    return StackedMoments(per_obs=per_obs, bandwidth=delta, weight_matrices=weight_matrices)
+    (values,), (weights,), failures = _weighted_block(
+        forecast_errors(dataset)[None], dataset.instruments[None], kernel, delta,
+        weight_matrices)
+    raise_row_failure(failures)
+    per_obs = _assemble_stacked(values, dataset.instruments, weights)
+    return StackedMoments(per_obs=per_obs, bandwidth=delta, weight_matrices=weights)

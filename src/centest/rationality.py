@@ -22,9 +22,10 @@ freedom under their null.
 
 The mode test is computed by a block kernel, _mode_tests, that scores many
 datasets of equal length at once (the Monte Carlo harness passes a block of
-replications); mode_test is its one-row case. Per dataset the kernel returns
-the TestResult or the exception mode_test would raise: DegenerateErrors from
-the bandwidth (zero MAD, then zero sd), then SingularMatrixError from the
+replications); mode_test is its one-row case. Like every block kernel it
+returns its per-dataset results and a failures list holding, per dataset,
+None or the exception mode_test would raise: DegenerateErrors from the
+bandwidth (zero MAD, then zero sd), then SingularMatrixError from the
 covariance floor.
 """
 
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import _bandwidth_block
-from .errors import SingularMatrixError
+from .bandwidth import _block_bandwidths
+from .errors import SingularMatrixError, first_failures, raise_row_failure
 from .identification import (
     ForecastDataset,
     Functional,
@@ -104,12 +105,11 @@ def mode_test(
     """
     if delta is not None and delta <= 0:
         raise ValueError(f"bandwidth must be positive, got {delta}")
-    (result,) = _mode_tests(
+    (result,), failures = _mode_tests(
         forecast_errors(dataset)[None], dataset.instruments[None],
         kernel or gaussian_kernel(), delta,
     )
-    if isinstance(result, Exception):
-        raise result
+    raise_row_failure(failures)
     return result
 
 
@@ -118,22 +118,19 @@ def _mode_tests(
     instruments: np.ndarray,
     kernel: Kernel,
     delta: float | None = None,
-) -> list[TestResult | Exception]:
+) -> tuple[list[TestResult | None], list]:
     """Mode tests of a block of datasets: errors (B, T), instruments (B, T, k).
 
-    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth. Per
-    dataset the result is its TestResult or the exception mode_test raises
-    on it, checked in mode_test's order: the bandwidth's DegenerateErrors
-    (zero MAD, then zero sd), then the covariance's eigenvalue floor
-    (SingularMatrixError). A failed dataset's values are finite
-    placeholders, so it raises no warning and leaves the others unchanged.
+    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth.
+    Returns the TestResults and, per dataset, None or the exception
+    mode_test raises on it, checked in mode_test's order: the bandwidth's
+    DegenerateErrors (zero MAD, then zero sd), then the covariance's
+    eigenvalue floor (SingularMatrixError). A failed dataset's result is
+    None and its values are finite placeholders, so it raises no warning and
+    leaves the others unchanged.
     """
     b, t, k = instruments.shape
-    if delta is None:
-        bandwidths, failures = _bandwidth_block(errors, t)
-        delta = bandwidths.delta
-    else:
-        delta, failures = np.full(b, float(delta)), [None] * b
+    delta, failures = _block_bandwidths(errors, delta)
     d = delta[:, None]
     kp = kernel.deriv_at(errors / d)
     psi = (-(d ** -2.0) * kp)[:, :, None] * instruments
@@ -141,14 +138,13 @@ def _mode_tests(
     weighted = instruments * (d ** -1.0 * kp ** 2)[:, :, None]
     omega = np.swapaxes(weighted, 1, 2) @ instruments / t
     lam, q, notes = floored_eigh(omega)
-    for i, note in enumerate(notes):
-        if failures[i] is None and note is not None:
-            failures[i] = SingularMatrixError(note)
+    failures = first_failures(
+        failures, [None if note is None else SingularMatrixError(note) for note in notes])
     ok = np.array([failure is None for failure in failures])
     proj = (moment[:, None, :] @ q)[:, 0, :]
     statistics = np.where(
         ok, np.sum(proj ** 2 / np.where(ok[:, None], lam, 1.0), axis=1), 0.0)
-    return [
+    tests = [
         TestResult(
             statistic=s,
             df=k,
@@ -156,6 +152,7 @@ def _mode_tests(
             functional=Functional.MODE,
             bandwidth=bw,
             covariance=omega[i],
-        ) if failures[i] is None else failures[i]
+        ) if failures[i] is None else None
         for i, (s, bw) in enumerate(zip(statistics.tolist(), delta.tolist()))
     ]
+    return tests, failures

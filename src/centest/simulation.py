@@ -21,11 +21,11 @@ the same kernel, so a path is bitwise the same however it was made.
 Each block is also scored in one pass. The bandwidth rule, the weight
 matrices, the stacked moments, the mode test and the GMM objective all have
 block kernels with a leading replication axis, and the single-dataset
-functions are their one-row case. A block kernel returns, per replication,
-its result or the exception the single-dataset function would raise on it,
-found by the same checks in the same order; a failed replication gets
-finite placeholder values, so it neither warns nor changes the others, and
-the replication loop counts it by exception name.
+functions are their one-row case. A block kernel returns its results and,
+per replication, None or the exception the single-dataset function would
+raise on it, found by the same checks in the same order; a failed
+replication gets finite placeholder values, so it neither warns nor changes
+the others, and the replication loop counts it by exception name.
 """
 
 from __future__ import annotations
@@ -40,16 +40,10 @@ import numpy as np
 from scipy import optimize, special
 from scipy.signal import lfilter
 
-from .bandwidth import _bandwidth_block, bandwidth_rule_of_thumb
+from .bandwidth import bandwidth_rule_of_thumb
 from .central_tendency import SimplexWeights, _objectives_block, simplex_grid
-from .errors import DegenerateErrors, SingularMatrixError
-from .identification import (
-    _assemble_stacked,
-    _check_aligned,
-    _identification_matrix,
-    _row_weights,
-    _weight_matrices_from_arrays,
-)
+from .errors import SingularMatrixError, first_failures, raise_row_failure
+from .identification import _assemble_stacked, _check_aligned, _weighted_block
 from .numerics import (
     Kernel,
     RandomStream,
@@ -531,8 +525,9 @@ def implied_theta(
     k = instruments.shape[1]
 
     delta = bandwidth_rule_of_thumb(errors, n_obs=config.n_obs).delta
-    values = _identification_matrix(errors, delta, kernel)
-    weights = _row_weights(values, instruments)
+    (values,), (weights,), failures = _weighted_block(
+        errors[None], instruments[None], kernel, delta)
+    raise_row_failure(failures)
     # row r: the mean over observations of v_r h' W_r
     moment_rows = ((values @ instruments / n)[:, None, :] @ weights)[:, 0, :]
 
@@ -603,7 +598,7 @@ def _run_replications(
     replications: int,
     beta,
     instrument_set: InstrumentSet,
-    score: Callable[[np.ndarray, np.ndarray], list],
+    score: Callable[[np.ndarray, np.ndarray], tuple[list, list]],
     distortion: Distortion | str | None = None,
     kappa: float = 0.0,
 ) -> tuple[list, dict[str, int]]:
@@ -614,11 +609,12 @@ def _run_replications(
     forecasts, distorts them with noise from stream 2r + 1 when
     ``distortion`` is set, and builds its instruments. The block's arrays
     pass the checks every ForecastDataset passes, and ``score`` gets its
-    forecast errors (B, T) and instruments (B, T, k) in one call. It returns
-    per replication its score, or the DegenerateErrors or SingularMatrixError
-    that scoring that replication alone would raise; such a replication is
-    counted by exception name and skipped. Returns the scores of the
-    successful replications, in order, and the counts.
+    forecast errors (B, T) and instruments (B, T, k) in one call. Like the
+    block kernels it returns the per-replication scores and failures: None
+    or the DegenerateErrors or SingularMatrixError that scoring that
+    replication alone would raise; such a replication is counted by
+    exception name and skipped. Returns the scores of the successful
+    replications, in order, and the counts.
     """
     scores = []
     failures: dict[str, int] = {}
@@ -639,12 +635,12 @@ def _run_replications(
             for path, xj in zip(block, forecasts)
         ])
         _check_aligned(realizations, x, instruments)
-        for result in score(x - realizations, instruments):
-            if isinstance(result, (DegenerateErrors, SingularMatrixError)):
-                name = type(result).__name__
-                failures[name] = failures.get(name, 0) + 1
-            else:
+        for result, failure in zip(*score(x - realizations, instruments)):
+            if failure is None:
                 scores.append(result)
+            else:
+                name = type(failure).__name__
+                failures[name] = failures.get(name, 0) + 1
         first += len(block)
         # free this block before the next one is simulated
         del block, forecasts, realizations, x, instruments
@@ -673,11 +669,10 @@ def run_size_experiment(
     instrument_set = InstrumentSet(instrument_set)
     kernel = kernel or gaussian_kernel()
 
-    def rejects(errors: np.ndarray, instruments: np.ndarray) -> list:
-        return [
-            test if isinstance(test, Exception) else test.p_value < nominal_alpha
-            for test in _mode_tests(errors, instruments, kernel)
-        ]
+    def rejects(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
+        tests, failures = _mode_tests(errors, instruments, kernel)
+        return [None if test is None else test.p_value < nominal_alpha
+                for test in tests], failures
 
     outcomes, failures = _run_replications(
         config, replications, [0.0, 0.0, 1.0], instrument_set, rejects,
@@ -702,29 +697,22 @@ def run_size_experiment(
 
 def _objective_rows(
     errors: np.ndarray, instruments: np.ndarray, thetas: np.ndarray, kernel: Kernel
-) -> list:
+) -> tuple[np.ndarray, list]:
     """S_T at every theta (P, 3) for each dataset of a block, at its own
-    rule-of-thumb bandwidth: per dataset its (P,) objectives, or the
-    exception scoring it alone raises, in that path's order: the
-    bandwidth's DegenerateErrors, the weights' SingularMatrixError, then a
+    rule-of-thumb bandwidth. Returns the (B, P) objectives and, per dataset,
+    None or the exception scoring it alone raises, in that path's order:
+    the bandwidth's and the weights' failures (see _weighted_block), then a
     SingularMatrixError for the first singular Sigma(theta)."""
-    bandwidths, failures = _bandwidth_block(errors, errors.shape[1])
-    values = _identification_matrix(errors, bandwidths.delta, kernel)
-    weights, weight_failures = _weight_matrices_from_arrays(values, instruments)
+    values, weights, failures = _weighted_block(errors, instruments, kernel)
     objectives, notes = _objectives_block(
         thetas, _assemble_stacked(values, instruments, weights)
     )
-    rows = []
-    for s, failure, weight_failure, row_notes in zip(
-        objectives, failures, weight_failures, notes
-    ):
-        singular = next((note for note in row_notes if note is not None), None)
-        if failure is None:
-            failure = weight_failure
-        if failure is None and singular is not None:
-            failure = SingularMatrixError(singular)
-        rows.append(s if failure is None else failure)
-    return rows
+    singular = [
+        next((SingularMatrixError(note) for note in row_notes if note is not None),
+             None)
+        for row_notes in notes
+    ]
+    return objectives, first_failures(failures, singular)
 
 
 def run_coverage_experiment(
@@ -754,11 +742,9 @@ def run_coverage_experiment(
 
     theta_row = theta.as_array()[None]
 
-    def covers(errors: np.ndarray, instruments: np.ndarray) -> list:
-        return [
-            s if isinstance(s, Exception) else bool(s[0] <= quantile)
-            for s in _objective_rows(errors, instruments, theta_row, kernel)
-        ]
+    def covers(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
+        objectives, failures = _objective_rows(errors, instruments, theta_row, kernel)
+        return (objectives[:, 0] <= quantile).tolist(), failures
 
     outcomes, failures = _run_replications(
         config, replications, beta, instrument_set, covers
@@ -819,11 +805,9 @@ def run_grid_coverage_experiment(
     theta_rows = np.array([th.as_array() for th in thetas])
     quantile = chi_square_quantile(int(instrument_set), level)
 
-    def memberships(errors: np.ndarray, instruments: np.ndarray) -> list:
-        return [
-            s if isinstance(s, Exception) else s <= quantile
-            for s in _objective_rows(errors, instruments, theta_rows, kernel)
-        ]
+    def memberships(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
+        objectives, failures = _objective_rows(errors, instruments, theta_rows, kernel)
+        return list(objectives <= quantile), failures
 
     outcomes, failures = _run_replications(
         config, replications, beta, instrument_set, memberships

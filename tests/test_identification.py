@@ -33,6 +33,16 @@ class TestForecastDataset:
             ForecastDataset([1.0, 2.0], [1.0, 2.0], [[1.0], [1.0]],
                             cluster_labels=[0])
 
+    def test_column_realizations_rejected_by_shape(self):
+        # a (T, 1) column would otherwise be read as T rows of one value
+        column = np.arange(500.0)[:, None]
+        with pytest.raises(ValueError, match=r"realizations must be "
+                           r"one-dimensional, got shape \(500, 1\)"):
+            ForecastDataset(column, np.arange(500.0), np.ones(500))
+        with pytest.raises(ValueError, match=r"forecasts must be "
+                           r"one-dimensional, got shape \(500, 1\)"):
+            ForecastDataset(np.arange(500.0), column, np.ones(500))
+
     def test_one_dim_instruments_promoted(self):
         ds = ForecastDataset([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], np.ones(3))
         assert ds.instruments.shape == (3, 1)
@@ -165,6 +175,17 @@ class TestWeightingMatrices:
         ds = ForecastDataset(np.zeros(50), errors, np.ones((50, 1)))
         w = weighting_matrices(ds, delta=0.5)
         assert w[1] == pytest.approx(np.array([[1.0]]), abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, None])
+    def test_nonpositive_bandwidth_rejected(self, rng, delta):
+        import warnings
+
+        ds = make_dataset(rng, t=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mode values need a positive "
+                               f"bandwidth, got {delta}"):
+                weighting_matrices(ds, delta)
 
     def test_zero_errors_singular_names_mean(self):
         ds = ForecastDataset([1.0, 2.0], [1.0, 2.0], np.ones((2, 1)))

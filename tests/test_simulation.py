@@ -23,6 +23,7 @@ from centest import (
     simulate_dgp,
     simulate_paths,
     skew_normal_params,
+    weighting_matrices,
 )
 from centest.dataio import report_to_dict
 from centest.simulation import MAX_MOMENT_SKEWNESS
@@ -361,7 +362,7 @@ class TestImpliedTheta:
 
     def test_segment_endpoints_zero_expected_moment(self):
         from centest.bandwidth import bandwidth_rule_of_thumb
-        from centest.identification import _identification_matrix, _row_weights
+        from centest.identification import _identification_matrix
 
         cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.5, n_obs=500, seed=21)
         out = implied_theta(cfg, [0, 1, 0], draws=500)
@@ -380,7 +381,7 @@ class TestImpliedTheta:
         n = errors.size
         delta = bandwidth_rule_of_thumb(errors, n_obs=cfg.n_obs).delta
         values = _identification_matrix(errors, delta, None)
-        weights = _row_weights(values, h)
+        weights = weighting_matrices(ForecastDataset(np.zeros(n), errors, h), delta)
         rows = np.stack([
             (values[r][:, None] * h) @ weights[r] for r in range(3)
         ])  # (3, n, k)
@@ -566,14 +567,14 @@ class TestExperiments:
             p_values = []
 
             def failing_mode_tests(*args, **kwargs):
-                results = real(*args, **kwargs)
+                results, failures = real(*args, **kwargs)
                 for i, result in enumerate(results):
                     if len(p_values) == fail_at:
                         p_values.append(None)
-                        results[i] = DegenerateErrors("forced")
+                        results[i], failures[i] = None, DegenerateErrors("forced")
                     else:
                         p_values.append(result.p_value)
-                return results
+                return results, failures
 
             monkeypatch.setattr(simulation, "_mode_tests", failing_mode_tests)
             return run_size_experiment(cfg, 2, 200, nominal_alpha=0.5), p_values
@@ -673,7 +674,8 @@ class TestBlockScoring:
         run_size_experiment(cfg, 3, 100)
         run_size_experiment(cfg, 2, 100, distortion="noise", kappa=0.3)
         assert len(seen) == 2
-        for (errors, instruments, kernel), results in seen:
+        for (errors, instruments, kernel), (results, failures) in seen:
+            assert failures == [None] * len(errors)
             for e, h, result in zip(errors, instruments, results):
                 single = mode_test(_dataset(e, h), kernel=kernel)
                 assert result.statistic == pytest.approx(single.statistic, rel=1e-12)
@@ -693,7 +695,8 @@ class TestBlockScoring:
         run_grid_coverage_experiment(cfg, [0, 1, 0], 2, 100, m=2)
         assert len(seen) == 2
         quantile = chi_square_quantile(2, 0.90)
-        for (errors, instruments, thetas, kernel), rows in seen:
+        for (errors, instruments, thetas, kernel), (rows, failures) in seen:
+            assert failures == [None] * len(errors)
             for e, h, s in zip(errors, instruments, rows):
                 single = np.array([gmm_objective(th, _dataset(e, h), kernel=kernel)
                                    for th in thetas])
@@ -713,31 +716,34 @@ class TestBlockScoring:
         thetas = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tests = _mode_tests(errors, instruments, k)
-            objectives = _objective_rows(errors, instruments, thetas, k)
+            tests, test_failures = _mode_tests(errors, instruments, k)
+            objectives, objective_failures = _objective_rows(
+                errors, instruments, thetas, k)
         for i, (e, h) in enumerate(zip(errors, instruments)):
             ds = _dataset(e, h)
             expected = _raised(lambda: mode_test(ds, kernel=k))
             if expected is None:
+                assert test_failures[i] is None
                 assert tests[i].statistic == mode_test(ds, kernel=k).statistic
             else:
-                assert type(tests[i]) is type(expected)
-                assert str(tests[i]) == str(expected)
+                assert tests[i] is None
+                assert type(test_failures[i]) is type(expected)
+                assert str(test_failures[i]) == str(expected)
             expected = _raised(
                 lambda: [gmm_objective(th, ds, kernel=k) for th in thetas])
             if expected is None:
+                assert objective_failures[i] is None
                 assert objectives[i] == pytest.approx(
                     [gmm_objective(th, ds, kernel=k) for th in thetas], rel=1e-12)
             else:
-                assert type(objectives[i]) is type(expected)
-                assert str(objectives[i]) == str(expected)
+                assert type(objective_failures[i]) is type(expected)
+                assert str(objective_failures[i]) == str(expected)
         # every failure the checks can report occurs in the block
-        assert not isinstance(tests[0], Exception)
-        assert isinstance(objectives[0], np.ndarray)
-        assert "median absolute deviation" in str(tests[1])
-        assert "collinear instruments" in str(objectives[2])
+        assert test_failures[0] is None and objective_failures[0] is None
+        assert "median absolute deviation" in str(test_failures[1])
+        assert "collinear instruments" in str(objective_failures[2])
         if kernel == "biweight":
-            assert "for the mode row is singular" in str(objectives[3])
+            assert "for the mode row is singular" in str(objective_failures[3])
 
     def test_failed_rows_counted_alone(self, monkeypatch):
         # replication 3 forecasts its realizations (zero errors) and
