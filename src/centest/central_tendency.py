@@ -42,7 +42,7 @@ class SimplexWeights:
         if np.any(arr < -1e-12):
             raise ValueError(f"weights must be nonnegative, got {arr}")
         if abs(arr.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got sum {arr.sum()!r}")
+            raise ValueError(f"weights must sum to 1, got sum {float(arr.sum())!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.mean, self.median, self.mode], dtype=float)

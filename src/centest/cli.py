@@ -160,6 +160,19 @@ def _cmd_simulate(args) -> int:
         raise argparse.ArgumentTypeError(
             "--distortion and --kappa apply to power experiments only"
         )
+    if args.experiment == "coverage":
+        scope, options = "size and power", {"--alpha-level": args.alpha_level}
+    else:
+        scope = "coverage"
+        options = {"--beta": args.beta, "--level": args.level, "--draws": args.draws}
+    stray = [name for name, value in options.items() if value is not None]
+    if stray:
+        verb = "applies" if len(stray) == 1 else "apply"
+        raise argparse.ArgumentTypeError(
+            f"{' and '.join(stray)} {verb} to {scope} experiments only"
+        )
+    alpha_level = 0.05 if args.alpha_level is None else args.alpha_level
+    beta = _BETA_NAMES["mode"] if args.beta is None else args.beta
     config = DgpConfig(
         dgp=args.dgp,
         skewness=args.gamma,
@@ -169,24 +182,26 @@ def _cmd_simulate(args) -> int:
     )
     instrument_set = InstrumentSet(args.instrument_set)
     if args.out_dataset:
-        _write_example_dataset(args, config, instrument_set)
+        _write_example_dataset(args.out_dataset, config, beta, instrument_set)
     if args.experiment == "size":
         report = run_size_experiment(
-            config, instrument_set, args.replications, nominal_alpha=args.alpha_level,
+            config, instrument_set, args.replications, nominal_alpha=alpha_level,
             kernel=get_kernel(args.kernel),
         )
     elif args.experiment == "power":
         if args.distortion is None:
             raise argparse.ArgumentTypeError("power experiments need --distortion")
         report = run_size_experiment(
-            config, instrument_set, args.replications, nominal_alpha=args.alpha_level,
+            config, instrument_set, args.replications, nominal_alpha=alpha_level,
             distortion=Distortion(args.distortion), kappa=args.kappa,
             kernel=get_kernel(args.kernel),
         )
     else:
         report = run_coverage_experiment(
-            config, args.beta, instrument_set, args.replications,
-            level=args.level, draws=args.draws, kernel=get_kernel(args.kernel),
+            config, beta, instrument_set, args.replications,
+            level=0.90 if args.level is None else args.level,
+            draws=1000 if args.draws is None else args.draws,
+            kernel=get_kernel(args.kernel),
         )
     payload = dataio.report_to_dict(report)
     if args.out_json:
@@ -200,16 +215,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _write_example_dataset(args, config: DgpConfig, instrument_set) -> None:
+def _write_example_dataset(out_path, config: DgpConfig, beta, instrument_set) -> None:
     path = simulate_dgp(config, RandomStream(config.seed, 0))
-    beta = args.beta if args.experiment == "coverage" else (0.0, 0.0, 1.0)
     forecasts = optimal_forecasts(path, config, beta)
     instruments = build_instruments(path, forecasts, instrument_set)
     from .identification import ForecastDataset
 
     dataset = ForecastDataset(path.realizations, forecasts, instruments)
     names = ["const", "xinst", "extra"][: instruments.shape[1]]
-    dataio.write_dataset_csv(dataset, args.out_dataset, instrument_names=names)
+    dataio.write_dataset_csv(dataset, out_path, instrument_names=names)
 
 
 def _cmd_plot(args) -> int:
@@ -250,16 +264,20 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--sample-size", type=int, required=True)
     p_sim.add_argument("--replications", type=int, required=True)
     p_sim.add_argument("--instrument-set", type=int, default=2, choices=[1, 2, 3])
-    p_sim.add_argument("--alpha-level", type=float, default=0.05,
-                       help="nominal test level for size/power")
-    p_sim.add_argument("--level", type=float, default=0.90,
-                       help="confidence level for coverage")
-    p_sim.add_argument("--beta", type=_beta_triple, default=(0.0, 0.0, 1.0),
-                       help="forecast combination for coverage experiments")
+    # None marks an option left out, so that one given to an experiment
+    # that does not use it is rejected; _cmd_simulate fills in the defaults
+    p_sim.add_argument("--alpha-level", type=float, default=None,
+                       help="nominal test level for size/power (default 0.05)")
+    p_sim.add_argument("--level", type=float, default=None,
+                       help="confidence level for coverage (default 0.90)")
+    p_sim.add_argument("--beta", type=_beta_triple, default=None,
+                       help="forecast combination for coverage experiments "
+                       "(default mode)")
     p_sim.add_argument("--distortion", choices=["bias", "noise"], default=None)
     p_sim.add_argument("--kappa", type=float, default=0.0)
-    p_sim.add_argument("--draws", type=int, default=1000,
-                       help="replications pooled for the implied theta")
+    p_sim.add_argument("--draws", type=int, default=None,
+                       help="replications pooled for the implied theta in "
+                       "coverage experiments (default 1000)")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--burn-in", type=int, default=1000)
     p_sim.add_argument("--kernel", choices=["gaussian", "biweight"],

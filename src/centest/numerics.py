@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -267,3 +267,23 @@ class RandomStream:
 
     def substream(self, stream_id: int) -> "RandomStream":
         return RandomStream(self.seed, stream_id)
+
+
+def standard_normal_rows(streams: Sequence[RandomStream], n: int) -> np.ndarray:
+    """The first n standard normals of each stream, one row per stream.
+
+    Row j is bitwise ``streams[j].generator().standard_normal(n)``. One Philox
+    serves the whole block: before each row it is re-keyed through its
+    ``state`` with the counter at zero and the output buffer empty, which is
+    exactly the state of a freshly keyed Philox.
+    """
+    bit_generator = np.random.Philox(key=0)
+    fresh = bit_generator.state
+    rng = np.random.Generator(bit_generator)
+    out = np.empty((len(streams), n))
+    for row, stream in zip(out, streams):
+        fresh["state"]["key"] = np.array([stream.seed, stream.stream_id],
+                                         dtype=np.uint64)
+        bit_generator.state = fresh
+        rng.standard_normal(out=row)
+    return out

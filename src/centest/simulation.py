@@ -12,11 +12,21 @@ relevant centrality of xi, scaled by sigma_{t+1}, to the conditional
 location. Replications are keyed by (seed, replication index) substreams, so
 any scheduling across workers reproduces the same aggregate report.
 
-Paths are simulated in blocks of up to ``_CHUNK`` replications: each path
-still draws its innovations from its own stream, and the time-series
-recursions then take one vector step per time step across the block.
-Blocking never changes the draws, and a single path is the one-row case of
-the same kernel, so a path is bitwise the same however it was made.
+Paths are simulated in blocks of up to ``_CHUNK`` replications, for all
+four DGPs. A block is a SimulatedPath whose arrays carry a leading block
+axis (a cross-section block shares one sigma_next row). Each stream keys
+its own draws and takes all of them in one draw call: the covariates'
+normals, then the innovations' (one standard normal per innovation, or two
+under skewness). One call gives the same numbers as consecutive calls, so
+a path is bitwise the same whatever block it was made in, and a single
+path is the one-row case of the same kernel. The time-series recursions
+take one vector step per time step across the block. Forecasts and
+instruments are formed for the whole block from its arrays. A block holds
+two or three (B, burn_in + T + 2) arrays for the time-series DGPs and
+about seven (B, T) arrays' worth for the cross-section ones (four
+covariate columns among them), and its draws while it is made: at B = 128,
+T = 500 and burn_in = 1000 that is 3.6 to 5.1 MB, peaking below 8 MB, so
+memory does not grow with the replication count.
 
 Each block is also scored in one pass. The bandwidth rule, the weight
 matrices, the stacked moments, the mode test and the GMM objective all have
@@ -31,7 +41,7 @@ the others, and the replication loop counts it by exception name.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from functools import lru_cache
 from itertools import islice
@@ -49,6 +59,7 @@ from .numerics import (
     RandomStream,
     chi_square_quantile,
     gaussian_kernel,
+    standard_normal_rows,
 )
 from .rationality import _mode_tests
 
@@ -167,14 +178,25 @@ class SkewNormalSpec:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n standardized variates: delta |U1| + sqrt(1-delta^2) U2,
-        shifted and scaled."""
-        if self.shape == 0.0:
-            return rng.standard_normal(n)
-        d = self.shape / np.sqrt(1.0 + self.shape ** 2)
-        u1 = rng.standard_normal(n)
-        u2 = rng.standard_normal(n)
-        raw = d * np.abs(u1) + np.sqrt(1.0 - d * d) * u2
-        return (raw - self.center) / self.spread
+        shifted and scaled, with U1 and then U2 from one draw call (U2
+        alone when unskewed)."""
+        return _skew_normal_variates(self, rng.standard_normal(_normal_count(self, n)))
+
+
+def _normal_count(spec: SkewNormalSpec, n: int) -> int:
+    """Standard normals needed for n variates: U2 alone when unskewed."""
+    return n if spec.shape == 0.0 else 2 * n
+
+
+def _skew_normal_variates(spec: SkewNormalSpec, u: np.ndarray) -> np.ndarray:
+    """Standardized variates from standard normals u (..., _normal_count):
+    under skewness the first half of each row is U1 and the second U2."""
+    if spec.shape == 0.0:
+        return u
+    n = u.shape[-1] // 2
+    d = spec.shape / np.sqrt(1.0 + spec.shape ** 2)
+    raw = d * np.abs(u[..., :n]) + np.sqrt(1.0 - d * d) * u[..., n:]
+    return (raw - spec.center) / spec.spread
 
 
 @lru_cache(maxsize=64)
@@ -234,7 +256,8 @@ class SimulatedPath:
 
     Entry t pairs the information known at forecast time (cond_loc,
     sigma_next, covariates, extra_instrument) with the next-period outcome
-    realizations[t] and its innovation.
+    realizations[t] and its innovation. Inside this module a block of paths
+    is one SimulatedPath whose arrays carry a leading block axis.
     """
 
     realizations: np.ndarray
@@ -250,12 +273,13 @@ def simulate_paths(
 ) -> Iterator[SimulatedPath]:
     """Yield one path per ``RandomStream(config.seed, id)``, in order.
 
-    Time-series paths are simulated ``_CHUNK`` at a time; each draws from its
-    own stream, so a path does not depend on the block it was made in.
+    Paths are simulated ``_CHUNK`` at a time; each draws from its own
+    stream, so a path does not depend on the block it was made in.
     """
-    return _simulate_streams(
-        config, (RandomStream(config.seed, i) for i in stream_ids)
-    )
+    streams = (RandomStream(config.seed, i) for i in stream_ids)
+    for block in _simulate_blocks(config, streams):
+        for j in range(len(block.realizations)):
+            yield _path_row(block, j)
 
 
 def simulate_dgp(config: DgpConfig, stream: RandomStream | None = None) -> SimulatedPath:
@@ -265,71 +289,74 @@ def simulate_dgp(config: DgpConfig, stream: RandomStream | None = None) -> Simul
     starts from its unconditional variance of 1.
     """
     stream = stream or RandomStream(config.seed, 0)
-    return next(_simulate_streams(config, iter([stream])))
+    return _path_row(next(_simulate_blocks(config, iter([stream]))), 0)
 
 
-def _simulate_streams(
+def _path_row(block: SimulatedPath, j: int) -> SimulatedPath:
+    return SimulatedPath(*(getattr(block, f.name)[j].copy()
+                           for f in fields(SimulatedPath)))
+
+
+def _simulate_blocks(
     config: DgpConfig, streams: Iterator[RandomStream]
 ) -> Iterator[SimulatedPath]:
+    """Blocks of up to ``_CHUNK`` paths, one row per stream, in order."""
     spec = skew_normal_params(config.skewness)
-    if config.dgp not in _TIME_SERIES:
-        for stream in streams:
-            yield _cross_section_path(config, spec, stream.generator())
-        return
+    simulate = _time_series_block if config.dgp in _TIME_SERIES else _cross_section_block
     while block := list(islice(streams, _CHUNK)):
-        yield from _time_series_block(config, spec, block)
+        yield simulate(config, spec, block)
 
 
-def _cross_section_path(
-    config: DgpConfig, spec: SkewNormalSpec, rng: np.random.Generator
+def _cross_section_block(
+    config: DgpConfig, spec: SkewNormalSpec, streams: list[RandomStream]
 ) -> SimulatedPath:
+    """iid-covariate paths; the block shares one sigma_next row."""
     t = config.n_obs
-    z = np.empty((t, 4))
-    z[:, 0] = 1.0
-    z[:, 1:] = rng.normal(
-        loc=_CROSS_SECTION_MEANS[1:], scale=_CROSS_SECTION_SDS[1:], size=(t, 3)
-    )
+    draws = standard_normal_rows(streams, 3 * t + _normal_count(spec, t))
+    z = np.empty((len(streams), t, 4))
+    z[..., 0] = 1.0
+    # bitwise what rng.normal(loc, scale, size=(t, 3)) returns
+    z[..., 1:] = (_CROSS_SECTION_MEANS[1:]
+                  + _CROSS_SECTION_SDS[1:] * draws[:, :3 * t].reshape(-1, t, 3))
+    xi = _skew_normal_variates(spec, draws[:, 3 * t:])
     cond_loc = z @ _CROSS_SECTION_ZETA
     if config.dgp is Dgp.HOMOSKEDASTIC_IID:
-        sigma_next = np.ones(t)
+        ramp = np.ones(t)
     else:
         # sigma_{t+1} = 0.5 + 1.5 (t+1)/T with t = 1..T
-        sigma_next = 0.5 + 1.5 * (np.arange(1, t + 1) + 1.0) / t
-    xi = spec.sample(rng, t)
+        ramp = 0.5 + 1.5 * (np.arange(1, t + 1) + 1.0) / t
+    sigma_next = np.broadcast_to(ramp, xi.shape)
     return SimulatedPath(
         realizations=cond_loc + sigma_next * xi,
         cond_loc=cond_loc,
         sigma_next=sigma_next,
         innovations=xi,
         covariates=z,
-        extra_instrument=z[:, 1].copy(),
+        extra_instrument=z[..., 1],
     )
 
 
 def _time_series_block(
     config: DgpConfig, spec: SkewNormalSpec, streams: list[RandomStream]
-) -> list[SimulatedPath]:
+) -> SimulatedPath:
     """AR(1) or AR(1)-GARCH(1,1) paths, one row per stream."""
     t, b = config.n_obs, config.burn_in
     n = b + t + 2
-    xi = np.stack([spec.sample(stream.generator(), n) for stream in streams])
+    xi = _skew_normal_variates(spec, standard_normal_rows(streams, _normal_count(spec, n)))
     if config.dgp is Dgp.AR1:
-        sig, shocks = np.ones_like(xi), xi
+        sig, shocks = np.broadcast_to(1.0, xi.shape), xi
     else:
         sig = _garch_sigma(xi)
         shocks = sig * xi
     y = lfilter([1.0], [1.0, -_AR_COEF], shocks, axis=1)
-    return [
-        SimulatedPath(
-            realizations=y[j, b + 2: b + t + 2].copy(),
-            cond_loc=_AR_COEF * y[j, b + 1: b + t + 1],
-            sigma_next=sig[j, b + 2: b + t + 2].copy(),
-            innovations=xi[j, b + 2: b + t + 2].copy(),
-            covariates=y[j, b + 1: b + t + 1, None].copy(),
-            extra_instrument=y[j, b: b + t].copy(),
-        )
-        for j in range(len(streams))
-    ]
+    return SimulatedPath(
+        realizations=y[:, b + 2:],
+        cond_loc=_AR_COEF * y[:, b + 1: b + t + 1],
+        sigma_next=sig[:, b + 2:],
+        innovations=xi[:, b + 2:],
+        covariates=y[:, b + 1: b + t + 1, None],
+        extra_instrument=y[:, b: b + t],
+    )
 
 
 def _garch_sigma(xi: np.ndarray) -> np.ndarray:
@@ -337,7 +364,18 @@ def _garch_sigma(xi: np.ndarray) -> np.ndarray:
     row of innovations, starting from the unconditional variance of 1: one
     vector step per time step across the rows."""
     rows, n = xi.shape
-    squares = np.ascontiguousarray((xi * xi).T)
+    squares = xi * xi
+    if rows == 1:
+        # the same operations in the same order on Python floats, which
+        # spares a long single path numpy's dispatch at every step
+        c, p, a = _GARCH_CONST, _GARCH_PERSIST, _GARCH_ARCH
+        prev = 1.0
+        s2 = [prev]
+        for sq in squares[0, :-1].tolist():
+            prev = c + p * prev + a * prev * sq
+            s2.append(prev)
+        return np.sqrt(np.array(s2))[None]
+    squares = np.ascontiguousarray(squares.T)
     s2 = np.empty((n, rows))
     s2[0] = 1.0
     for i in range(n - 1):
@@ -352,14 +390,39 @@ def _beta_array(beta) -> np.ndarray:
     return SimplexWeights.from_array(beta).as_array()
 
 
+def _forecast_shift(config: DgpConfig, beta) -> float:
+    """beta' (Mean(xi), Median(xi), Mode(xi)), validating beta."""
+    spec = skew_normal_params(config.skewness)
+    return float(_beta_array(beta) @ spec.centralities)
+
+
+def _block_forecasts(paths: SimulatedPath, shift: float) -> np.ndarray:
+    return paths.cond_loc + paths.sigma_next * shift
+
+
+def _block_instruments(
+    paths: SimulatedPath, forecasts: np.ndarray, instrument_set: InstrumentSet,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The first k of (1, X, extra) for each observation, written into
+    ``out`` of shape forecasts.shape + (k,)."""
+    k = int(instrument_set)
+    if out is None:
+        out = np.empty(forecasts.shape + (k,))
+    out[..., 0] = 1.0
+    if k > 1:
+        out[..., 1] = forecasts
+    if k > 2:
+        out[..., 2] = paths.extra_instrument
+    return out
+
+
 def optimal_forecasts(path: SimulatedPath, config: DgpConfig, beta) -> np.ndarray:
     """Convex combination of the optimal mean/median/mode forecast series:
 
         X_t = zeta' Z_t + sigma_{t+1} * beta' (Mean(xi), Median(xi), Mode(xi)).
     """
-    b = _beta_array(beta)
-    spec = skew_normal_params(config.skewness)
-    return path.cond_loc + path.sigma_next * float(b @ spec.centralities)
+    return _block_forecasts(path, _forecast_shift(config, beta))
 
 
 def distort_forecasts(
@@ -389,14 +452,8 @@ def distort_forecasts(
 def build_instruments(
     path: SimulatedPath, forecasts, instrument_set: InstrumentSet | int
 ) -> np.ndarray:
-    instrument_set = InstrumentSet(instrument_set)
-    x = np.asarray(forecasts, dtype=float)
-    ones = np.ones(x.size)
-    if instrument_set is InstrumentSet.SET1:
-        return ones[:, None]
-    if instrument_set is InstrumentSet.SET2:
-        return np.column_stack([ones, x])
-    return np.column_stack([ones, x, path.extra_instrument])
+    return _block_instruments(
+        path, np.asarray(forecasts, dtype=float), InstrumentSet(instrument_set))
 
 
 class ThetaSetKind(str, Enum):
@@ -513,16 +570,23 @@ def implied_theta(
             note="unidentified: all centrality measures coincide",
         )
 
-    errors_parts, instruments_parts = [], []
-    streams = range(_IMPLIED_THETA_BASE, _IMPLIED_THETA_BASE + draws)
-    for path in simulate_paths(config, streams):
-        x = optimal_forecasts(path, config, b)
-        errors_parts.append(x - path.realizations)
-        instruments_parts.append(build_instruments(path, x, instrument_set))
-    errors = np.concatenate(errors_parts)
-    instruments = np.vstack(instruments_parts)
+    shift = _forecast_shift(config, b)
+    k = int(instrument_set)
+    errors = np.empty((draws, config.n_obs))
+    instruments = np.empty((draws, config.n_obs, k))
+    streams = (RandomStream(config.seed, i)
+               for i in range(_IMPLIED_THETA_BASE, _IMPLIED_THETA_BASE + draws))
+    first = 0
+    for block in _simulate_blocks(config, streams):
+        rows = slice(first, first + len(block.realizations))
+        x = _block_forecasts(block, shift)
+        np.subtract(x, block.realizations, out=errors[rows])
+        _block_instruments(block, x, instrument_set, out=instruments[rows])
+        first = rows.stop
+        del block, x
+    errors = errors.reshape(-1)
+    instruments = instruments.reshape(-1, k)
     n = errors.size
-    k = instruments.shape[1]
 
     delta = bandwidth_rule_of_thumb(errors, n_obs=config.n_obs).delta
     (values,), (weights,), failures = _weighted_block(
@@ -616,34 +680,33 @@ def _run_replications(
     exception name and skipped. Returns the scores of the successful
     replications, in order, and the counts.
     """
+    shift = _forecast_shift(config, beta)
     scores = []
     failures: dict[str, int] = {}
-    paths = simulate_paths(config, (_path_stream(r) for r in range(replications)))
+    streams = (RandomStream(config.seed, _path_stream(r)) for r in range(replications))
     first = 0
-    while block := list(islice(paths, _CHUNK)):
-        forecasts = [optimal_forecasts(path, config, beta) for path in block]
+    for block in _simulate_blocks(config, streams):
+        x = _block_forecasts(block, shift)
         if distortion is not None:
-            forecasts = [
-                distort_forecasts(x, distortion, kappa,
+            x = np.stack([
+                distort_forecasts(xj, distortion, kappa,
                                   RandomStream(config.seed, _noise_stream(first + j)))
-                for j, x in enumerate(forecasts)
-            ]
-        realizations = np.stack([path.realizations for path in block])
-        x = np.stack(forecasts)
-        instruments = np.stack([
-            build_instruments(path, xj, instrument_set)
-            for path, xj in zip(block, forecasts)
-        ])
-        _check_aligned(realizations, x, instruments)
-        for result, failure in zip(*score(x - realizations, instruments)):
+                for j, xj in enumerate(x)
+            ])
+        instruments = _block_instruments(block, x, instrument_set)
+        _check_aligned(block.realizations, x, instruments)
+        errors = x - block.realizations
+        first += len(x)
+        # the paths, burn-in included, are not kept while the block is scored
+        del block, x
+        for result, failure in zip(*score(errors, instruments)):
             if failure is None:
                 scores.append(result)
             else:
                 name = type(failure).__name__
                 failures[name] = failures.get(name, 0) + 1
-        first += len(block)
-        # free this block before the next one is simulated
-        del block, forecasts, realizations, x, instruments
+        # nor is this block's data while the next one is simulated
+        del errors, instruments
     return scores, failures
 
 

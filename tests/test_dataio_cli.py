@@ -520,6 +520,36 @@ class TestCli:
         assert "power experiments only" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--experiment", "size", "--beta", "median"],
+         "--beta applies to coverage experiments only"),
+        (["--experiment", "size", "--level", "0.9"],
+         "--level applies to coverage experiments only"),
+        (["--experiment", "power", "--distortion", "bias", "--kappa", "0.2",
+          "--draws", "1000"],
+         "--draws applies to coverage experiments only"),
+        (["--experiment", "coverage", "--alpha-level", "0.05"],
+         "--alpha-level applies to size and power experiments only"),
+    ])
+    def test_simulate_rejects_options_of_other_experiments(self, tmp_path, capsys,
+                                                           flags, message):
+        # values equal to the defaults are rejected too: the option was given
+        out = tmp_path / "sim.json"
+        code = main(["simulate", *flags, "--dgp", "homoskedastic-iid",
+                     "--sample-size", "100", "--replications", "100",
+                     "--out-json", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_invalid_beta_exits_2(self, capsys):
+        code = main(["simulate", "--experiment", "coverage", "--dgp", "ar1",
+                     "--sample-size", "100", "--replications", "100",
+                     "--beta", "0.5,0.2,0.2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "centest: error: weights must sum to 1, got sum 0.8999999999999999\n"
+
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_simulate_seed_out_of_range_exits_2(self, capsys, seed):
         code = main(["simulate", "--experiment", "size", "--dgp", "ar1",

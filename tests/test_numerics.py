@@ -21,7 +21,7 @@ from centest import (
     kernel_eval,
     solve_spd,
 )
-from centest.numerics import floored_eigh
+from centest.numerics import floored_eigh, standard_normal_rows
 
 
 def central_difference(f, u, h=1e-6):
@@ -330,6 +330,22 @@ class TestRandomStream:
                 RandomStream(seed, stream_id)
         top = RandomStream((1 << 64) - 1, (1 << 64) - 1).generator().random(4)
         assert np.all((0.0 <= top) & (top < 1.0))
+
+    @pytest.mark.parametrize("n", [1, 7, 1001])
+    def test_standard_normal_rows_match_fresh_generators(self, n):
+        # an odd n leaves a partly used Philox buffer behind each row; the
+        # next row must start from a freshly keyed state all the same
+        top = (1 << 64) - 1
+        streams = [RandomStream(0, 0), RandomStream(5, 3), RandomStream(top, top),
+                   RandomStream(0, top), RandomStream(top, 0), RandomStream(5, 3)]
+        rows = standard_normal_rows(streams, n)
+        assert rows.shape == (len(streams), n)
+        for row, stream in zip(rows, streams):
+            assert np.array_equal(row, stream.generator().standard_normal(n))
+        # one draw of 2n is two successive draws of n
+        rng = streams[1].generator()
+        halves = np.concatenate([rng.standard_normal(n), rng.standard_normal(n)])
+        assert np.array_equal(standard_normal_rows(streams[1:2], 2 * n)[0], halves)
 
     def test_kernel_dataclass_is_frozen(self):
         with pytest.raises(Exception):

@@ -201,6 +201,17 @@ class TestSimulateDgp:
         with pytest.raises(ValueError):
             DgpConfig(dgp="ar1", skewness=0.0, n_obs=50, seed=1, burn_in=0)
 
+    def test_garch_one_row_branch_matches_vector_loop(self):
+        from centest.simulation import _garch_sigma
+
+        xi = RandomStream(13, 2).generator().standard_normal((5, 400))
+        block = _garch_sigma(xi)
+        assert block.shape == xi.shape
+        for j in range(len(xi)):
+            one = _garch_sigma(xi[j:j + 1])
+            assert one.shape == (1, 400)
+            assert np.array_equal(one, block[j:j + 1])
+
     def test_garch_matches_hand_recursion(self):
         cfg = DgpConfig(dgp="ar-garch", skewness=0.5, n_obs=10, seed=9, burn_in=3)
         path = simulate_dgp(cfg)
@@ -234,15 +245,102 @@ FIELDS = ("realizations", "cond_loc", "sigma_next", "innovations",
           "covariates", "extra_instrument")
 
 
+# sha256 of each field's bytes for DgpConfig(dgp, skewness, n_obs=40,
+# seed=2024, burn_in=10) and stream 7, recorded while every stream still made
+# one draw call per normal vector (covariates, U1, U2) and one Philox per
+# path; a change that reorders or re-keys the draws changes them
+GOLDEN_PATHS = {
+    ("homoskedastic-iid", 0.0): (
+        "a972207d7d9c82eb648bad030bccd5c2abf03ff14c10faf8c3f91f17ffea2372",
+        "be41b69d16a62cc68a1fc652686873ebcc9337551b264eed45d8d2cce9cde134",
+        "bf4d5ee2759a3c5f5d2348929f4da78fb2d1df48a0526ca959757992dd8dde31",
+        "1669ba9c37a41c8cacb8fb30c2dcc52d930804156d43baccf5374436acc119e0",
+        "1e452c3c0dccd69cd3ac76cd399a92f95b04dcc877d2c81c0073fba1e5e5f3c1",
+        "618ec6fd3a582b8ba34daa18e19e6d2b909f508c83d7d4ec44381665d42eef3d",
+    ),
+    ("homoskedastic-iid", 0.5): (
+        "000911e455ad3590e43c4b8a0e5e31d28cbc68188dd067fa687d261db15f8a95",
+        "be41b69d16a62cc68a1fc652686873ebcc9337551b264eed45d8d2cce9cde134",
+        "bf4d5ee2759a3c5f5d2348929f4da78fb2d1df48a0526ca959757992dd8dde31",
+        "2c8c31e60eabc69b594a58ea44a104a4e0715d047bf74084a4bf8b2bd35463d4",
+        "1e452c3c0dccd69cd3ac76cd399a92f95b04dcc877d2c81c0073fba1e5e5f3c1",
+        "618ec6fd3a582b8ba34daa18e19e6d2b909f508c83d7d4ec44381665d42eef3d",
+    ),
+    ("heteroskedastic", 0.0): (
+        "dd2045dfd49e429276e4c7326a6448b876007b2b95f397c72b282eeb4d1d8dc7",
+        "be41b69d16a62cc68a1fc652686873ebcc9337551b264eed45d8d2cce9cde134",
+        "929d887a471ebf325085ff6ef11ff8f00d1a6eea819e94b8aea732b8a2e8dce1",
+        "1669ba9c37a41c8cacb8fb30c2dcc52d930804156d43baccf5374436acc119e0",
+        "1e452c3c0dccd69cd3ac76cd399a92f95b04dcc877d2c81c0073fba1e5e5f3c1",
+        "618ec6fd3a582b8ba34daa18e19e6d2b909f508c83d7d4ec44381665d42eef3d",
+    ),
+    ("heteroskedastic", 0.5): (
+        "151ed894e53a0b61652fc2e14133f8bb5ae2d9f1387b362d80e61b142b9fd04b",
+        "be41b69d16a62cc68a1fc652686873ebcc9337551b264eed45d8d2cce9cde134",
+        "929d887a471ebf325085ff6ef11ff8f00d1a6eea819e94b8aea732b8a2e8dce1",
+        "2c8c31e60eabc69b594a58ea44a104a4e0715d047bf74084a4bf8b2bd35463d4",
+        "1e452c3c0dccd69cd3ac76cd399a92f95b04dcc877d2c81c0073fba1e5e5f3c1",
+        "618ec6fd3a582b8ba34daa18e19e6d2b909f508c83d7d4ec44381665d42eef3d",
+    ),
+    ("ar1", 0.0): (
+        "9ae65649dea23989dcef9c519e330e5bc043b935e4f83aa67a9e1b345fd5dae1",
+        "5b4b999b256c9001f7962801db0bfe81ac3cb6733425de17e951ad6baf9bdc4d",
+        "bf4d5ee2759a3c5f5d2348929f4da78fb2d1df48a0526ca959757992dd8dde31",
+        "a1362e7af8076f604179c78fa3c3047314ba5f4c75c04264ffe665b0dddbaa07",
+        "10d9e59b96bdc80bad90de9ca5b78e09f9ae9915011825a79202877465fcfbb1",
+        "f539a7344f09cf8f4af066d104adf4c175b77d606ae8b9479fd8d1635d03b17a",
+    ),
+    ("ar1", 0.5): (
+        "199b63554ecd0989d62db18b30e04fe5bd064449df615632e5edc86793708d41",
+        "03d37f1dc0d8a5c34dbde421ca4239c964319e87575a7ccc97b7137788f42736",
+        "bf4d5ee2759a3c5f5d2348929f4da78fb2d1df48a0526ca959757992dd8dde31",
+        "57ea881ac435fbe18d944e863676226ad73fbbc6d02b5a9cacd48430bfc030ad",
+        "395e4d758d47d4773771c7e2b54c8c8a1beb0df28031d4e82c9ce4116341d863",
+        "1024c46f4b30b8943ad076072fff779777aea1edcf5f6956c92cbf3974339964",
+    ),
+    ("ar-garch", 0.0): (
+        "1fd44c0f2a4eefbe21290abb74103f5741a5617aff63af8a2d6e1612a948d5e8",
+        "f1711c0e09052d818329d56fad827e9569e7baeee5e49329bc0bbe62fd2668b7",
+        "3cca0973449651db62b466d5095a8a452eb45737ff9ab6a711ec07d33ba54f87",
+        "a1362e7af8076f604179c78fa3c3047314ba5f4c75c04264ffe665b0dddbaa07",
+        "bf767733d40370f8ee33b273f3e64d3e7393d5b5f83a31deefc6dd1f177abfc0",
+        "e0998a7d1ac843dac82c492680de80e767b0fa9315756093793764be93f3e2d2",
+    ),
+    ("ar-garch", 0.5): (
+        "2fa8c6c9c488d02333ff2b2ffc723de70329810e0dc21312b743d3722bb96a6a",
+        "a32191b60c386f0162f01491ca5ec9b00d4785d5854d44434da73433729d975e",
+        "208de4a76a6a9ae7ea0850ba0c87baeedc521233605bba445ae31184ab34670e",
+        "57ea881ac435fbe18d944e863676226ad73fbbc6d02b5a9cacd48430bfc030ad",
+        "fa6f0faf4eea0b5807cafd2d56b914e83b598a389f106d587289d030cc508aec",
+        "773e590492dd8df2ec04372d20a5b5faed94aaa220602c30b6a0e75728217459",
+    ),
+}
+
+
 class TestSimulatePaths:
+    @pytest.mark.parametrize("dgp, skewness", sorted(GOLDEN_PATHS))
+    def test_paths_match_recorded_digests(self, dgp, skewness):
+        import hashlib
+
+        cfg = DgpConfig(dgp=dgp, skewness=skewness, n_obs=40, seed=2024, burn_in=10)
+        path = simulate_dgp(cfg, RandomStream(cfg.seed, 7))
+        digests = tuple(hashlib.sha256(getattr(path, name).tobytes()).hexdigest()
+                        for name in FIELDS)
+        assert digests == GOLDEN_PATHS[dgp, skewness]
+
     @pytest.mark.parametrize("chunk", [None, 7])
-    @pytest.mark.parametrize("dgp", DGPS)
-    def test_blocks_match_single_streams_bitwise(self, monkeypatch, dgp, chunk):
+    @pytest.mark.parametrize("dgp, skewness", [
+        *(pytest.param(dgp, 0.5, id=dgp) for dgp in DGPS),
+        # one standard normal per innovation instead of two
+        *(pytest.param(dgp, 0.0, id=f"{dgp}-unskewed") for dgp in DGPS),
+    ])
+    def test_blocks_match_single_streams_bitwise(self, monkeypatch, dgp, skewness,
+                                                 chunk):
         import centest.simulation as simulation
 
         if chunk is not None:
             monkeypatch.setattr(simulation, "_CHUNK", chunk)
-        cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=20, seed=33, burn_in=5)
+        cfg = DgpConfig(dgp=dgp, skewness=skewness, n_obs=20, seed=33, burn_in=5)
         # 131 ids, out of order, cross the default block boundary at 128
         ids = [3 * i + 1 for i in range(130)] + [0]
         paths = list(simulate_paths(cfg, ids))
@@ -285,7 +383,7 @@ class TestOptimalForecasts:
     def test_invalid_beta(self):
         cfg = DgpConfig(dgp="ar1", skewness=0.0, n_obs=40, seed=16)
         path = simulate_dgp(cfg)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"got sum 0\.8999999999999999$"):
             optimal_forecasts(path, cfg, [0.5, 0.2, 0.2])
 
 
@@ -750,27 +848,25 @@ class TestBlockScoring:
         # replication 5 gets collinear instruments; both sit in one block
         import centest.simulation as simulation
 
-        real_forecasts = simulation.optimal_forecasts
-        real_instruments = simulation.build_instruments
+        real_forecasts = simulation._block_forecasts
+        real_instruments = simulation._block_instruments
 
         def run(experiment, broken):
-            made = {"forecasts": 0, "instruments": 0}
+            def forecasts(paths, shift):
+                x = real_forecasts(paths, shift)
+                assert len(x) == 100
+                if broken:
+                    x[3] = paths.realizations[3]
+                return x
 
-            def forecasts(path, config, beta):
-                made["forecasts"] += 1
-                if broken and made["forecasts"] == 4:
-                    return path.realizations.copy()
-                return real_forecasts(path, config, beta)
-
-            def instruments(path, x, instrument_set):
-                made["instruments"] += 1
-                h = real_instruments(path, x, instrument_set)
-                if broken and made["instruments"] == 6:
-                    h[:, 1] = 1.0
+            def instruments(paths, x, instrument_set, out=None):
+                h = real_instruments(paths, x, instrument_set, out)
+                if broken:
+                    h[5, :, 1] = 1.0
                 return h
 
-            monkeypatch.setattr(simulation, "optimal_forecasts", forecasts)
-            monkeypatch.setattr(simulation, "build_instruments", instruments)
+            monkeypatch.setattr(simulation, "_block_forecasts", forecasts)
+            monkeypatch.setattr(simulation, "_block_instruments", instruments)
             return experiment()
 
         cfg = DgpConfig(dgp="heteroskedastic", skewness=0.5, n_obs=80, seed=43)
