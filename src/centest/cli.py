@@ -17,7 +17,7 @@ from pathlib import Path
 from . import dataio
 from .central_tendency import confidence_set
 from .errors import DegenerateErrors, MissingColumnError, SingularMatrixError
-from .identification import Functional
+from .identification import Functional, _check_bandwidth
 from .numerics import RandomStream, get_kernel
 from .rationality import instrument_moment_test, mode_test
 from .simulation import (
@@ -61,6 +61,15 @@ def _alpha_list(text: str) -> tuple[float, ...]:
     return levels
 
 
+def _bandwidth(text: str) -> float:
+    try:
+        value = float(text)
+        _check_bandwidth(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad bandwidth {text!r}: {exc}") from None
+    return value
+
+
 def _beta_triple(text: str):
     if text in _BETA_NAMES:
         return _BETA_NAMES[text]
@@ -85,16 +94,23 @@ def _add_dataset_arguments(parser: _Parser) -> None:
         "--with-const", action="store_true",
         help="prepend a synthesized constant instrument",
     )
-    parser.add_argument("--cluster", default=None, help="cluster label column")
+    parser.add_argument(
+        "--cluster", default=None,
+        help="cluster label column for a wave-clustered covariance; applied by "
+        "cset only, test still uses the unclustered covariance",
+    )
     parser.add_argument(
         "--random-walk", action="store_true",
         help="treat the input as a single `price` column and test the lagged "
         "level with instruments (1, X)",
     )
-    parser.add_argument("--bandwidth", type=float, default=None,
-                        help="override the rule-of-thumb bandwidth")
+    # None marks an option left out, so that test can reject the mode
+    # options for mean and median; the commands fill in the gaussian kernel
+    parser.add_argument("--bandwidth", type=_bandwidth, default=None,
+                        help="override the rule-of-thumb mode bandwidth "
+                        "(positive and finite)")
     parser.add_argument("--kernel", choices=["gaussian", "biweight"],
-                        default="gaussian")
+                        default=None, help="mode kernel (default gaussian)")
 
 
 def _load_dataset(args):
@@ -112,11 +128,18 @@ def _load_dataset(args):
 
 
 def _cmd_test(args) -> int:
-    dataset = _load_dataset(args)
     functional = Functional(args.functional)
-    kernel = get_kernel(args.kernel)
+    for name, value in (("--bandwidth", args.bandwidth), ("--kernel", args.kernel)):
+        if value is not None and functional is not Functional.MODE:
+            raise argparse.ArgumentTypeError(f"{name} applies to --functional mode only")
+    dataset = _load_dataset(args)
+    if args.cluster:
+        print("centest: note: test does not apply --cluster yet; the single-functional "
+              "tests use the unclustered covariance (cset --cluster applies the "
+              "clusters)", file=sys.stderr)
     if functional is Functional.MODE:
-        result = mode_test(dataset, delta=args.bandwidth, kernel=kernel)
+        result = mode_test(dataset, delta=args.bandwidth,
+                           kernel=get_kernel(args.kernel or "gaussian"))
     else:
         result = instrument_moment_test(functional, dataset)
     payload = dataio.test_result_to_dict(result, args.alpha)
@@ -137,7 +160,7 @@ def _cmd_cset(args) -> int:
         m=args.grid_m,
         alpha_levels=args.alpha,
         delta=args.bandwidth,
-        kernel=get_kernel(args.kernel),
+        kernel=get_kernel(args.kernel or "gaussian"),
     )
     dataio.emit_confidence_set(
         grid, json_path=args.out_json, csv_path=args.out_csv, svg_path=args.out_svg

@@ -154,9 +154,11 @@ def identification_values(
 
 
 def _check_bandwidth(delta) -> None:
-    """The bandwidth check of every caller-supplied mode bandwidth."""
-    if delta is None or delta <= 0:
-        raise ValueError(f"mode values need a positive bandwidth, got {delta}")
+    """The check of every caller-supplied mode bandwidth: a positive, finite
+    number."""
+    if delta is None or not 0.0 < delta < np.inf:
+        note = "" if delta is None or delta <= 0.0 else " (not finite)"
+        raise ValueError(f"mode values need a positive bandwidth, got {delta}{note}")
 
 
 def _values(kind: Functional, e: np.ndarray, delta, kernel: Kernel) -> np.ndarray:
@@ -320,14 +322,8 @@ def stacked_moments(
     Row r of observation t is h_t' W_r times the identification value of
     functional r at t. ``weight_matrices`` can be supplied to bypass the
     sample normalization (e.g. identity weights in fixtures).
-
-    Note the mode row uses the delta**(-1/2) K'(-eps/delta) orientation; the
-    standalone mode test scales its moments differently, but the two differ
-    only by a positive scalar and a sign flip, both of which cancel in every
-    quadratic form.
     """
-    if delta <= 0:
-        raise ValueError(f"bandwidth must be positive, got {delta}")
+    _check_bandwidth(delta)
     (values,), (weights,), failures = _weighted_block(
         forecast_errors(dataset)[None], dataset.instruments[None], kernel, delta,
         weight_matrices)

@@ -53,7 +53,7 @@ from scipy.signal import lfilter
 from .bandwidth import bandwidth_rule_of_thumb
 from .central_tendency import SimplexWeights, _objectives_block, simplex_grid
 from .errors import SingularMatrixError, first_failures, raise_row_failure
-from .identification import _assemble_stacked, _check_aligned, _weighted_block
+from .identification import Functional, _assemble_stacked, _check_aligned, _weighted_block
 from .numerics import (
     Kernel,
     RandomStream,
@@ -61,7 +61,7 @@ from .numerics import (
     gaussian_kernel,
     standard_normal_rows,
 )
-from .rationality import _mode_tests
+from .rationality import _tests_block
 
 _B = np.sqrt(2.0 / np.pi)
 
@@ -733,7 +733,7 @@ def run_size_experiment(
     kernel = kernel or gaussian_kernel()
 
     def rejects(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
-        tests, failures = _mode_tests(errors, instruments, kernel)
+        tests, failures = _tests_block(Functional.MODE, errors, instruments, kernel)
         return [None if test is None else test.p_value < nominal_alpha
                 for test in tests], failures
 

@@ -560,6 +560,57 @@ class TestCli:
         assert err.startswith("centest: error: seed must lie in [0, 2**64)")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["test", "cset"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bandwidth_must_be_positive_and_finite(self, tmp_path, capsys,
+                                                   command, value):
+        data = write_sim_csv(tmp_path)
+        out = tmp_path / "out.json"
+        extra = ["--functional", "mode"] if command == "test" else ["--grid-m", "2"]
+        code = main([command, "--input", str(data), "--instruments", "const,xinst",
+                     *extra, f"--bandwidth={value}", "--out-json", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"argument --bandwidth: bad bandwidth '{value}'" in err
+        assert "mode values need a positive bandwidth" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("functional", ["mean", "median"])
+    @pytest.mark.parametrize("option, value", [("--bandwidth", "0.5"),
+                                               ("--kernel", "gaussian")])
+    def test_mode_options_rejected_for_mean_and_median(self, tmp_path, capsys,
+                                                       functional, option, value):
+        data = write_sim_csv(tmp_path)
+        out = tmp_path / "out.json"
+        code = main(["test", "--input", str(data), "--instruments", "const,xinst",
+                     "--functional", functional, option, value,
+                     "--out-json", str(out)])
+        assert code == 1
+        assert (f"centest: error: {option} applies to --functional mode only"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_test_cluster_notes_the_unclustered_covariance(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        ds = make_dataset(rng, t=120, k=2, cluster=True)
+        f = tmp_path / "waves.csv"
+        write_dataset_csv(ds, f, instrument_names=["const", "xinst"])
+        outputs = []
+        for flags in ([], ["--cluster", "cluster"]):
+            out = tmp_path / f"test{len(outputs)}.json"
+            assert main(["test", "--input", str(f), "--instruments", "const,xinst",
+                         "--functional", "mean", *flags, "--out-json", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().err))
+        (plain, plain_err), (clustered, clustered_err) = outputs
+        assert clustered == plain
+        assert plain_err == ""
+        assert clustered_err.count("\n") == 1
+        assert "unclustered covariance" in clustered_err
+        assert "cset --cluster applies the clusters" in clustered_err
+        assert main(["cset", "--input", str(f), "--instruments", "const,xinst",
+                     "--grid-m", "2", "--cluster", "cluster"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_data_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.csv"
         assert main(["test", "--input", str(missing), "--functional", "mean",

@@ -10,9 +10,12 @@ from centest import (
     ForecastDataset,
     Functional,
     SingularMatrixError,
+    confidence_set,
     forecast_errors,
     gaussian_kernel,
+    gmm_objective,
     identification_values,
+    mode_test,
     stacked_moments,
     weighting_matrices,
 )
@@ -186,6 +189,26 @@ class TestWeightingMatrices:
             with pytest.raises(ValueError, match="mode values need a positive "
                                f"bandwidth, got {delta}"):
                 weighting_matrices(ds, delta)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("call", [
+        lambda ds, d: weighting_matrices(ds, d),
+        lambda ds, d: stacked_moments(ds, d),
+        lambda ds, d: identification_values("mode", forecast_errors(ds), d),
+        lambda ds, d: mode_test(ds, delta=d),
+        lambda ds, d: confidence_set(ds, m=2, delta=d),
+        lambda ds, d: gmm_objective([0.0, 0.0, 1.0], ds, delta=d),
+    ], ids=["weighting_matrices", "stacked_moments", "identification_values",
+            "mode_test", "confidence_set", "gmm_objective"])
+    def test_bandwidth_must_be_positive_and_finite(self, rng, call, delta):
+        import warnings
+
+        ds = make_dataset(rng, t=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mode values need a positive "
+                               f"bandwidth, got {delta}"):
+                call(ds, delta)
 
     def test_zero_errors_singular_names_mean(self):
         ds = ForecastDataset([1.0, 2.0], [1.0, 2.0], np.ones((2, 1)))

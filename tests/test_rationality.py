@@ -11,6 +11,7 @@ from centest import (
     bandwidth_rule_of_thumb,
     chi_square_sf,
     gaussian_kernel,
+    get_kernel,
     instrument_moment_test,
     mode_test,
 )
@@ -200,3 +201,53 @@ class TestInvariances:
             j0 = mode_test(base).statistic
             j1 = mode_test(scaled).statistic
             assert j1 == pytest.approx(j0, rel=1e-8)
+
+
+def golden_dataset(k):
+    """A fixed dataset of 240 rows with k instruments, built from closed-form
+    arithmetic so it does not depend on a random number generator."""
+    t = np.arange(240, dtype=float)
+    x = np.sin(0.37 * t) + 0.5 * np.cos(0.11 * t)
+    noise = 0.15 + (np.sin(1.7 * t + 0.3) * (1.0 + 0.4 * np.cos(0.23 * t) + 0.5 * x)
+                    + 0.6 * np.sin(2.9 * t) ** 2)
+    cols = [np.ones(t.size), x, np.cos(0.53 * t + 1.0)][:k]
+    return ForecastDataset(x + noise, x, np.column_stack(cols))
+
+
+# (k, test) -> (statistic, p-value, covariance row-major), recorded from the
+# separate mean/median Wald algebra and mode-test kernel that the vertex case
+# of the S_T engine replaced; the mode tests use the rule-of-thumb bandwidth
+GOLDEN = {
+    (1, 'mean'): (55.75533727678363, 8.207514617738486e-14, [0.8692098017039492]),
+    (1, 'median'): (32.266666666666666, 1.3439929353717252e-08, [1.0]),
+    (1, 'gaussian'): (2.9988502966729964, 0.08332362652702703, [0.0559636243119274]),
+    (1, 'biweight'): (0.5608890264891643, 0.4539022619377059, [0.8675957430885671]),
+    (2, 'mean'): (68.88308664193455, 1.102117218494136e-15, [0.8692098017039496, 0.35119974379434604, 0.35119974379434604, 0.655882533624462]),
+    (2, 'median'): (40.41288941987389, 1.676689187076779e-09, [1.0, 0.020904694683916127, 0.020904694683916127, 0.6296865415404475]),
+    (2, 'gaussian'): (17.28401226490049, 0.0001765323993966794, [0.055963624311927404, -0.007327569992267172, -0.007327569992267172, 0.033680972460674544]),
+    (2, 'biweight'): (1.6834142094025029, 0.4309741770539557, [0.8675957430885668, -0.18584383559916312, -0.1858438355991631, 0.43844107573568253]),
+    (3, 'mean'): (69.02015033919565, 6.919165357398632e-15, [0.8692098017039496, 0.35119974379434604, 0.013611896564170948, 0.35119974379434604, 0.655882533624462, 0.0065356903242357, 0.013611896564170948, 0.0065356903242357, 0.4254702265403218]),
+    (3, 'median'): (40.43852769690907, 8.60181195461535e-09, [1.0, 0.020904694683916127, 0.0007471927546685307, 0.020904694683916127, 0.6296865415404475, -0.005363298689531575, 0.0007471927546685307, -0.005363298689531575, 0.4959190321104663]),
+    (3, 'gaussian'): (17.524349484510314, 0.0005512389552616943, [0.055963624311927404, -0.007327569992267172, -6.782010837581394e-05, -0.007327569992267172, 0.033680972460674544, 0.000694985839335279, -6.782010837581438e-05, 0.0006949858393352797, 0.028246521676312517]),
+    (3, 'biweight'): (1.957414173000769, 0.5812924308837959, [0.8675957430885668, -0.18584383559916312, -0.012272323692259009, -0.1858438355991631, 0.43844107573568253, 0.009671570627649529, -0.012272323692259009, 0.009671570627649529, 0.3738893154016995]),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda key: f"k{key[0]}-{key[1]}")
+    def test_matches_recorded_statistics(self, key):
+        k, name = key
+        ds = golden_dataset(k)
+        if name in ("mean", "median"):
+            result = instrument_moment_test(name, ds)
+        else:
+            result = mode_test(ds, kernel=get_kernel(name))
+        statistic, p_value, covariance = GOLDEN[key]
+        assert result.statistic == pytest.approx(statistic, rel=1e-12)
+        assert result.p_value == pytest.approx(p_value, rel=1e-12)
+        assert result.df == k
+        # relative to the matrix's largest entry: an off-diagonal entry near
+        # zero is a sum that cancels, whose own relative rounding is larger
+        expected = np.reshape(covariance, (k, k))
+        assert np.allclose(result.covariance, expected, rtol=0.0,
+                           atol=1e-12 * np.abs(expected).max())

@@ -9,6 +9,7 @@ from centest import (
     DgpConfig,
     Distortion,
     ForecastDataset,
+    Functional,
     InstrumentSet,
     RandomStream,
     SingularMatrixError,
@@ -657,14 +658,14 @@ class TestExperiments:
         # must leave every other replication's p-value untouched
         import centest.simulation as simulation
 
-        real = simulation._mode_tests
+        real = simulation._tests_block
         cfg = DgpConfig(dgp="ar-garch", skewness=0.25, n_obs=60, seed=35,
                         burn_in=20)
 
         def run(fail_at):
             p_values = []
 
-            def failing_mode_tests(*args, **kwargs):
+            def failing_tests(*args, **kwargs):
                 results, failures = real(*args, **kwargs)
                 for i, result in enumerate(results):
                     if len(p_values) == fail_at:
@@ -674,7 +675,7 @@ class TestExperiments:
                         p_values.append(result.p_value)
                 return results, failures
 
-            monkeypatch.setattr(simulation, "_mode_tests", failing_mode_tests)
+            monkeypatch.setattr(simulation, "_tests_block", failing_tests)
             return run_size_experiment(cfg, 2, 200, nominal_alpha=0.5), p_values
 
         clean, clean_p = run(None)
@@ -767,12 +768,13 @@ class TestBlockScoring:
     def test_mode_rows_match_one_row_calls(self, monkeypatch, dgp):
         from centest import mode_test
 
-        seen = _record(monkeypatch, "_mode_tests")
+        seen = _record(monkeypatch, "_tests_block")
         cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=80, seed=41, burn_in=20)
         run_size_experiment(cfg, 3, 100)
         run_size_experiment(cfg, 2, 100, distortion="noise", kappa=0.3)
         assert len(seen) == 2
-        for (errors, instruments, kernel), (results, failures) in seen:
+        for (kind, errors, instruments, kernel), (results, failures) in seen:
+            assert kind is Functional.MODE
             assert failures == [None] * len(errors)
             for e, h, result in zip(errors, instruments, results):
                 single = mode_test(_dataset(e, h), kernel=kernel)
@@ -806,7 +808,7 @@ class TestBlockScoring:
         import warnings
 
         from centest import get_kernel, gmm_objective, mode_test
-        from centest.rationality import _mode_tests
+        from centest.rationality import _tests_block
         from centest.simulation import _objective_rows
 
         k = get_kernel(kernel)
@@ -814,7 +816,7 @@ class TestBlockScoring:
         thetas = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tests, test_failures = _mode_tests(errors, instruments, k)
+            tests, test_failures = _tests_block(Functional.MODE, errors, instruments, k)
             objectives, objective_failures = _objective_rows(
                 errors, instruments, thetas, k)
         for i, (e, h) in enumerate(zip(errors, instruments)):
