@@ -21,10 +21,8 @@ from .central_tendency import (
     MEDIAN_VERTEX,
     MODE_VERTEX,
     SimplexWeights,
-    combined_moment,
     confidence_set,
     gmm_objective,
-    gmm_objective_from_stacked,
     sigma_hat,
     simplex_grid,
 )
@@ -42,7 +40,6 @@ from .identification import (
     forecast_errors,
     identification_values,
     stacked_moments,
-    weighting_matrices,
 )
 from .numerics import (
     Kernel,
@@ -54,10 +51,7 @@ from .numerics import (
     gaussian_kernel,
     generalized_modal_midpoint,
     get_kernel,
-    inverse_sqrt_spd,
     kernel_deriv_sq_integral,
-    kernel_eval,
-    solve_spd,
 )
 from .rationality import TestResult, instrument_moment_test, mode_test
 from .simulation import (
@@ -118,7 +112,6 @@ __all__ = [
     "build_instruments",
     "chi_square_quantile",
     "chi_square_sf",
-    "combined_moment",
     "confidence_set",
     "distort_forecasts",
     "emit_confidence_set",
@@ -127,13 +120,10 @@ __all__ = [
     "generalized_modal_midpoint",
     "get_kernel",
     "gmm_objective",
-    "gmm_objective_from_stacked",
     "identification_values",
     "implied_theta",
     "instrument_moment_test",
-    "inverse_sqrt_spd",
     "kernel_deriv_sq_integral",
-    "kernel_eval",
     "load_csv",
     "median_abs_deviation",
     "mode_test",
@@ -148,8 +138,6 @@ __all__ = [
     "simulate_dgp",
     "simulate_paths",
     "skew_normal_params",
-    "solve_spd",
     "stacked_moments",
-    "weighting_matrices",
     "write_dataset_csv",
 ]

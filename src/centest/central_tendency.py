@@ -1,5 +1,5 @@
-"""Convex-combination rationality machinery: the combined moment, its GMM
-objective, plain and clustered covariance estimators, and grid-based
+"""Convex-combination rationality machinery: the GMM objective of the
+combined moment, plain and clustered covariance estimators, and grid-based
 confidence sets over the unit simplex of (mean, median, mode) weights.
 
 The weight vector may be strongly, weakly, partially or completely
@@ -16,7 +16,7 @@ import numpy as np
 
 from .bandwidth import bandwidth_rule_of_thumb
 from .errors import SingularMatrixError
-from .identification import ForecastDataset, StackedMoments, stacked_moments
+from .identification import ForecastDataset, stacked_moments
 from .numerics import (
     Kernel,
     chi_square_quantile,
@@ -39,6 +39,8 @@ class SimplexWeights:
 
     def __post_init__(self):
         arr = self.as_array()
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"weights must be finite, got {arr}")
         if np.any(arr < -1e-12):
             raise ValueError(f"weights must be nonnegative, got {arr}")
         if abs(arr.sum() - 1.0) > 1e-12:
@@ -78,12 +80,6 @@ def simplex_grid(m: int) -> list[SimplexWeights]:
     return points
 
 
-def combined_moment(theta, stacked: StackedMoments) -> np.ndarray:
-    """phi_t(theta) = theta' psi_t for every observation; (T, k) array."""
-    th = _theta_array(theta)
-    return np.einsum("r,trk->tk", th, stacked.per_obs)
-
-
 def _wave_sums(rows: np.ndarray, cluster_labels) -> np.ndarray:
     """Sum ``rows`` over observations (the leading axis) within each wave.
 
@@ -112,18 +108,6 @@ def sigma_hat(phi: np.ndarray, cluster_labels=None) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     rows = phi if cluster_labels is None else _wave_sums(phi, cluster_labels)
     return rows.T @ rows / phi.shape[0]
-
-
-def gmm_objectives_from_stacked(
-    thetas, stacked: StackedMoments, cluster_labels=None
-) -> tuple[np.ndarray, list[str | None]]:
-    """S_T at every row of ``thetas`` (n, 3) in one batched pass: the
-    one-dataset case of _objectives_block. Returns the objectives and, per
-    point, None or the eigenvalue-floor note of a singular Sigma(theta),
-    whose objective is NaN."""
-    th = np.atleast_2d(np.asarray(thetas, dtype=float))
-    objectives, (notes,) = _objectives_block(th, stacked.per_obs[None], cluster_labels)
-    return objectives[0], notes
 
 
 def _objectives_block(
@@ -163,18 +147,21 @@ def _objectives_block(
     return objectives, [notes[i * p:(i + 1) * p] for i in range(b)]
 
 
-def gmm_objective_from_stacked(
-    theta, stacked: StackedMoments, cluster_labels=None
-) -> float:
-    """S_T(theta) from precomputed stacked rows: the one-theta case of
-    gmm_objectives_from_stacked. A singular Sigma(theta) raises
-    SingularMatrixError."""
-    (s,), (note,) = gmm_objectives_from_stacked(
-        _theta_array(theta), stacked, cluster_labels
-    )
-    if note is not None:
-        raise SingularMatrixError(note)
-    return float(s)
+def _dataset_objectives(
+    thetas: np.ndarray, dataset: ForecastDataset, delta, kernel
+) -> tuple[np.ndarray, list[str | None], float]:
+    """S_T at every theta (P, 3) for one dataset, under its own cluster
+    labels: the prelude of gmm_objective and confidence_set. ``delta``
+    defaults to the rule-of-thumb bandwidth of the forecast errors. Returns
+    the P objectives, the P notes of _objectives_block and the bandwidth."""
+    if delta is None:
+        delta = bandwidth_rule_of_thumb(
+            dataset.forecasts - dataset.realizations, dataset.n_obs
+        ).delta
+    stacked = stacked_moments(dataset, delta, kernel or gaussian_kernel())
+    objectives, (notes,) = _objectives_block(
+        thetas, stacked.per_obs[None], dataset.cluster_labels)
+    return objectives[0], notes, delta
 
 
 def gmm_objective(
@@ -182,25 +169,22 @@ def gmm_objective(
     dataset: ForecastDataset,
     delta: float | None = None,
     kernel: Kernel | None = None,
-    cluster_labels=None,
 ) -> float:
     """Continuous-updating GMM objective
 
         S_T(theta) = [T^{-1/2} sum phi_t(theta)]' Sigma(theta)^{-1}
                      [T^{-1/2} sum phi_t(theta)],
 
-    nonnegative by construction. Sigma depends on theta and is recomputed at
-    every point. ``cluster_labels`` defaults to the dataset's own labels.
+    nonnegative by construction, with phi_t(theta) = theta' psi_t the
+    combined moment. Sigma depends on theta and is recomputed at every
+    point; it is wave-clustered when the dataset carries cluster labels. A
+    singular Sigma(theta) raises SingularMatrixError.
     """
-    kernel = kernel or gaussian_kernel()
-    if delta is None:
-        delta = bandwidth_rule_of_thumb(
-            dataset.forecasts - dataset.realizations, dataset.n_obs
-        ).delta
-    if cluster_labels is None:
-        cluster_labels = dataset.cluster_labels
-    stacked = stacked_moments(dataset, delta, kernel)
-    return gmm_objective_from_stacked(theta, stacked, cluster_labels)
+    (s,), (note,), _ = _dataset_objectives(
+        _theta_array(theta)[None], dataset, delta, kernel)
+    if note is not None:
+        raise SingularMatrixError(note)
+    return float(s)
 
 
 @dataclass(frozen=True)
@@ -214,9 +198,6 @@ class GridPoint:
     p_value: float
     memberships: dict[float, bool]
     note: str | None = None
-
-    def member_at(self, alpha: float) -> bool:
-        return self.memberships[alpha]
 
 
 @dataclass(frozen=True)
@@ -245,36 +226,26 @@ def confidence_set(
     alpha_levels: tuple[float, ...] = DEFAULT_ALPHA_LEVELS,
     delta: float | None = None,
     kernel: Kernel | None = None,
-    cluster_labels=None,
 ) -> ConfidenceSetGrid:
     """Evaluate S_T on the simplex lattice and flag membership per level.
 
     A point belongs to the 1-alpha confidence set iff S_T <= Q_k(1-alpha).
     The bandwidth is computed once from the forecast errors and shared by
     every theta, and all points are scored in one batched pass (see
-    gmm_objectives_from_stacked). Per-point singular covariances are recorded
-    as NaN, non-member points with a note.
+    _objectives_block), under the dataset's cluster labels if it has any.
+    Per-point singular covariances are recorded as NaN, non-member points
+    with a note.
     """
     if m < 1:
         raise ValueError(f"grid resolution must be >= 1, got {m}")
     alpha_levels = tuple(alpha_levels)
     if not alpha_levels or not all(0.0 < a < 1.0 for a in alpha_levels):
         raise ValueError(f"alpha levels must lie in (0, 1), got {alpha_levels}")
-    kernel = kernel or gaussian_kernel()
-    if delta is None:
-        delta = bandwidth_rule_of_thumb(
-            dataset.forecasts - dataset.realizations, dataset.n_obs
-        ).delta
-    if cluster_labels is None:
-        cluster_labels = dataset.cluster_labels
-    stacked = stacked_moments(dataset, delta, kernel)
+    weights = simplex_grid(m)
+    objectives, notes, delta = _dataset_objectives(
+        np.array([w.as_array() for w in weights]), dataset, delta, kernel)
     k = dataset.n_instruments
     thresholds = {a: chi_square_quantile(k, 1.0 - a) for a in alpha_levels}
-
-    weights = simplex_grid(m)
-    objectives, notes = gmm_objectives_from_stacked(
-        [w.as_array() for w in weights], stacked, cluster_labels
-    )
     indices = [(i, j) for i in range(m + 1) for j in range(m - i + 1)]
     # a singular point has a NaN objective, which fails every threshold
     points = [

@@ -275,36 +275,52 @@ def grid_to_dict(grid: ConfidenceSetGrid) -> dict:
     }
 
 
+def _field(mapping, key: str, where: str, kind: type = object):
+    """``mapping[key]``, of type ``kind``; a ValueError names the missing key
+    or the wrong type."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(mapping).__name__}")
+    if key not in mapping:
+        raise ValueError(f"{where} has no {key!r} field")
+    if not isinstance(mapping[key], kind):
+        raise ValueError(f"{where} field {key!r} must be a {kind.__name__}, "
+                         f"got {type(mapping[key]).__name__}")
+    return mapping[key]
+
+
 def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
-    """Inverse of grid_to_dict, for re-plotting stored scans."""
+    """Inverse of grid_to_dict, for re-plotting stored scans. A malformed
+    document raises ValueError naming the missing field or the wrong type."""
     from .central_tendency import GridPoint, SimplexWeights
 
-    if payload.get("kind") != "confidence_set":
+    if _field(payload, "kind", "document") != "confidence_set":
         raise ValueError("payload is not a confidence_set document")
-    alpha_levels = tuple(float(a) for a in payload["alpha_levels"])
+    alpha_levels = _field(payload, "alpha_levels", "document", list)
+    alpha_levels = tuple(float(a) for a in alpha_levels)
     points = []
-    for entry in payload["points"]:
-        theta = entry["theta"]
-        memberships = {
-            a: bool(entry["member"][f"{a:g}"]) for a in alpha_levels
-        }
+    for i, entry in enumerate(_field(payload, "points", "document", list)):
+        where = f"point {i}"
+        member = _field(entry, "member", where)
+        objective = _field(entry, "objective", where)
+        p_value = _field(entry, "p_value", where)
         points.append(
             GridPoint(
-                index=tuple(entry["index"]),
-                weights=SimplexWeights(theta[0], theta[1], theta[2]),
-                objective=float("nan") if entry["objective"] is None else entry["objective"],
-                p_value=float("nan") if entry["p_value"] is None else entry["p_value"],
-                memberships=memberships,
+                index=tuple(_field(entry, "index", where, list)),
+                weights=SimplexWeights.from_array(_field(entry, "theta", where, list)),
+                objective=float("nan") if objective is None else objective,
+                p_value=float("nan") if p_value is None else p_value,
+                memberships={a: bool(_field(member, f"{a:g}", f"{where} member"))
+                             for a in alpha_levels},
                 note=entry.get("note"),
             )
         )
     return ConfidenceSetGrid(
-        resolution=payload["resolution"],
+        resolution=_field(payload, "resolution", "document"),
         points=points,
         alpha_levels=alpha_levels,
-        bandwidth=payload["bandwidth"],
-        df=payload["df"],
-        n_obs=payload["n_obs"],
+        bandwidth=_field(payload, "bandwidth", "document"),
+        df=_field(payload, "df", "document"),
+        n_obs=_field(payload, "n_obs", "document"),
     )
 
 

@@ -8,7 +8,7 @@ symmetry of K'), so the moment rows flip sign with the errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -145,10 +145,16 @@ def identification_values(
     mode   -> delta**(-1/2) * K'(-eps / delta), the stacked-row orientation;
               for the Gaussian kernel this is (eps/delta) K(eps/delta) times
               delta**(-1/2), sign-aligned with eps.
+
+    ``delta`` and ``kernel`` belong to the mode; giving either for the mean
+    or the median raises ValueError.
     """
     kind = Functional(kind)
     if kind is Functional.MODE:
         _check_bandwidth(delta)
+    elif delta is not None or kernel is not None:
+        raise ValueError(
+            f"delta and kernel apply to the mode only, not the {kind.value}")
     return _values(kind, np.asarray(errors, dtype=float), delta,
                    kernel or gaussian_kernel())
 
@@ -236,45 +242,20 @@ def _weighted_block(
     instruments: np.ndarray,
     kernel: Kernel | None,
     delta=None,
-    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Identification values and weight matrices of a block of datasets:
     errors (B, T), instruments (B, T, k).
 
-    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth;
-    supplied ``weights`` (3, k, k) replace the sample normalization for every
-    dataset. Returns the (B, 3, T) values, the (B, 3, k, k) weights and, per
+    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth.
+    Returns the (B, 3, T) values, the (B, 3, k, k) weights and, per
     dataset, None or the exception scoring it alone raises, in that path's
     order: the bandwidth's DegenerateErrors (zero MAD, then zero sd), then
     the weights' SingularMatrixError (instrument whitener, then row scale).
     """
     delta, failures = _block_bandwidths(errors, delta)
     values = _identification_matrix(errors, delta, kernel)
-    if weights is None:
-        weights, weight_failures = _weight_matrices_from_arrays(values, instruments)
-        failures = first_failures(failures, weight_failures)
-    else:
-        weights = np.repeat(np.asarray(weights, dtype=float)[None], len(errors), 0)
-    return values, weights, failures
-
-
-def weighting_matrices(
-    dataset: ForecastDataset,
-    delta: float,
-    kernel: Kernel | None = None,
-) -> np.ndarray:
-    """Row-normalizing weight matrices W_r, stacked as a (3, k, k) array.
-
-    Built from the uncentered second-moment matrices of the weighted
-    identification values (uncentered to match the outer-product covariance
-    estimator used downstream); see _weight_matrices_from_arrays for the
-    exact construction and the invariance rationale.
-    """
-    _check_bandwidth(delta)
-    _, (weights,), failures = _weighted_block(
-        forecast_errors(dataset)[None], dataset.instruments[None], kernel, delta)
-    raise_row_failure(failures)
-    return weights
+    weights, weight_failures = _weight_matrices_from_arrays(values, instruments)
+    return values, weights, first_failures(failures, weight_failures)
 
 
 def _assemble_stacked(values, instruments, weights) -> np.ndarray:
@@ -296,7 +277,6 @@ class StackedMoments:
     per_obs: np.ndarray            # (T, 3, k)
     bandwidth: float
     weight_matrices: np.ndarray    # (3, k, k), ordered mean/median/mode
-    functionals: tuple = field(default=FUNCTIONALS, repr=False)
 
     @property
     def n_obs(self) -> int:
@@ -315,18 +295,16 @@ def stacked_moments(
     dataset: ForecastDataset,
     delta: float,
     kernel: Kernel | None = None,
-    weight_matrices: np.ndarray | None = None,
 ) -> StackedMoments:
     """Assemble the stacked per-observation moment rows.
 
     Row r of observation t is h_t' W_r times the identification value of
-    functional r at t. ``weight_matrices`` can be supplied to bypass the
-    sample normalization (e.g. identity weights in fixtures).
+    functional r at t, with the row-normalizing weight matrices W_r of
+    _weight_matrices_from_arrays.
     """
     _check_bandwidth(delta)
     (values,), (weights,), failures = _weighted_block(
-        forecast_errors(dataset)[None], dataset.instruments[None], kernel, delta,
-        weight_matrices)
+        forecast_errors(dataset)[None], dataset.instruments[None], kernel, delta)
     raise_row_failure(failures)
     per_obs = _assemble_stacked(values, dataset.instruments, weights)
     return StackedMoments(per_obs=per_obs, bandwidth=delta, weight_matrices=weights)

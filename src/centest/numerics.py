@@ -1,5 +1,5 @@
-"""Kernels, chi-square tail functions, SPD matrix roots, smoothed-objective
-minimization, and seeded random streams.
+"""Kernels, chi-square tail functions, the eigenvalue-floor check,
+smoothed-objective minimization, and seeded random streams.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of workers. Quadrature follows an adaptive Gauss-Kronrod scheme
@@ -15,8 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate, optimize, special
-
-from .errors import SingularMatrixError
 
 # Relative eigenvalue floor for SPD inversion. No silent ridge regularization:
 # callers see SingularMatrixError and must fix their data or opt in themselves.
@@ -102,17 +100,6 @@ def get_kernel(kind: KernelKind | str) -> Kernel:
     return _GAUSSIAN if kind is KernelKind.GAUSSIAN else _BIWEIGHT
 
 
-def kernel_eval(kernel: Kernel, u):
-    """Evaluate (K(u), K'(u)) at scalar or array u.
-
-    Raises ValueError on non-finite input.
-    """
-    arr = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("kernel argument must be finite")
-    return kernel.value_at(arr), kernel.deriv_at(arr)
-
-
 def kernel_deriv_sq_integral(kernel: Kernel) -> float:
     """Return the cached integral of K'(u)^2 over the real line."""
     return kernel.deriv_sq_integral
@@ -162,36 +149,6 @@ def floored_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str | None
         for lo, hi in zip(spectra[:, 0].tolist(), spectra[:, -1].tolist())
     ]
     return lam, q, notes
-
-
-def _eigh_above_floor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lam, q, (note,) = floored_eigh(m)
-    if note is not None:
-        raise SingularMatrixError(note)
-    return lam, q
-
-
-def inverse_sqrt_spd(m: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix.
-
-    Computed by symmetric eigendecomposition; the result W is symmetric and
-    satisfies W @ m @ W = I. Eigenvalues at or below RELATIVE_EIG_FLOOR times
-    the largest eigenvalue raise SingularMatrixError.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(m).max()))):
-        raise ValueError("matrix is not symmetric")
-    lam, q = _eigh_above_floor(m)
-    return (q * lam ** -0.5) @ q.T
-
-
-def solve_spd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve m @ x = rhs for symmetric positive definite m under the same
-    eigenvalue floor as inverse_sqrt_spd."""
-    lam, q = _eigh_above_floor(np.asarray(m, dtype=float))
-    return q @ ((q.T @ rhs) / lam)
 
 
 def generalized_modal_midpoint(
@@ -246,8 +203,8 @@ class RandomStream:
 
     The generator is counter-based Philox keyed by (seed, stream_id), so equal
     descriptors reproduce bit-identical draw sequences and distinct stream ids
-    give statistically independent substreams. Immutable: each worker derives
-    its own stream via ``substream``.
+    give statistically independent substreams. Immutable: each replication
+    is keyed by its own stream id.
     """
 
     seed: int
@@ -264,9 +221,6 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, stream_id: int) -> "RandomStream":
-        return RandomStream(self.seed, stream_id)
 
 
 def standard_normal_rows(streams: Sequence[RandomStream], n: int) -> np.ndarray:

@@ -51,7 +51,7 @@ from scipy import optimize, special
 from scipy.signal import lfilter
 
 from .bandwidth import bandwidth_rule_of_thumb
-from .central_tendency import SimplexWeights, _objectives_block, simplex_grid
+from .central_tendency import SimplexWeights, _objectives_block, _theta_array, simplex_grid
 from .errors import SingularMatrixError, first_failures, raise_row_failure
 from .identification import Functional, _assemble_stacked, _check_aligned, _weighted_block
 from .numerics import (
@@ -384,16 +384,10 @@ def _garch_sigma(xi: np.ndarray) -> np.ndarray:
     return np.sqrt(s2).T
 
 
-def _beta_array(beta) -> np.ndarray:
-    if isinstance(beta, SimplexWeights):
-        return beta.as_array()
-    return SimplexWeights.from_array(beta).as_array()
-
-
 def _forecast_shift(config: DgpConfig, beta) -> float:
     """beta' (Mean(xi), Median(xi), Mode(xi)), validating beta."""
     spec = skew_normal_params(config.skewness)
-    return float(_beta_array(beta) @ spec.centralities)
+    return float(_theta_array(beta) @ spec.centralities)
 
 
 def _block_forecasts(paths: SimulatedPath, shift: float) -> np.ndarray:
@@ -473,10 +467,6 @@ class ImpliedThetaSet:
     evaluation_point: SimplexWeights
     note: str | None = None
 
-    @property
-    def midpoint(self) -> SimplexWeights:
-        return SimplexWeights.from_array(self.points.mean(axis=0))
-
 
 def _simplex_quadratic_argmin(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact minimizer of theta' a theta over the unit simplex by facet
@@ -550,7 +540,7 @@ def implied_theta(
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    b = _beta_array(beta)
+    b = _theta_array(beta)
     instrument_set = InstrumentSet(instrument_set)
     kernel = kernel or gaussian_kernel()
 
@@ -825,7 +815,7 @@ def run_coverage_experiment(
         nominal_level=level,
         failures=failures,
         details={
-            "beta": [float(v) for v in _beta_array(beta)],
+            "beta": [float(v) for v in _theta_array(beta)],
             "theta": [float(v) for v in theta.as_array()],
             "theta_set_kind": theta_set.kind.value,
         },

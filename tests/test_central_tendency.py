@@ -12,15 +12,12 @@ from centest import (
     SingularMatrixError,
     chi_square_quantile,
     chi_square_sf,
-    combined_moment,
     confidence_set,
     gmm_objective,
-    gmm_objective_from_stacked,
     instrument_moment_test,
     mode_test,
     sigma_hat,
     simplex_grid,
-    solve_spd,
     stacked_moments,
 )
 
@@ -35,6 +32,8 @@ class TestSimplexWeights:
             SimplexWeights(-0.1, 0.6, 0.5)
         with pytest.raises(ValueError):
             SimplexWeights.from_array([0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            SimplexWeights.from_array([float("nan"), 0.0, 1.0])
 
     def test_vertices(self):
         assert np.array_equal(MEAN_VERTEX.as_array(), [1.0, 0.0, 0.0])
@@ -79,28 +78,6 @@ class TestSimplexGrid:
             assert abs(arr.sum() - 1.0) <= 1e-12
 
 
-class TestCombinedMoment:
-    def test_vertex_selection(self, rng):
-        ds = make_dataset(rng, t=40, k=2)
-        stacked = stacked_moments(ds, delta=0.8)
-        assert np.array_equal(
-            combined_moment(MEAN_VERTEX, stacked), stacked.row("mean")
-        )
-        assert np.array_equal(
-            combined_moment(MODE_VERTEX, stacked), stacked.row("mode")
-        )
-
-    def test_equal_weights_fixture(self):
-        # rows (1, 1, K'(-1)) at k = 1 average to 0.7473236
-        ds = ForecastDataset([0.0, 0.0], [1.0, 1.0], np.ones((2, 1)))
-        stacked = stacked_moments(
-            ds, delta=1.0, weight_matrices=np.eye(1)[None].repeat(3, 0)
-        )
-        theta = SimplexWeights(1 / 3, 1 / 3, 1 / 3)
-        phi = combined_moment(theta, stacked)
-        assert phi[0, 0] == pytest.approx(0.7473236, abs=5e-8)
-
-
 class TestSigmaHat:
     def test_scalar_uncentered_moment(self):
         phi = np.array([[1.0], [-1.0]])
@@ -141,9 +118,8 @@ class TestSigmaHat:
 class TestGmmObjective:
     def test_nonnegative_everywhere(self, rng):
         ds = make_dataset(rng, t=80, k=2, skew=0.5)
-        stacked = stacked_moments(ds, delta=0.7)
         for theta in simplex_grid(6):
-            assert gmm_objective_from_stacked(theta, stacked) >= 0.0
+            assert gmm_objective(theta, ds, delta=0.7) >= 0.0
 
     def test_vertex_identity_mean_median(self, rng):
         for k in (1, 2, 3):
@@ -192,9 +168,10 @@ class TestGmmObjective:
         clustered = gmm_objective(MEAN_VERTEX, ds, delta=0.8)
         plain = gmm_objective(MEAN_VERTEX, bare, delta=0.8)
         assert clustered != plain
-        override = gmm_objective(MEAN_VERTEX, ds, delta=0.8,
-                                 cluster_labels=np.arange(120))
-        assert override == pytest.approx(plain, rel=1e-12)
+        singletons = ForecastDataset(ds.realizations, ds.forecasts, ds.instruments,
+                                     cluster_labels=np.arange(120))
+        assert gmm_objective(MEAN_VERTEX, singletons, delta=0.8) == pytest.approx(
+            plain, rel=1e-12)
 
     def test_shared_cluster_singularity_raises(self):
         ds = ForecastDataset(
@@ -286,16 +263,17 @@ class TestConfidenceSet:
     @pytest.mark.parametrize("cluster", [False, True])
     def test_batched_scan_matches_per_point_reference(self, rng, k, cluster):
         # the batched block-quadratic scan against S_T rebuilt point by point
-        # from the combined moment, its covariance and an SPD solve
+        # from the combined moment phi_t = theta' psi_t, its covariance and a
+        # plain linear solve
         ds = make_dataset(rng, t=150, k=k, skew=0.5, cluster=cluster)
         delta = 0.7
         grid = confidence_set(ds, m=10, delta=delta)
         stacked = stacked_moments(ds, delta)
         assert len(grid.points) == 66
         for p in grid.points:
-            phi = combined_moment(p.weights, stacked)
+            phi = np.einsum("r,trk->tk", p.weights.as_array(), stacked.per_obs)
             g = phi.sum(axis=0) / np.sqrt(phi.shape[0])
-            expected = float(g @ solve_spd(sigma_hat(phi, ds.cluster_labels), g))
+            expected = float(g @ np.linalg.solve(sigma_hat(phi, ds.cluster_labels), g))
             assert p.note is None
             assert p.objective == pytest.approx(expected, rel=1e-12, abs=0.0)
             assert p.p_value == chi_square_sf(k, p.objective)

@@ -635,6 +635,27 @@ class TestCli:
         assert err.startswith("centest: error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"kind": "confidence_set"}, "document has no 'alpha_levels' field"),
+        ([{"kind": "confidence_set"}], "document must be a JSON object, got list"),
+        ({"kind": "confidence_set", "resolution": 1, "alpha_levels": [0.05],
+          "bandwidth": 1.0, "df": 1, "n_obs": 5,
+          "points": [{"index": [0, 0], "theta": [0.0, 0.0, 1.0], "objective": 1.0,
+                      "p_value": 0.3, "note": None}]},
+         "point 0 has no 'member' field"),
+    ], ids=["no-alpha-levels", "top-level-list", "point-without-member"])
+    def test_malformed_plot_json_exits_2_without_traceback(self, tmp_path, capsys,
+                                                           payload, message):
+        js = tmp_path / "bad.json"
+        js.write_text(json.dumps(payload))
+        svg = tmp_path / "out.svg"
+        code = main(["plot", "--in-json", str(js), "--out-svg", str(svg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"centest: error: {message}\n"
+        assert "Traceback" not in err
+        assert not svg.exists()
+
     def test_ragged_row_exits_2_from_the_command_line(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("y,x,wave\n2,3\n4,5,1\n")

@@ -17,7 +17,6 @@ from centest import (
     identification_values,
     mode_test,
     stacked_moments,
-    weighting_matrices,
 )
 from centest.identification import _assemble_stacked, _identification_matrix
 
@@ -143,8 +142,16 @@ class TestIdentificationValues:
     def test_sign_alignment_all_functionals(self, rng):
         errors = np.concatenate([rng.standard_normal(200), [0.0]])
         for kind in Functional:
-            values = identification_values(kind, errors, delta=0.7)
+            delta = 0.7 if kind is Functional.MODE else None
+            values = identification_values(kind, errors, delta=delta)
             assert np.array_equal(np.sign(values), np.sign(errors))
+
+    @pytest.mark.parametrize("kind", ["mean", "median"])
+    @pytest.mark.parametrize("options", [{"delta": 0.7}, {"delta": float("nan")},
+                                         {"kernel": gaussian_kernel()}])
+    def test_mode_options_rejected_for_mean_and_median(self, kind, options):
+        with pytest.raises(ValueError, match=f"mode only, not the {kind}"):
+            identification_values(kind, [1.0, -1.0], **options)
 
     @given(arrays(np.float64, st.integers(2, 30),
                   elements=st.floats(-1e6, 1e6)))
@@ -169,14 +176,14 @@ class TestIdentificationValues:
 class TestWeightingMatrices:
     def test_unit_mean_row(self):
         ds = ForecastDataset([0.0, 0.0], [1.0, -1.0], np.ones((2, 1)))
-        w = weighting_matrices(ds, delta=1.0)
+        w = stacked_moments(ds, delta=1.0).weight_matrices
         # M_mean = (1/2)(1 + 1) = 1
         assert w[0] == pytest.approx(np.array([[1.0]]))
 
     def test_median_row_always_unit_without_zeros(self, rng):
         errors = rng.standard_normal(50) + 0.3
         ds = ForecastDataset(np.zeros(50), errors, np.ones((50, 1)))
-        w = weighting_matrices(ds, delta=0.5)
+        w = stacked_moments(ds, delta=0.5).weight_matrices
         assert w[1] == pytest.approx(np.array([[1.0]]), abs=1e-12)
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, None])
@@ -188,17 +195,16 @@ class TestWeightingMatrices:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="mode values need a positive "
                                f"bandwidth, got {delta}"):
-                weighting_matrices(ds, delta)
+                stacked_moments(ds, delta)
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1.0])
     @pytest.mark.parametrize("call", [
-        lambda ds, d: weighting_matrices(ds, d),
         lambda ds, d: stacked_moments(ds, d),
         lambda ds, d: identification_values("mode", forecast_errors(ds), d),
         lambda ds, d: mode_test(ds, delta=d),
         lambda ds, d: confidence_set(ds, m=2, delta=d),
         lambda ds, d: gmm_objective([0.0, 0.0, 1.0], ds, delta=d),
-    ], ids=["weighting_matrices", "stacked_moments", "identification_values",
+    ], ids=["stacked_moments", "identification_values",
             "mode_test", "confidence_set", "gmm_objective"])
     def test_bandwidth_must_be_positive_and_finite(self, rng, call, delta):
         import warnings
@@ -213,7 +219,7 @@ class TestWeightingMatrices:
     def test_zero_errors_singular_names_mean(self):
         ds = ForecastDataset([1.0, 2.0], [1.0, 2.0], np.ones((2, 1)))
         with pytest.raises(SingularMatrixError, match="mean"):
-            weighting_matrices(ds, delta=1.0)
+            stacked_moments(ds, delta=1.0)
 
     def test_normalization_trace_identity(self, rng):
         # every weighted row has average second moment exactly one
@@ -245,14 +251,6 @@ class TestStackedMoments:
         assert per_obs[0, 1, 0] == 1.0
         assert per_obs[0, 2, 0] == pytest.approx(0.2419707, abs=5e-8)
 
-    def test_identity_weights_through_public_surface(self):
-        ds = ForecastDataset([0.0, 0.0], [1.0, 1.0], np.ones((2, 1)))
-        stacked = stacked_moments(ds, delta=1.0,
-                                  weight_matrices=np.eye(1)[None].repeat(3, 0))
-        assert np.allclose(stacked.per_obs[:, 0, 0], [1.0, 1.0])
-        assert np.allclose(stacked.per_obs[:, 2, 0], [0.2419707] * 2, atol=5e-8)
-        assert stacked.bandwidth == 1.0
-
     def test_balanced_signs_cancel_in_median_row(self):
         ds = ForecastDataset(np.zeros(4), [1.0, -1.0, 2.0, -2.0], np.ones((4, 1)))
         stacked = stacked_moments(ds, delta=1.0)
@@ -266,9 +264,8 @@ class TestStackedMoments:
         plus = ForecastDataset(x - noise, x, h)
         minus = ForecastDataset(x + noise, x, h)
         delta = 0.8
-        w = weighting_matrices(plus, delta)
-        stacked_plus = stacked_moments(plus, delta, weight_matrices=w)
-        stacked_minus = stacked_moments(minus, delta, weight_matrices=w)
+        stacked_plus = stacked_moments(plus, delta)
+        stacked_minus = stacked_moments(minus, delta)
         assert np.allclose(stacked_plus.per_obs, -stacked_minus.per_obs, atol=1e-12)
 
     def test_row_accessor_and_shape(self, rng):

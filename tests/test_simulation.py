@@ -24,7 +24,7 @@ from centest import (
     simulate_dgp,
     simulate_paths,
     skew_normal_params,
-    weighting_matrices,
+    stacked_moments,
 )
 from centest.dataio import report_to_dict
 from centest.simulation import MAX_MOMENT_SKEWNESS
@@ -480,7 +480,8 @@ class TestImpliedTheta:
         n = errors.size
         delta = bandwidth_rule_of_thumb(errors, n_obs=cfg.n_obs).delta
         values = _identification_matrix(errors, delta, None)
-        weights = weighting_matrices(ForecastDataset(np.zeros(n), errors, h), delta)
+        weights = stacked_moments(
+            ForecastDataset(np.zeros(n), errors, h), delta).weight_matrices
         rows = np.stack([
             (values[r][:, None] * h) @ weights[r] for r in range(3)
         ])  # (3, n, k)
