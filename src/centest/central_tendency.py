@@ -39,11 +39,9 @@ class SimplexWeights:
 
     def __post_init__(self):
         arr = self.as_array()
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"weights must be finite, got {arr}")
         if np.any(arr < -1e-12):
             raise ValueError(f"weights must be nonnegative, got {arr}")
-        if abs(arr.sum() - 1.0) > 1e-12:
+        if not abs(arr.sum() - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"weights must sum to 1, got sum {float(arr.sum())!r}")
 
     def as_array(self) -> np.ndarray:

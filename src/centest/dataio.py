@@ -309,7 +309,7 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
                 weights=SimplexWeights.from_array(_field(entry, "theta", where, list)),
                 objective=float("nan") if objective is None else objective,
                 p_value=float("nan") if p_value is None else p_value,
-                memberships={a: bool(_field(member, f"{a:g}", f"{where} member"))
+                memberships={a: _field(member, f"{a:g}", f"{where} member", bool)
                              for a in alpha_levels},
                 note=entry.get("note"),
             )

@@ -32,7 +32,7 @@ class TestSimplexWeights:
             SimplexWeights(-0.1, 0.6, 0.5)
         with pytest.raises(ValueError):
             SimplexWeights.from_array([0.5, 0.5])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="sum nan"):
             SimplexWeights.from_array([float("nan"), 0.0, 1.0])
 
     def test_vertices(self):

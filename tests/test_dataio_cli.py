@@ -643,7 +643,13 @@ class TestCli:
           "points": [{"index": [0, 0], "theta": [0.0, 0.0, 1.0], "objective": 1.0,
                       "p_value": 0.3, "note": None}]},
          "point 0 has no 'member' field"),
-    ], ids=["no-alpha-levels", "top-level-list", "point-without-member"])
+        ({"kind": "confidence_set", "resolution": 1, "alpha_levels": [0.05],
+          "bandwidth": 1.0, "df": 1, "n_obs": 5,
+          "points": [{"index": [0, 0], "theta": [0.0, 0.0, 1.0], "objective": 1.0,
+                      "p_value": 0.3, "member": {"0.05": "no"}, "note": None}]},
+         "point 0 member field '0.05' must be a bool, got str"),
+    ], ids=["no-alpha-levels", "top-level-list", "point-without-member",
+            "member-not-a-bool"])
     def test_malformed_plot_json_exits_2_without_traceback(self, tmp_path, capsys,
                                                            payload, message):
         js = tmp_path / "bad.json"

@@ -273,6 +273,7 @@ class TestStackedMoments:
         stacked = stacked_moments(ds, delta=0.9)
         assert stacked.per_obs.shape == (40, 3, 2)
         assert stacked.n_obs == 40 and stacked.n_instruments == 2
+        assert stacked.bandwidth == 0.9
         assert np.array_equal(stacked.row("mode"), stacked.per_obs[:, 2, :])
 
     def test_nonpositive_bandwidth_rejected(self, rng):
