@@ -17,7 +17,7 @@ from centest import (
     get_kernel,
     kernel_deriv_sq_integral,
 )
-from centest.numerics import floored_eigh, standard_normal_rows
+from centest.numerics import RELATIVE_EIG_FLOOR, floored_eigh, standard_normal_rows
 
 
 def central_difference(f, u, h=1e-6):
@@ -191,7 +191,80 @@ class TestChiSquare:
             chi_square_quantile(2, 1.0)
 
 
+def inverse_sqrt_from_eigh(m):
+    # W = Q diag(lam^-1/2) Q', the instrument whitener that stacked_moments builds
+    lam, q, notes = floored_eigh(m)
+    assert all(note is None for note in notes)
+    return (q * lam[..., None, :] ** -0.5) @ np.swapaxes(q, -1, -2)
+
+
 class TestFlooredEigh:
+    def test_identity(self):
+        lam, q, notes = floored_eigh(np.eye(3))
+        assert np.array_equal(lam, np.ones(3)) and notes == [None]
+        assert np.allclose(inverse_sqrt_from_eigh(np.eye(3)), np.eye(3), atol=1e-12)
+
+    def test_diagonal(self):
+        lam, _, _ = floored_eigh(np.diag([9.0, 4.0]))
+        assert np.allclose(lam, [4.0, 9.0], atol=1e-12)
+        w = inverse_sqrt_from_eigh(np.diag([4.0, 9.0]))
+        assert np.allclose(w, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
+
+    def test_defining_identity_on_2x2(self):
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        lam, _, _ = floored_eigh(m)
+        assert np.allclose(lam, [1.0, 3.0], atol=1e-12)
+        w = inverse_sqrt_from_eigh(m)
+        assert np.allclose(w @ m @ w, np.eye(2), atol=1e-8)
+
+    def test_random_spd_batch(self):
+        rng = np.random.default_rng(11)
+        for k in range(1, 5):
+            q0, _ = np.linalg.qr(rng.standard_normal((25, k, k)))
+            lam0 = rng.uniform(0.1, 10.0, (25, k))
+            stack = (q0 * lam0[:, None, :]) @ np.swapaxes(q0, 1, 2)
+            lam, q, notes = floored_eigh(stack)
+            assert notes == [None] * 25
+            assert np.allclose((q * lam[:, None, :]) @ np.swapaxes(q, 1, 2), stack,
+                               atol=1e-10)
+            assert np.allclose(lam, np.sort(lam0, axis=1), atol=1e-10)
+            for m, lam_m in zip(stack, lam):
+                assert np.allclose(floored_eigh(m)[0], lam_m, atol=1e-12)
+            w = inverse_sqrt_from_eigh(stack)
+            assert np.allclose(w, np.swapaxes(w, 1, 2), atol=1e-12)
+            assert np.allclose(w @ stack @ w, np.eye(k), atol=1e-8)
+
+    def test_singular_matrix_reports_eigenvalue(self):
+        lam, _, (note,) = floored_eigh(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert lam[1] == pytest.approx(2.0, abs=1e-12)
+        assert note == (f"eigenvalue {lam[0]:.6e} below relative floor "
+                        f"{RELATIVE_EIG_FLOOR:g} * {lam[1]:.6e}")
+
+    def test_asymmetric_input_uses_symmetric_part(self):
+        m = np.array([[1.0, 0.5], [0.0, 1.0]])
+        lam, q, notes = floored_eigh(m)
+        assert np.allclose(lam, [0.75, 1.25], atol=1e-12) and notes == [None]
+        sym = 0.5 * (m + m.T)
+        assert np.allclose((q * lam) @ q.T, sym, atol=1e-12)
+
+    def test_solve_matches_direct_solve(self):
+        # the S_T engine's solve: x = Q diag(1/lam) Q' rhs
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 4))
+        m = a @ a.T + 4.0 * np.eye(4)
+        rhs = rng.standard_normal(4)
+        lam, q, _ = floored_eigh(m)
+        assert np.allclose(q @ ((q.T @ rhs) / lam), np.linalg.solve(m, rhs),
+                           atol=1e-10)
+
+    def test_nonpositive_spectrum_flagged(self):
+        # a zero or a negative definite matrix never passes the floor
+        _, _, notes = floored_eigh(np.stack([np.zeros((2, 2)), -np.eye(2)]))
+        assert notes[0] == ("eigenvalue 0.000000e+00 below relative floor "
+                            f"{RELATIVE_EIG_FLOOR:g} * 0.000000e+00")
+        assert notes[1] == ("eigenvalue -1.000000e+00 below relative floor "
+                            f"{RELATIVE_EIG_FLOOR:g} * -1.000000e+00")
+
     def test_floored_eigh_flags_each_matrix_of_a_stack(self):
         # a stack mixing a well-conditioned, a rank-one, a near-floor and a
         # zero matrix: each gets the verdict and message it gets alone
