@@ -288,6 +288,26 @@ def _field(mapping, key: str, where: str, kind: type = object):
     return mapping[key]
 
 
+def _number(mapping, key: str, where: str) -> float:
+    """A number field that stores NaN as null; a bool is not a number."""
+    value = _field(mapping, key, where)
+    if value is None:
+        return float("nan")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} field {key!r} must be a number or null, "
+                         f"got {type(value).__name__}")
+    return float(value)
+
+
+def _integer(mapping, key: str, where: str) -> int:
+    """An integer field; a bool is not an integer."""
+    value = _field(mapping, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} field {key!r} must be an integer, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
     """Inverse of grid_to_dict, for re-plotting stored scans. A malformed
     document raises ValueError naming the missing field or the wrong type."""
@@ -301,26 +321,24 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
     for i, entry in enumerate(_field(payload, "points", "document", list)):
         where = f"point {i}"
         member = _field(entry, "member", where)
-        objective = _field(entry, "objective", where)
-        p_value = _field(entry, "p_value", where)
         points.append(
             GridPoint(
                 index=tuple(_field(entry, "index", where, list)),
                 weights=SimplexWeights.from_array(_field(entry, "theta", where, list)),
-                objective=float("nan") if objective is None else objective,
-                p_value=float("nan") if p_value is None else p_value,
+                objective=_number(entry, "objective", where),
+                p_value=_number(entry, "p_value", where),
                 memberships={a: _field(member, f"{a:g}", f"{where} member", bool)
                              for a in alpha_levels},
                 note=entry.get("note"),
             )
         )
     return ConfidenceSetGrid(
-        resolution=_field(payload, "resolution", "document"),
+        resolution=_integer(payload, "resolution", "document"),
         points=points,
         alpha_levels=alpha_levels,
         bandwidth=_field(payload, "bandwidth", "document"),
-        df=_field(payload, "df", "document"),
-        n_obs=_field(payload, "n_obs", "document"),
+        df=_integer(payload, "df", "document"),
+        n_obs=_integer(payload, "n_obs", "document"),
     )
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
 # Relative eigenvalue floor for SPD inversion. No silent ridge regularization:
 # callers see SingularMatrixError and must fix their data or opt in themselves.
@@ -168,6 +168,9 @@ def generalized_modal_midpoint(
     Raises ValueError if ``density`` does not integrate to 1 on ``support``
     within 1e-6, or if delta <= 0.
     """
+    # deferred: slow to import, and only this validation helper uses them
+    from scipy import integrate, optimize
+
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     kernel = kernel or _GAUSSIAN

@@ -47,8 +47,7 @@ from functools import lru_cache
 from itertools import islice
 
 import numpy as np
-from scipy import optimize, special
-from scipy.signal import lfilter
+from scipy import special
 
 from .bandwidth import bandwidth_rule_of_thumb
 from .central_tendency import SimplexWeights, _objectives_block, _theta_array, simplex_grid
@@ -103,6 +102,9 @@ _CROSS_SECTION_SDS = np.array([0.0, 1.0, 1.0, np.sqrt(0.1)])
 _CROSS_SECTION_ZETA = np.array([1.0, 1.0, 1.0, 1.0])
 _AR_COEF = 0.5
 _GARCH_CONST, _GARCH_PERSIST, _GARCH_ARCH = 0.1, 0.8, 0.1
+# Blocks with fewer rows run the GARCH recursion on Python floats, row by row:
+# numpy's dispatch at every time step makes the vector loop slower below this.
+_GARCH_ROW_LOOP_BELOW = 24
 
 
 class InstrumentSet(IntEnum):
@@ -215,6 +217,9 @@ def skew_normal_params(gamma: float) -> SkewNormalSpec:
         )
     if gamma == 0.0:
         return SkewNormalSpec(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    # deferred to the first call (then cached), so `test` and `cset` never load it
+    from scipy import optimize
+
     # moment inversion: gamma = (4-pi)/2 * m1^3 / (1-m1^2)^(3/2), m1 = b*delta
     c = np.cbrt(2.0 * gamma / (4.0 - np.pi))
     m1 = c / np.sqrt(1.0 + c * c)
@@ -340,6 +345,9 @@ def _time_series_block(
     config: DgpConfig, spec: SkewNormalSpec, streams: list[RandomStream]
 ) -> SimulatedPath:
     """AR(1) or AR(1)-GARCH(1,1) paths, one row per stream."""
+    # deferred: only the AR DGPs use scipy.signal, and it is slow to import
+    from scipy.signal import lfilter
+
     t, b = config.n_obs, config.burn_in
     n = b + t + 2
     xi = _skew_normal_variates(spec, standard_normal_rows(streams, _normal_count(spec, n)))
@@ -362,19 +370,21 @@ def _time_series_block(
 def _garch_sigma(xi: np.ndarray) -> np.ndarray:
     """Conditional standard deviations of the GARCH(1,1) recursion for each
     row of innovations, starting from the unconditional variance of 1: one
-    vector step per time step across the rows."""
+    vector step per time step across the rows, or for a short block the same
+    operations in the same order on Python floats, one row at a time."""
     rows, n = xi.shape
     squares = xi * xi
-    if rows == 1:
-        # the same operations in the same order on Python floats, which
-        # spares a long single path numpy's dispatch at every step
+    if rows < _GARCH_ROW_LOOP_BELOW:
         c, p, a = _GARCH_CONST, _GARCH_PERSIST, _GARCH_ARCH
-        prev = 1.0
-        s2 = [prev]
-        for sq in squares[0, :-1].tolist():
-            prev = c + p * prev + a * prev * sq
-            s2.append(prev)
-        return np.sqrt(np.array(s2))[None]
+        s2 = np.empty((rows, n))
+        for j, row in enumerate(squares[:, :-1].tolist()):
+            prev = 1.0
+            out = [prev]
+            for sq in row:
+                prev = c + p * prev + a * prev * sq
+                out.append(prev)
+            s2[j] = out
+        return np.sqrt(s2)
     squares = np.ascontiguousarray(squares.T)
     s2 = np.empty((n, rows))
     s2[0] = 1.0

@@ -411,6 +411,14 @@ def write_sim_csv(tmp_path, name="sim.csv", t=160, gamma=0.4, seed=909):
     return f
 
 
+def _one_point_scan(point=None, **document):
+    """A well-formed one-point scan document, with fields overridden."""
+    entry = {"index": [0, 0], "theta": [0.0, 0.0, 1.0], "objective": 1.0,
+             "p_value": 0.3, "member": {"0.05": True}, "note": None, **(point or {})}
+    return {"kind": "confidence_set", "resolution": 1, "alpha_levels": [0.05],
+            "bandwidth": 1.0, "df": 1, "n_obs": 5, "points": [entry], **document}
+
+
 class TestCli:
     def test_test_subcommand_end_to_end(self, tmp_path, capsys):
         data = write_sim_csv(tmp_path)
@@ -648,8 +656,19 @@ class TestCli:
           "points": [{"index": [0, 0], "theta": [0.0, 0.0, 1.0], "objective": 1.0,
                       "p_value": 0.3, "member": {"0.05": "no"}, "note": None}]},
          "point 0 member field '0.05' must be a bool, got str"),
+        (_one_point_scan(point={"objective": "abc"}),
+         "point 0 field 'objective' must be a number or null, got str"),
+        (_one_point_scan(point={"p_value": True}),
+         "point 0 field 'p_value' must be a number or null, got bool"),
+        (_one_point_scan(resolution=1.0),
+         "document field 'resolution' must be an integer, got float"),
+        (_one_point_scan(df=True),
+         "document field 'df' must be an integer, got bool"),
+        (_one_point_scan(n_obs="5"),
+         "document field 'n_obs' must be an integer, got str"),
     ], ids=["no-alpha-levels", "top-level-list", "point-without-member",
-            "member-not-a-bool"])
+            "member-not-a-bool", "objective-not-a-number", "p-value-a-bool",
+            "resolution-not-an-integer", "df-a-bool", "n-obs-not-an-integer"])
     def test_malformed_plot_json_exits_2_without_traceback(self, tmp_path, capsys,
                                                            payload, message):
         js = tmp_path / "bad.json"

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
 import centest
 from centest import central_tendency, identification, numerics, simulation
 
@@ -27,3 +34,45 @@ def test_removed_names_stay_removed():
     for module in (centest, central_tendency, identification, numerics, simulation):
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+# scipy modules that `test` and `cset` never call: each is imported inside
+# the one function that uses it, so a one-shot command starts up without them
+DEFERRED_SCIPY = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.stats")
+
+_IMPORT_BOUNDARY_SCRIPT = """
+import contextlib, io, sys
+deferred = sys.argv[1].split(",")
+def loaded():
+    return [name for name in deferred if name in sys.modules]
+import centest.cli
+print("import", *loaded())
+data = sys.argv[2]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = centest.cli.main(["test", "--input", data, "--functional", "mode",
+                             "--instruments", "z", "--with-const"])
+print("test", code, *loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = centest.cli.main(["cset", "--input", data, "--instruments", "z",
+                             "--with-const", "--grid-m", "4"])
+print("cset", code, *loaded())
+"""
+
+
+def test_commands_import_only_the_scipy_they_call(tmp_path):
+    rng = np.random.default_rng(5)
+    x = rng.normal(1.0, 1.0, 200)
+    y = x + rng.standard_normal(200)
+    z = rng.standard_normal(200)
+    data = tmp_path / "data.csv"
+    np.savetxt(data, np.column_stack([y, x, z]), delimiter=",", header="y,x,z",
+               comments="")
+    src = Path(centest.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY_SCRIPT, ",".join(DEFERRED_SCIPY),
+         str(data)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["import", "test 0", "cset 0"]

@@ -203,15 +203,19 @@ class TestSimulateDgp:
             DgpConfig(dgp="ar1", skewness=0.0, n_obs=50, seed=1, burn_in=0)
 
     def test_garch_one_row_branch_matches_vector_loop(self):
-        from centest.simulation import _garch_sigma
+        from centest.simulation import _GARCH_ROW_LOOP_BELOW, _garch_sigma
 
-        xi = RandomStream(13, 2).generator().standard_normal((5, 400))
+        # the smallest block that takes the vector loop, against short blocks
+        # (one row, two rows, the largest short block) on the float branch
+        xi = RandomStream(13, 2).generator().standard_normal((_GARCH_ROW_LOOP_BELOW, 400))
         block = _garch_sigma(xi)
         assert block.shape == xi.shape
+        for rows in (1, 2, _GARCH_ROW_LOOP_BELOW - 1):
+            short = _garch_sigma(xi[:rows])
+            assert short.shape == (rows, 400)
+            assert np.array_equal(short, block[:rows])
         for j in range(len(xi)):
-            one = _garch_sigma(xi[j:j + 1])
-            assert one.shape == (1, 400)
-            assert np.array_equal(one, block[j:j + 1])
+            assert np.array_equal(_garch_sigma(xi[j:j + 1]), block[j:j + 1])
 
     def test_garch_matches_hand_recursion(self):
         cfg = DgpConfig(dgp="ar-garch", skewness=0.5, n_obs=10, seed=9, burn_in=3)
