@@ -38,6 +38,13 @@ class SimplexWeights:
     mode: float
 
     def __post_init__(self):
+        # three Python floats are checked as they are; numpy's sum of three
+        # values is the same left-to-right sum
+        a, b, c = self.mean, self.median, self.mode
+        if (type(a) is float and type(b) is float and type(c) is float
+                and a >= -1e-12 and b >= -1e-12 and c >= -1e-12
+                and abs(a + b + c - 1.0) <= 1e-12):
+            return
         arr = self.as_array()
         if np.any(arr < -1e-12):
             raise ValueError(f"weights must be nonnegative, got {arr}")
@@ -66,16 +73,21 @@ def _theta_array(theta) -> np.ndarray:
     return SimplexWeights.from_array(theta).as_array()
 
 
+def _lattice(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lattice's index arrays i, j >= 0, i + j <= m, in lexicographic
+    (i, j) order, and its (P, 3) weight rows (i/m, j/m, (m-i-j)/m);
+    P = (m+1)(m+2)/2."""
+    if m < 1:
+        raise ValueError(f"grid resolution must be >= 1, got {m}")
+    i, i_plus_j = np.triu_indices(m + 1)
+    j = i_plus_j - i
+    return i, j, np.column_stack([i / m, j / m, (m - i_plus_j) / m])
+
+
 def simplex_grid(m: int) -> list[SimplexWeights]:
     """Lattice (i/m, j/m, (m-i-j)/m), i, j >= 0, i+j <= m, in lexicographic
     (i, j) order; (m+1)(m+2)/2 points."""
-    if m < 1:
-        raise ValueError(f"grid resolution must be >= 1, got {m}")
-    points = []
-    for i in range(m + 1):
-        for j in range(m - i + 1):
-            points.append(SimplexWeights(i / m, j / m, (m - i - j) / m))
-    return points
+    return [SimplexWeights(*row) for row in _lattice(m)[2].tolist()]
 
 
 def _wave_sums(rows: np.ndarray, cluster_labels) -> np.ndarray:
@@ -234,28 +246,28 @@ def confidence_set(
     Per-point singular covariances are recorded as NaN, non-member points
     with a note.
     """
-    if m < 1:
-        raise ValueError(f"grid resolution must be >= 1, got {m}")
+    i, j, thetas = _lattice(m)
     alpha_levels = tuple(alpha_levels)
     if not alpha_levels or not all(0.0 < a < 1.0 for a in alpha_levels):
         raise ValueError(f"alpha levels must lie in (0, 1), got {alpha_levels}")
-    weights = simplex_grid(m)
-    objectives, notes, delta = _dataset_objectives(
-        np.array([w.as_array() for w in weights]), dataset, delta, kernel)
+    objectives, notes, delta = _dataset_objectives(thetas, dataset, delta, kernel)
     k = dataset.n_instruments
     thresholds = {a: chi_square_quantile(k, 1.0 - a) for a in alpha_levels}
-    indices = [(i, j) for i in range(m + 1) for j in range(m - i + 1)]
-    # a singular point has a NaN objective, which fails every threshold
+    # a singular point has a NaN objective, so a NaN p-value, and fails
+    # every threshold
+    p_values = chi_square_sf(k, objectives)
     points = [
         GridPoint(
             index=index,
-            weights=w,
+            weights=SimplexWeights(*theta),
             objective=s,
-            p_value=float("nan") if note is not None else chi_square_sf(k, s),
+            p_value=p,
             memberships={a: s <= thresholds[a] for a in alpha_levels},
             note=note,
         )
-        for index, w, s, note in zip(indices, weights, objectives.tolist(), notes)
+        for index, theta, s, p, note in zip(
+            zip(i.tolist(), j.tolist()), thetas.tolist(), objectives.tolist(),
+            p_values.tolist(), notes)
     ]
     return ConfidenceSetGrid(
         resolution=m,

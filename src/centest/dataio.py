@@ -252,8 +252,40 @@ def test_result_to_dict(result: TestResult, alpha_levels=(0.05, 0.10)) -> dict:
     }
 
 
-def grid_to_dict(grid: ConfidenceSetGrid) -> dict:
-    return {
+_INF = float("inf")
+
+
+def _json_number(x) -> str:
+    """A number as json.dumps writes it, with NaN as null."""
+    if x != x:
+        return "null"
+    return float.__repr__(x) if type(x) is float and -_INF < x < _INF else json.dumps(x)
+
+
+def grid_to_json(grid: ConfidenceSetGrid) -> str:
+    """The scan as a JSON document, laid out as json.dumps(..., indent=2,
+    sort_keys=True) lays it out, with NaN objectives and p-values as null.
+
+    The points are written through one fixed template, filled per point;
+    the top-level fields go through json.dumps.
+    """
+    members = sorted({f"{a:g}": a for a in grid.alpha_levels}.items())
+    slots = ",\n".join(f"        {json.dumps(key)}: {{}}" for key, _ in members)
+    point = (
+        '    {{\n      "index": [\n        {},\n        {}\n      ],\n'
+        '      "member": {{\n' + slots + '\n      }},\n'
+        '      "note": {},\n      "objective": {},\n      "p_value": {},\n'
+        '      "theta": [\n        {},\n        {},\n        {}\n      ]\n    }}'
+    ).format
+    body = ",\n".join(
+        point(*p.index,
+              *("true" if p.memberships[a] else "false" for _, a in members),
+              "null" if p.note is None else json.dumps(p.note),
+              *map(_json_number, (p.objective, p.p_value, p.weights.mean,
+                                  p.weights.median, p.weights.mode)))
+        for p in grid.points
+    )
+    head = json.dumps({
         "schema": SCHEMA_VERSION,
         "kind": "confidence_set",
         "resolution": grid.resolution,
@@ -261,18 +293,10 @@ def grid_to_dict(grid: ConfidenceSetGrid) -> dict:
         "bandwidth": grid.bandwidth,
         "df": grid.df,
         "n_obs": grid.n_obs,
-        "points": [
-            {
-                "index": list(p.index),
-                "theta": [p.weights.mean, p.weights.median, p.weights.mode],
-                "objective": None if np.isnan(p.objective) else p.objective,
-                "p_value": None if np.isnan(p.p_value) else p.p_value,
-                "member": {f"{a:g}": bool(v) for a, v in p.memberships.items()},
-                "note": p.note,
-            }
-            for p in grid.points
-        ],
-    }
+        "points": [],
+    }, indent=2, sort_keys=True)
+    points = "[\n" + body + "\n  ]" if grid.points else "[]"
+    return head.replace('"points": []', f'"points": {points}', 1) + "\n"
 
 
 def _field(mapping, key: str, where: str, kind: type = object):
@@ -288,55 +312,69 @@ def _field(mapping, key: str, where: str, kind: type = object):
     return mapping[key]
 
 
-def _number(mapping, key: str, where: str) -> float:
-    """A number field that stores NaN as null; a bool is not a number."""
+def _number(mapping, key: str, where: str, null: bool = True) -> float:
+    """A number field, where ``null`` allows a null that stands for NaN; a
+    bool is not a number."""
     value = _field(mapping, key, where)
-    if value is None:
+    if value is None and null:
         return float("nan")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} field {key!r} must be a number or null, "
-                         f"got {type(value).__name__}")
+    if type(value) not in (int, float):
+        raise ValueError(f"{where} field {key!r} must be a number"
+                         f"{' or null' if null else ''}, got {type(value).__name__}")
     return float(value)
 
 
 def _integer(mapping, key: str, where: str) -> int:
     """An integer field; a bool is not an integer."""
     value = _field(mapping, key, where)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise ValueError(f"{where} field {key!r} must be an integer, "
                          f"got {type(value).__name__}")
     return value
 
 
 def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
-    """Inverse of grid_to_dict, for re-plotting stored scans. A malformed
-    document raises ValueError naming the missing field or the wrong type."""
+    """Inverse of grid_to_json (after json.loads), for re-plotting stored
+    scans. A malformed document raises ValueError naming the missing field
+    or the wrong type."""
     from .central_tendency import GridPoint, SimplexWeights
 
     if _field(payload, "kind", "document") != "confidence_set":
         raise ValueError("payload is not a confidence_set document")
     alpha_levels = _field(payload, "alpha_levels", "document", list)
+    if not alpha_levels or not all(type(a) in (int, float) and 0.0 < a < 1.0
+                                   for a in alpha_levels):
+        raise ValueError("document field 'alpha_levels' must hold numbers in (0, 1), "
+                         f"got {json.dumps(alpha_levels)}")
     alpha_levels = tuple(float(a) for a in alpha_levels)
     points = []
     for i, entry in enumerate(_field(payload, "points", "document", list)):
         where = f"point {i}"
+        index = _field(entry, "index", where, list)
+        if len(index) != 2 or not all(type(v) is int for v in index):
+            raise ValueError(f"{where} field 'index' must hold two integers, "
+                             f"got {json.dumps(index)}")
+        note = entry.get("note")
+        if note is not None and not isinstance(note, str):
+            raise ValueError(f"{where} field 'note' must be a string or null, "
+                             f"got {type(note).__name__}")
         member = _field(entry, "member", where)
         points.append(
             GridPoint(
-                index=tuple(_field(entry, "index", where, list)),
+                index=tuple(index),
                 weights=SimplexWeights.from_array(_field(entry, "theta", where, list)),
                 objective=_number(entry, "objective", where),
                 p_value=_number(entry, "p_value", where),
                 memberships={a: _field(member, f"{a:g}", f"{where} member", bool)
                              for a in alpha_levels},
-                note=entry.get("note"),
+                note=note,
             )
         )
     return ConfidenceSetGrid(
         resolution=_integer(payload, "resolution", "document"),
         points=points,
         alpha_levels=alpha_levels,
-        bandwidth=_field(payload, "bandwidth", "document"),
+        bandwidth=_number(payload, "bandwidth", "document", null=False),
         df=_integer(payload, "df", "document"),
         n_obs=_integer(payload, "n_obs", "document"),
     )
@@ -461,10 +499,7 @@ def emit_confidence_set(
 ) -> None:
     """Write the requested serializations of a scanned grid."""
     if json_path is not None:
-        Path(json_path).write_text(
-            json.dumps(grid_to_dict(grid), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        Path(json_path).write_text(grid_to_json(grid), encoding="utf-8")
     if csv_path is not None:
         Path(csv_path).write_text(grid_to_csv(grid), encoding="utf-8")
     if svg_path is not None:

@@ -105,7 +105,7 @@ def kernel_deriv_sq_integral(kernel: Kernel) -> float:
     return kernel.deriv_sq_integral
 
 
-def chi_square_sf(df: int, x: float) -> float:
+def chi_square_sf(df: int, x):
     """Survival function P(chi2_df > x) via the regularized upper incomplete
     gamma function.
 
@@ -113,14 +113,19 @@ def chi_square_sf(df: int, x: float) -> float:
     ----------
     df : int
         Degrees of freedom, at least 1.
-    x : float
-        Evaluation point, nonnegative.
+    x : float or array
+        Evaluation points, nonnegative; NaN gives NaN. A float gives a float,
+        an array an array of the same shape, equal element by element to the
+        float calls.
     """
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    if x < 0:
-        raise ValueError(f"chi-square statistic must be >= 0, got {x}")
-    return float(special.gammaincc(df / 2.0, x / 2.0))
+    values = np.asarray(x, dtype=float)
+    if np.any(values < 0):
+        first = x if values.ndim == 0 else values[values < 0][0]
+        raise ValueError(f"chi-square statistic must be >= 0, got {first}")
+    p = special.gammaincc(df / 2.0, values / 2.0)
+    return float(p) if values.ndim == 0 else p
 
 
 def chi_square_quantile(df: int, p: float) -> float:

@@ -10,6 +10,7 @@ from centest import (
     MODE_VERTEX,
     SimplexWeights,
     SingularMatrixError,
+    biweight_kernel,
     chi_square_quantile,
     chi_square_sf,
     confidence_set,
@@ -21,7 +22,15 @@ from centest import (
     stacked_moments,
 )
 
+from centest.central_tendency import _lattice
+
 from conftest import make_dataset
+
+
+def _per_point_rows(m):
+    """The lattice built one point at a time, as a list of (i, j) and rows."""
+    return [((i, j), (i / m, j / m, (m - i - j) / m))
+            for i in range(m + 1) for j in range(m - i + 1)]
 
 
 class TestSimplexWeights:
@@ -34,6 +43,51 @@ class TestSimplexWeights:
             SimplexWeights.from_array([0.5, 0.5])
         with pytest.raises(ValueError, match="sum nan"):
             SimplexWeights.from_array([float("nan"), 0.0, 1.0])
+
+    @pytest.mark.parametrize("weights, message", [
+        ((-0.1, 0.6, 0.5), "weights must be nonnegative, got [-0.1  0.6  0.5]"),
+        ((0.5, 0.6, 0.1), "weights must sum to 1, got sum 1.2000000000000002"),
+        ((0.5, 0.5, 1e-12), "weights must sum to 1, got sum 1.000000000001"),
+        ((1e16, 1.0, 1.0), "weights must sum to 1, got sum 1e+16"),
+        ((float("nan"), 0.0, 1.0), "weights must sum to 1, got sum nan"),
+        ((float("inf"), 0.0, 0.0), "weights must sum to 1, got sum inf"),
+        ((0.0, float("-inf"), 1.0), "weights must be nonnegative, got [  0. -inf   1.]"),
+        ((np.float64(-0.5), np.float64(1.0), np.float64(0.5)),
+         "weights must be nonnegative, got [-0.5  1.   0.5]"),
+        ((np.float64(0.5), np.float64(0.5), np.float64(0.5)),
+         "weights must sum to 1, got sum 1.5"),
+        ((-1, 1, 1), "weights must be nonnegative, got [-1.  1.  1.]"),
+        ((1, 1, 0), "weights must sum to 1, got sum 2.0"),
+    ], ids=["negative", "sum", "sum-just-over-tolerance", "sum-order", "nan", "inf",
+            "minus-inf", "float64-negative", "float64-sum", "int-negative", "int-sum"])
+    def test_exact_messages(self, weights, message):
+        with pytest.raises(ValueError) as exc:
+            SimplexWeights(*weights)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("weights", [
+        (-1e-12, 0.5, 0.5 + 1e-12),
+        (np.float64(0.25), np.float64(0.25), np.float64(0.5)),
+        (1, 0, 0),
+    ], ids=["at-tolerance", "float64", "int"])
+    def test_accepted_inputs_kept_as_given(self, weights):
+        w = SimplexWeights(*weights)
+        assert [type(v) for v in (w.mean, w.median, w.mode)] == [type(v) for v in weights]
+        assert (w.mean, w.median, w.mode) == weights
+
+    @given(st.floats(-3e-12, 1.0), st.floats(-3e-12, 1.0), st.floats(-3e-12, 3e-12))
+    @settings(max_examples=300, deadline=None)
+    def test_float_check_agrees_with_the_array_check(self, a, b, shift):
+        c = 1.0 - a - b + shift
+        arr = np.array([a, b, c])
+        valid = not np.any(arr < -1e-12) and abs(arr.sum() - 1.0) <= 1e-12
+        try:
+            SimplexWeights(a, b, c)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == valid
 
     def test_vertices(self):
         assert np.array_equal(MEAN_VERTEX.as_array(), [1.0, 0.0, 0.0])
@@ -66,6 +120,17 @@ class TestSimplexGrid:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             simplex_grid(0)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 50])
+    def test_lattice_bitwise_equal_to_per_point_construction(self, m):
+        indices, rows = zip(*_per_point_rows(m))
+        expected = np.array(rows).tobytes()
+        i, j, thetas = _lattice(m)
+        assert list(zip(i.tolist(), j.tolist())) == list(indices)
+        assert thetas.tobytes() == expected
+        grid = simplex_grid(m)
+        assert all(type(v) is float for w in grid for v in (w.mean, w.median, w.mode))
+        assert np.array([w.as_array() for w in grid]).tobytes() == expected
 
     @given(st.integers(min_value=1, max_value=40))
     @settings(max_examples=25, deadline=None)
@@ -280,3 +345,22 @@ class TestConfidenceSet:
             assert p.p_value == pytest.approx(chi_square_sf(k, expected), rel=1e-12)
             for a in grid.alpha_levels:
                 assert p.memberships[a] == (expected <= chi_square_quantile(k, 1 - a))
+
+    def test_p_values_equal_the_scalar_calls(self):
+        # every error but one lies outside the biweight window, so the mode
+        # vertex alone has a singular covariance
+        rng = np.random.default_rng(4)
+        t = 40
+        x = rng.standard_normal(t)
+        e = rng.choice([-1.0, 1.0], t) * (2.0 + rng.random(t))
+        e[5] = 0.1
+        ds = ForecastDataset(x - e, x, np.column_stack([np.ones(t), x]))
+        grid = confidence_set(ds, m=4, delta=0.5, kernel=biweight_kernel())
+        singular = [p.index for p in grid.points if p.note is not None]
+        assert singular == [(0, 0)]
+        for p in grid.points:
+            scalar = chi_square_sf(2, p.objective)
+            assert type(p.p_value) is float
+            assert p.p_value == scalar or (np.isnan(p.p_value) and np.isnan(scalar))
+        assert [(p.index, p.weights) for p in grid.points] == [
+            (index, SimplexWeights(*row)) for index, row in _per_point_rows(4)]

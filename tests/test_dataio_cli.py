@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 import centest
 
 from centest import (
+    ConfidenceSetGrid,
     DgpConfig,
     ForecastDataset,
+    GridPoint,
     MissingColumnError,
     RandomStream,
     build_instruments,
@@ -27,6 +29,7 @@ from centest import (
     mode_test,
     optimal_forecasts,
     random_walk_forecasts,
+    simplex_grid,
     simulate_dgp,
     write_dataset_csv,
 )
@@ -34,7 +37,7 @@ from centest.cli import main
 from centest.dataio import (
     grid_from_dict,
     grid_to_csv,
-    grid_to_dict,
+    grid_to_json,
     grid_to_svg,
     load_prices,
 )
@@ -389,16 +392,74 @@ class TestEmission:
     def test_json_schema_and_round_trip(self, rng):
         ds = make_dataset(rng, t=60, k=2, skew=0.3)
         grid = confidence_set(ds, m=3)
-        payload = grid_to_dict(grid)
+        payload = json.loads(grid_to_json(grid))
         assert payload["schema"] == 1
         assert payload["kind"] == "confidence_set"
-        back = grid_from_dict(json.loads(json.dumps(payload)))
+        back = grid_from_dict(payload)
         assert back.resolution == grid.resolution
         assert back.alpha_levels == grid.alpha_levels
         for p0, p1 in zip(grid.points, back.points):
             assert p0.index == p1.index
             assert p0.memberships == p1.memberships
             assert p0.objective == pytest.approx(p1.objective, rel=1e-15)
+
+
+def _json_dumps_layout(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    """grid_to_json writes its document without json.dumps; its text must be
+    exactly what json.dumps(..., indent=2, sort_keys=True) writes."""
+
+    @pytest.mark.parametrize("m", [1, 7, 50])
+    @pytest.mark.parametrize("alphas", [(0.05,), (0.1, 0.05), (0.1, 0.05, 0.005, 1e-05)],
+                             ids=["one", "two", "four"])
+    def test_text_is_the_json_dumps_layout(self, rng, m, alphas):
+        ds = make_dataset(rng, t=60, k=2, skew=0.3)
+        grid = confidence_set(ds, m=m, alpha_levels=alphas)
+        text = grid_to_json(grid)
+        assert text == _json_dumps_layout(text)
+        doc = json.loads(text)
+        assert doc["alpha_levels"] == list(alphas)
+        assert len(doc["points"]) == (m + 1) * (m + 2) // 2
+        assert list(doc["points"][0]["member"]) == sorted(f"{a:g}" for a in alphas)
+        for p, entry in zip(grid.points, doc["points"]):
+            assert entry["index"] == list(p.index)
+            assert entry["theta"] == [p.weights.mean, p.weights.median, p.weights.mode]
+            assert entry["objective"] == p.objective
+            assert entry["p_value"] == p.p_value
+            assert entry["member"] == {f"{a:g}": p.memberships[a] for a in alphas}
+
+    def test_null_numbers_and_escaped_notes(self):
+        notes = [None, 'a "quoted" word', "back\\slash", "two\nlines", "S_T ≥ Q, θ ∉ Θ"]
+        vertices = simplex_grid(1)
+        points = [
+            GridPoint(index=(n, 0), weights=vertices[n % 3],
+                      objective=1.5 if note is None else float("nan"),
+                      p_value=0.25 if note is None else float("nan"),
+                      memberships={0.1: note is None, 0.05: True}, note=note)
+            for n, note in enumerate(notes)
+        ]
+        grid = ConfidenceSetGrid(resolution=1, points=points, alpha_levels=(0.1, 0.05),
+                                 bandwidth=0.5, df=2, n_obs=10)
+        text = grid_to_json(grid)
+        assert text == _json_dumps_layout(text)
+        assert text.isascii()
+        doc = json.loads(text)
+        assert [e["note"] for e in doc["points"]] == notes
+        assert [e["objective"] for e in doc["points"]] == [1.5, None, None, None, None]
+        assert [e["p_value"] for e in doc["points"]] == [0.25, None, None, None, None]
+        back = grid_from_dict(doc)
+        assert [p.note for p in back.points] == notes
+        assert np.isnan(back.points[1].objective) and np.isnan(back.points[1].p_value)
+
+    def test_empty_grid(self):
+        grid = ConfidenceSetGrid(resolution=1, points=[], alpha_levels=(0.05,),
+                                 bandwidth=0.5, df=2, n_obs=10)
+        text = grid_to_json(grid)
+        assert text == _json_dumps_layout(text)
+        assert json.loads(text)["points"] == []
 
 
 def write_sim_csv(tmp_path, name="sim.csv", t=160, gamma=0.4, seed=909):
@@ -666,9 +727,33 @@ class TestCli:
          "document field 'df' must be an integer, got bool"),
         (_one_point_scan(n_obs="5"),
          "document field 'n_obs' must be an integer, got str"),
+        (_one_point_scan(bandwidth="abc"),
+         "document field 'bandwidth' must be a number, got str"),
+        (_one_point_scan(bandwidth=None),
+         "document field 'bandwidth' must be a number, got NoneType"),
+        (_one_point_scan(point={"index": ["a", None]}),
+         "point 0 field 'index' must hold two integers, got [\"a\", null]"),
+        (_one_point_scan(point={"index": [0, True]}),
+         "point 0 field 'index' must hold two integers, got [0, true]"),
+        (_one_point_scan(point={"index": [0, 0, 1]}),
+         "point 0 field 'index' must hold two integers, got [0, 0, 1]"),
+        (_one_point_scan(point={"note": 5}),
+         "point 0 field 'note' must be a string or null, got int"),
+        (_one_point_scan(alpha_levels=["0.05", "0.1"]),
+         "document field 'alpha_levels' must hold numbers in (0, 1), got [\"0.05\", \"0.1\"]"),
+        (_one_point_scan(alpha_levels=[True]),
+         "document field 'alpha_levels' must hold numbers in (0, 1), got [true]"),
+        (_one_point_scan(alpha_levels=[0.05, 1.5]),
+         "document field 'alpha_levels' must hold numbers in (0, 1), got [0.05, 1.5]"),
+        (_one_point_scan(alpha_levels=[]),
+         "document field 'alpha_levels' must hold numbers in (0, 1), got []"),
     ], ids=["no-alpha-levels", "top-level-list", "point-without-member",
             "member-not-a-bool", "objective-not-a-number", "p-value-a-bool",
-            "resolution-not-an-integer", "df-a-bool", "n-obs-not-an-integer"])
+            "resolution-not-an-integer", "df-a-bool", "n-obs-not-an-integer",
+            "bandwidth-not-a-number", "bandwidth-null", "index-not-integers",
+            "index-a-bool", "index-of-three", "note-not-a-string",
+            "alpha-levels-strings", "alpha-levels-a-bool", "alpha-level-above-one",
+            "alpha-levels-empty"])
     def test_malformed_plot_json_exits_2_without_traceback(self, tmp_path, capsys,
                                                            payload, message):
         js = tmp_path / "bad.json"

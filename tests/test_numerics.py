@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from centest import (
     Kernel,
@@ -179,6 +179,27 @@ class TestChiSquare:
         assert 0.0 <= s_hi <= s_lo <= 1.0
         if hi > lo + 1e-9:
             assert s_hi < s_lo
+
+    @pytest.mark.parametrize("df", [1, 2, 3])
+    def test_array_equals_the_scalar_calls(self, df):
+        x = np.concatenate([[0.0, np.nan, 1e-300, 3.841459, 700.0],
+                            np.random.default_rng(df).exponential(5.0, 200)])
+        p = chi_square_sf(df, x)
+        assert isinstance(p, np.ndarray) and p.shape == x.shape
+        scalar = np.array([chi_square_sf(df, v) for v in x.tolist()])
+        assert p.tobytes() == scalar.tobytes()
+        # the float formula, one Python float at a time
+        direct = np.array([float(special.gammaincc(df / 2.0, v / 2.0)) for v in x.tolist()])
+        assert p.tobytes() == direct.tobytes()
+        assert np.isnan(p[1])
+        assert chi_square_sf(df, x.reshape(5, 41)).tobytes() == p.tobytes()
+        assert type(chi_square_sf(df, 2.0)) is float
+
+    def test_array_domain_error_names_the_first_negative(self):
+        with pytest.raises(ValueError, match=r"must be >= 0, got -0\.5$"):
+            chi_square_sf(2, np.array([1.0, np.nan, -0.5, -2.0]))
+        with pytest.raises(ValueError, match=r"must be >= 0, got -1$"):
+            chi_square_sf(2, -1)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
