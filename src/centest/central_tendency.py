@@ -38,18 +38,11 @@ class SimplexWeights:
     mode: float
 
     def __post_init__(self):
-        # three Python floats are checked as they are; numpy's sum of three
-        # values is the same left-to-right sum
-        a, b, c = self.mean, self.median, self.mode
-        if (type(a) is float and type(b) is float and type(c) is float
-                and a >= -1e-12 and b >= -1e-12 and c >= -1e-12
-                and abs(a + b + c - 1.0) <= 1e-12):
-            return
-        arr = self.as_array()
-        if np.any(arr < -1e-12):
-            raise ValueError(f"weights must be nonnegative, got {arr}")
-        if not abs(arr.sum() - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError(f"weights must sum to 1, got sum {float(arr.sum())!r}")
+        a, b, c = (float(v) for v in (self.mean, self.median, self.mode))
+        if a < -1e-12 or b < -1e-12 or c < -1e-12:
+            raise ValueError(f"weights must be nonnegative, got {self.as_array()}")
+        if not abs(a + b + c - 1.0) <= 1e-12:  # NaN fails too
+            raise ValueError(f"weights must sum to 1, got sum {a + b + c!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.mean, self.median, self.mode], dtype=float)

@@ -327,7 +327,7 @@ def _number(mapping, key: str, where: str, null: bool = True) -> float:
 def _integer(mapping, key: str, where: str) -> int:
     """An integer field; a bool is not an integer."""
     value = _field(mapping, key, where)
-    if type(value) is not int:
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where} field {key!r} must be an integer, "
                          f"got {type(value).__name__}")
     return value

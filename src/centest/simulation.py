@@ -50,8 +50,7 @@ import numpy as np
 from scipy import special
 
 from .bandwidth import bandwidth_rule_of_thumb
-from .central_tendency import (
-    SimplexWeights, _lattice, _objectives_block, _theta_array, simplex_grid)
+from .central_tendency import SimplexWeights, _lattice, _objectives_block, _theta_array
 from .errors import SingularMatrixError, first_failures, raise_row_failure
 from .identification import Functional, _assemble_stacked, _check_aligned, _weighted_block
 from .numerics import (
@@ -865,8 +864,8 @@ def run_grid_coverage_experiment(
     _check_replications(replications)
     instrument_set = InstrumentSet(instrument_set)
     kernel = kernel or gaussian_kernel()
-    thetas = simplex_grid(m)
     theta_rows = _lattice(m)[2]
+    thetas = [SimplexWeights(*row) for row in theta_rows.tolist()]
     quantile = chi_square_quantile(int(instrument_set), level)
 
     def memberships(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:

@@ -78,7 +78,7 @@ class TestSimplexWeights:
 
     @given(st.floats(-3e-12, 1.0), st.floats(-3e-12, 1.0), st.floats(-3e-12, 3e-12))
     @settings(max_examples=300, deadline=None)
-    def test_float_check_agrees_with_the_array_check(self, a, b, shift):
+    def test_check_agrees_with_the_array_rule(self, a, b, shift):
         c = 1.0 - a - b + shift
         arr = np.array([a, b, c])
         valid = not np.any(arr < -1e-12) and abs(arr.sum() - 1.0) <= 1e-12
