@@ -336,7 +336,8 @@ def _integer(mapping, key: str, where: str) -> int:
 def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
     """Inverse of grid_to_json (after json.loads), for re-plotting stored
     scans. A malformed document raises ValueError naming the missing field
-    or the wrong type."""
+    or the wrong type, and so does one that contradicts itself (see
+    _check_scan)."""
     from .central_tendency import GridPoint, SimplexWeights
 
     if _field(payload, "kind", "document") != "confidence_set":
@@ -370,7 +371,7 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
                 note=note,
             )
         )
-    return ConfidenceSetGrid(
+    grid = ConfidenceSetGrid(
         resolution=_integer(payload, "resolution", "document"),
         points=points,
         alpha_levels=alpha_levels,
@@ -378,6 +379,42 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
         df=_integer(payload, "df", "document"),
         n_obs=_integer(payload, "n_obs", "document"),
     )
+    _check_scan(grid)
+    return grid
+
+
+def _check_scan(grid: ConfidenceSetGrid) -> None:
+    """Raise ValueError unless the points are the resolution's lattice
+    (central_tendency._lattice), index and weights, in its order, and every
+    member flag is what confidence_set sets: objective <= Q_df(1 - alpha),
+    false for a NaN objective."""
+    from .central_tendency import _lattice
+    from .numerics import chi_square_quantile
+
+    m = grid.resolution
+    if m < 1:
+        raise ValueError(f"document field 'resolution' must be >= 1, got {m}")
+    size = (m + 1) * (m + 2) // 2
+    if len(grid.points) != size:
+        raise ValueError(f"document holds {len(grid.points)} points, but the "
+                         f"resolution-{m} lattice has {size}")
+    i, j, rows = _lattice(m)
+    quantiles = {a: chi_square_quantile(grid.df, 1.0 - a) for a in grid.alpha_levels}
+    for n, (p, index, row) in enumerate(zip(grid.points, zip(i.tolist(), j.tolist()),
+                                            rows.tolist())):
+        if p.index != index:
+            raise ValueError(f"point {n} field 'index' is {json.dumps(p.index)}, but "
+                             f"point {n} of the lattice is {json.dumps(index)}")
+        theta = [p.weights.mean, p.weights.median, p.weights.mode]
+        if theta != row:
+            raise ValueError(f"point {n} field 'theta' is {json.dumps(theta)}, but "
+                             f"point {n} of the lattice is {json.dumps(row)}")
+        for a, q in quantiles.items():
+            if p.memberships[a] != (p.objective <= q):
+                raise ValueError(
+                    f"point {n} member field '{a:g}' is {json.dumps(p.memberships[a])}, "
+                    f"but objective {p.objective!r} <= quantile {q!r} is "
+                    f"{json.dumps(not p.memberships[a])}")
 
 
 def report_to_dict(report) -> dict:

@@ -25,8 +25,15 @@ instruments are formed for the whole block from its arrays. A block holds
 two or three (B, burn_in + T + 2) arrays for the time-series DGPs and
 about seven (B, T) arrays' worth for the cross-section ones (four
 covariate columns among them), and its draws while it is made: at B = 128,
-T = 500 and burn_in = 1000 that is 3.6 to 5.1 MB, peaking below 8 MB, so
-memory does not grow with the replication count.
+T = 500 and burn_in = 1000 that is 3.6 to 5.1 MB, peaking below 8 MB.
+
+The experiments and the implied-theta pooling run their blocks on two
+threads when the process may use two or more cores: the caller and one
+helper thread take alternate blocks (see _map_blocks), so two blocks are
+live at once and memory is two blocks' worth, whatever the replication
+count. The results are consumed in block order, and each block knows the
+index of its first replication, so the reports do not depend on which
+thread made which block. On one core the caller runs every block.
 
 Each block is also scored in one pass. The bandwidth rule, the weight
 matrices, the stacked moments, the mode test and the GMM objective all have
@@ -40,11 +47,13 @@ the others, and the replication loop counts it by exception name.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from functools import lru_cache
 from itertools import islice
+from typing import TypeVar
 
 import numpy as np
 from scipy import special
@@ -76,8 +85,11 @@ MAX_MOMENT_SKEWNESS = float(
 _IMPLIED_THETA_BASE = 1 << 40
 
 # Paths simulated together. A block's arrays hold _CHUNK * (burn_in + T + 2)
-# values each, so memory does not grow with the replication count.
+# values each; the caller and one helper thread each hold one block, so memory
+# is two blocks' worth and does not grow with the replication count.
 _CHUNK = 128
+
+_T = TypeVar("_T")
 
 
 def _path_stream(r: int) -> int:
@@ -281,9 +293,10 @@ def simulate_paths(
     Paths are simulated ``_CHUNK`` at a time; each draws from its own
     stream, so a path does not depend on the block it was made in.
     """
-    streams = (RandomStream(config.seed, i) for i in stream_ids)
-    for block in _simulate_blocks(config, streams):
-        for j in range(len(block.realizations)):
+    simulate = _simulator(config)
+    for _, streams in _cut_blocks(RandomStream(config.seed, i) for i in stream_ids):
+        block = simulate(streams)
+        for j in range(len(streams)):
             yield _path_row(block, j)
 
 
@@ -294,7 +307,7 @@ def simulate_dgp(config: DgpConfig, stream: RandomStream | None = None) -> Simul
     starts from its unconditional variance of 1.
     """
     stream = stream or RandomStream(config.seed, 0)
-    return _path_row(next(_simulate_blocks(config, iter([stream]))), 0)
+    return _path_row(_simulator(config)([stream]), 0)
 
 
 def _path_row(block: SimulatedPath, j: int) -> SimulatedPath:
@@ -302,14 +315,75 @@ def _path_row(block: SimulatedPath, j: int) -> SimulatedPath:
                            for f in fields(SimulatedPath)))
 
 
-def _simulate_blocks(
-    config: DgpConfig, streams: Iterator[RandomStream]
-) -> Iterator[SimulatedPath]:
-    """Blocks of up to ``_CHUNK`` paths, one row per stream, in order."""
+def _simulator(config: DgpConfig) -> Callable[[list[RandomStream]], SimulatedPath]:
+    """The block kernel of the config's DGP: one path per stream."""
     spec = skew_normal_params(config.skewness)
     simulate = _time_series_block if config.dgp in _TIME_SERIES else _cross_section_block
+    return lambda streams: simulate(config, spec, streams)
+
+
+def _cut_blocks(
+    streams: Iterator[RandomStream],
+) -> Iterator[tuple[int, list[RandomStream]]]:
+    """Consecutive blocks of up to ``_CHUNK`` streams, each with the index of
+    its first stream."""
+    first = 0
     while block := list(islice(streams, _CHUNK)):
-        yield simulate(config, spec, block)
+        yield first, block
+        first += len(block)
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+def _map_blocks(
+    fn: Callable[[int, list[RandomStream]], _T], streams: Iterator[RandomStream]
+) -> Iterator[_T]:
+    """``fn(first, block)`` for each block of ``_cut_blocks(streams)``,
+    yielded in block order.
+
+    With two or more cores the caller and one helper thread take alternate
+    blocks, the caller the even ones and the helper the odd ones. The blocks
+    are cut on the caller. The helper's next block is queued behind the one
+    it is working on, so it need not wait while the caller finishes its own
+    block or the consumer takes results; each thread works on one block at
+    a time. An exception from either thread reaches the consumer in block
+    order; on any exit, early close included, a queued block is dropped and
+    the helper is joined. With one core the caller runs every block. ``fn``
+    must not depend on which thread runs it.
+    """
+    blocks = _cut_blocks(streams)
+    if _cores() < 2:
+        for first, block in blocks:
+            yield fn(first, block)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    helper = ThreadPoolExecutor(max_workers=1)
+    pending = []
+
+    def hand_over():
+        theirs = next(blocks, None)
+        if theirs is not None:
+            pending.append(helper.submit(fn, *theirs))
+
+    try:
+        mine = next(blocks, None)
+        hand_over()
+        while mine is not None:
+            result = fn(*mine)
+            mine = next(blocks, None)
+            hand_over()
+            yield result
+            if pending:
+                yield pending.pop(0).result()
+    finally:
+        helper.shutdown(wait=True, cancel_futures=True)
 
 
 def _cross_section_block(
@@ -574,16 +648,18 @@ def implied_theta(
     k = int(instrument_set)
     errors = np.empty((draws, config.n_obs))
     instruments = np.empty((draws, config.n_obs, k))
-    streams = (RandomStream(config.seed, i)
-               for i in range(_IMPLIED_THETA_BASE, _IMPLIED_THETA_BASE + draws))
-    first = 0
-    for block in _simulate_blocks(config, streams):
-        rows = slice(first, first + len(block.realizations))
+    simulate = _simulator(config)
+
+    def pool(first: int, streams: list[RandomStream]) -> None:
+        block = simulate(streams)
+        rows = slice(first, first + len(streams))
         x = _block_forecasts(block, shift)
         np.subtract(x, block.realizations, out=errors[rows])
         _block_instruments(block, x, instrument_set, out=instruments[rows])
-        first = rows.stop
-        del block, x
+
+    ids = range(_IMPLIED_THETA_BASE, _IMPLIED_THETA_BASE + draws)
+    for _ in _map_blocks(pool, (RandomStream(config.seed, i) for i in ids)):
+        pass
     errors = errors.reshape(-1)
     instruments = instruments.reshape(-1, k)
     n = errors.size
@@ -668,10 +744,12 @@ def _run_replications(
 ) -> tuple[list, dict[str, int]]:
     """The one replication loop behind every experiment.
 
-    Replications are scored a block of up to ``_CHUNK`` at a time.
-    Replication r simulates its path from stream 2r, forms the beta
-    forecasts, distorts them with noise from stream 2r + 1 when
-    ``distortion`` is set, and builds its instruments. The block's arrays
+    Replications are scored a block of up to ``_CHUNK`` at a time, the
+    caller and one helper thread taking alternate blocks (_map_blocks), and
+    the scores are collected in block order. Replication r simulates its
+    path from stream 2r, forms the beta forecasts, distorts them with noise
+    from stream 2r + 1 when ``distortion`` is set, and builds its
+    instruments. The block's arrays
     pass the checks every ForecastDataset passes, and ``score`` gets its
     forecast errors (B, T) and instruments (B, T, k) in one call. Like the
     block kernels it returns the per-replication scores and failures: None
@@ -681,11 +759,10 @@ def _run_replications(
     replications, in order, and the counts.
     """
     shift = _forecast_shift(config, beta)
-    scores = []
-    failures: dict[str, int] = {}
-    streams = (RandomStream(config.seed, _path_stream(r)) for r in range(replications))
-    first = 0
-    for block in _simulate_blocks(config, streams):
+    simulate = _simulator(config)
+
+    def score_block(first: int, streams: list[RandomStream]) -> tuple[list, list]:
+        block = simulate(streams)
         x = _block_forecasts(block, shift)
         if distortion is not None:
             x = np.stack([
@@ -696,17 +773,20 @@ def _run_replications(
         instruments = _block_instruments(block, x, instrument_set)
         _check_aligned(block.realizations, x, instruments)
         errors = x - block.realizations
-        first += len(x)
         # the paths, burn-in included, are not kept while the block is scored
         del block, x
-        for result, failure in zip(*score(errors, instruments)):
+        return score(errors, instruments)
+
+    scores = []
+    failures: dict[str, int] = {}
+    streams = (RandomStream(config.seed, _path_stream(r)) for r in range(replications))
+    for results, block_failures in _map_blocks(score_block, streams):
+        for result, failure in zip(results, block_failures):
             if failure is None:
                 scores.append(result)
             else:
                 name = type(failure).__name__
                 failures[name] = failures.get(name, 0) + 1
-        # nor is this block's data while the next one is simulated
-        del errors, instruments
     return scores, failures
 
 

@@ -33,6 +33,7 @@ from centest import (
     simulate_dgp,
     write_dataset_csv,
 )
+from centest.central_tendency import _lattice
 from centest.cli import main
 from centest.dataio import (
     grid_from_dict,
@@ -432,24 +433,28 @@ class TestJsonWriter:
             assert entry["member"] == {f"{a:g}": p.memberships[a] for a in alphas}
 
     def test_null_numbers_and_escaped_notes(self):
-        notes = [None, 'a "quoted" word', "back\\slash", "two\nlines", "S_T ≥ Q, θ ∉ Θ"]
-        vertices = simplex_grid(1)
+        # the m = 2 lattice; a noted point is singular: null numbers and no
+        # membership, as confidence_set writes it
+        notes = [None, 'a "quoted" word', "back\\slash", "two\nlines", "S_T ≥ Q, θ ∉ Θ",
+                 None]
+        i, j, _ = _lattice(2)
         points = [
-            GridPoint(index=(n, 0), weights=vertices[n % 3],
+            GridPoint(index=index, weights=weights,
                       objective=1.5 if note is None else float("nan"),
                       p_value=0.25 if note is None else float("nan"),
-                      memberships={0.1: note is None, 0.05: True}, note=note)
-            for n, note in enumerate(notes)
+                      memberships={0.1: note is None, 0.05: note is None}, note=note)
+            for index, weights, note in zip(zip(i.tolist(), j.tolist()), simplex_grid(2),
+                                            notes)
         ]
-        grid = ConfidenceSetGrid(resolution=1, points=points, alpha_levels=(0.1, 0.05),
+        grid = ConfidenceSetGrid(resolution=2, points=points, alpha_levels=(0.1, 0.05),
                                  bandwidth=0.5, df=2, n_obs=10)
         text = grid_to_json(grid)
         assert text == _json_dumps_layout(text)
         assert text.isascii()
         doc = json.loads(text)
         assert [e["note"] for e in doc["points"]] == notes
-        assert [e["objective"] for e in doc["points"]] == [1.5, None, None, None, None]
-        assert [e["p_value"] for e in doc["points"]] == [0.25, None, None, None, None]
+        assert [e["objective"] for e in doc["points"]] == [1.5, None, None, None, None, 1.5]
+        assert [e["p_value"] for e in doc["points"]] == [0.25, None, None, None, None, 0.25]
         back = grid_from_dict(doc)
         assert [p.note for p in back.points] == notes
         assert np.isnan(back.points[1].objective) and np.isnan(back.points[1].p_value)
@@ -460,6 +465,109 @@ class TestJsonWriter:
         text = grid_to_json(grid)
         assert text == _json_dumps_layout(text)
         assert json.loads(text)["points"] == []
+
+
+# A stored one-point scan that contradicts itself three ways: it is not the
+# m = 1 lattice (three points), its index and theta lie off that lattice, and
+# its objective 1.0 is inside the 95% set (quantile 3.84 at df = 1) although
+# its flag says it is not.
+CONTRADICTORY_SCAN = {
+    "kind": "confidence_set", "schema": 1, "resolution": 1, "alpha_levels": [0.05],
+    "bandwidth": 1.0, "df": 1, "n_obs": 5,
+    "points": [{"index": [7, 9], "theta": [0.5, 0.5, 0.0], "objective": 1.0,
+                "p_value": 0.9, "member": {"0.05": False}, "note": None}],
+}
+
+
+def _set_point(n, **fields):
+    def edit(doc):
+        doc["points"][n].update(fields)
+    return edit
+
+
+def _flip_member(doc):
+    member = doc["points"][0]["member"]
+    member["0.05"] = not member["0.05"]
+
+
+def _null_member(doc):
+    doc["points"][3].update(objective=None, p_value=None,
+                            member={"0.05": True, "0.1": True})
+
+
+class TestStoredScanConsistency:
+    """grid_from_dict rejects a scan whose points are not the resolution's
+    lattice or whose member flags contradict its objectives."""
+
+    @staticmethod
+    def scan(rng):
+        grid = confidence_set(make_dataset(rng, t=60, k=2, skew=0.3), m=2,
+                              alpha_levels=(0.05, 0.1))
+        return grid, grid_to_json(grid)
+
+    def test_real_scan_round_trips(self, rng):
+        grid, text = self.scan(rng)
+        back = grid_from_dict(json.loads(text))
+        assert back == grid
+        assert grid_to_json(back) == text
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["points"].pop(),
+         "document holds 5 points, but the resolution-2 lattice has 6"),
+        (lambda doc: doc.update(resolution=3),
+         "document holds 6 points, but the resolution-3 lattice has 10"),
+        (lambda doc: doc.update(resolution=0),
+         "document field 'resolution' must be >= 1, got 0"),
+        (_set_point(4, index=[2, 0]),
+         "point 4 field 'index' is [2, 0], but point 4 of the lattice is [1, 1]"),
+        (_set_point(4, index=[7, 9]),
+         "point 4 field 'index' is [7, 9], but point 4 of the lattice is [1, 1]"),
+        (_set_point(4, theta=[1.0, 0.0, 0.0]),
+         "point 4 field 'theta' is [1.0, 0.0, 0.0], but point 4 of the lattice is "
+         "[0.5, 0.5, 0.0]"),
+        (_flip_member, "point 0 member field '0.05' is "),
+        (_null_member, "point 3 member field '0.05' is true, but objective nan <= "),
+    ], ids=["point-missing", "resolution-too-large", "resolution-zero",
+            "index-of-another-point", "index-off-the-lattice", "theta-of-another-point",
+            "member-flipped", "null-objective-member"])
+    def test_contradiction_exits_2(self, rng, tmp_path, capsys, edit, message):
+        _, text = self.scan(rng)
+        doc = json.loads(text)
+        edit(doc)
+        with pytest.raises(ValueError) as raised:
+            grid_from_dict(doc)
+        assert str(raised.value).startswith(message)
+        js = tmp_path / "bad.json"
+        js.write_text(json.dumps(doc))
+        svg = tmp_path / "out.svg"
+        assert main(["plot", "--in-json", str(js), "--out-svg", str(svg)]) == 2
+        assert capsys.readouterr().err == f"centest: error: {raised.value}\n"
+        assert not svg.exists()
+
+    def test_contradictory_one_point_scan_exits_2(self, tmp_path, capsys):
+        js = tmp_path / "bad.json"
+        js.write_text(json.dumps(CONTRADICTORY_SCAN))
+        svg = tmp_path / "out.svg"
+        assert main(["plot", "--in-json", str(js), "--out-svg", str(svg)]) == 2
+        assert capsys.readouterr().err == (
+            "centest: error: document holds 1 points, but the resolution-1 lattice has 3\n")
+        assert not svg.exists()
+        # each of its point's faults is caught on its own in a full m = 1 scan
+        full = dict(CONTRADICTORY_SCAN, points=[
+            {"index": [0, 0], "theta": [0.0, 0.0, 1.0], "objective": 1.0,
+             "p_value": 0.3, "member": {"0.05": True}, "note": None},
+            {"index": [0, 1], "theta": [0.0, 1.0, 0.0], "objective": 5.0,
+             "p_value": 0.03, "member": {"0.05": False}, "note": None},
+            {"index": [1, 0], "theta": [1.0, 0.0, 0.0], "objective": None,
+             "p_value": None, "member": {"0.05": False}, "note": "singular"},
+        ])
+        assert grid_from_dict(full).resolution == 1
+        faults = {"index": [7, 9], "theta": [0.5, 0.5, 0.0], "member": {"0.05": False}}
+        for key, value in faults.items():
+            doc = json.loads(json.dumps(full))
+            doc["points"][0][key] = value
+            with pytest.raises(ValueError, match=f"^point 0 (member )?field '({key}|0.05)'"):
+                grid_from_dict(doc)
 
 
 def write_sim_csv(tmp_path, name="sim.csv", t=160, gamma=0.4, seed=909):

@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -633,59 +636,78 @@ class TestExperiments:
         assert np.all(report.rates >= 0.82)
         assert np.all(report.rates <= 0.97)
 
-    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("chunk", [1, 7, 128])
     def test_reports_independent_of_block_size(self, monkeypatch, chunk):
+        # each run spans at least two blocks at every block size (the
+        # coverage run pools its 150 implied-theta draws across blocks too),
+        # and the reports are byte-identical with the helper thread off and on
         import centest.simulation as simulation
 
         cfg = DgpConfig(dgp="ar-garch", skewness=0.5, n_obs=60, seed=34,
                         burn_in=20)
 
         def reports():
+            grid = run_grid_coverage_experiment(cfg, [0, 0, 1], 2, 200, m=2)
             return (
-                report_to_dict(run_size_experiment(cfg, 3, 100)),
-                report_to_dict(run_size_experiment(
-                    cfg, 2, 100, distortion="noise", kappa=0.4)),
-                report_to_dict(run_coverage_experiment(
-                    cfg, [0.5, 0.0, 0.5], 2, 100, draws=20)),
-                run_grid_coverage_experiment(cfg, [0, 0, 1], 2, 100, m=2),
+                json.dumps(report_to_dict(run_size_experiment(cfg, 3, 200))),
+                json.dumps(report_to_dict(run_size_experiment(
+                    cfg, 2, 200, distortion="noise", kappa=0.4))),
+                json.dumps(report_to_dict(run_coverage_experiment(
+                    cfg, [0.5, 0.0, 0.5], 2, 200, draws=150))),
+                (grid.rates.tobytes(), grid.successes, grid.failures),
             )
 
-        *base, base_grid = reports()
+        monkeypatch.setattr(simulation, "_cores", lambda: 1)
+        base = reports()
         monkeypatch.setattr(simulation, "_CHUNK", chunk)
-        *other, other_grid = reports()
-        assert other == base
-        assert np.array_equal(other_grid.rates, base_grid.rates)
-        assert other_grid.successes == base_grid.successes
-        assert other_grid.failures == base_grid.failures
+        assert reports() == base
+        monkeypatch.setattr(simulation, "_cores", lambda: 2)
+        # switch threads often, so the two threads' blocks interleave finely
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert reports() == base
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_forced_failure_counts_its_replication_alone(self, monkeypatch):
-        # replication 130 sits in the second block of 128 paths; its failure
-        # must leave every other replication's p-value untouched
+        # replication 130 is row 2 of the second block, which holds the last
+        # 72 of the 200 paths; its forecasts are set to its realizations (zero
+        # errors), and its failure must leave every other p-value untouched.
+        # The rows are told apart by their block's size, not by call order,
+        # as the helper thread scores the second block beside the first.
         import centest.simulation as simulation
 
-        real = simulation._tests_block
+        real_forecasts = simulation._block_forecasts
+        real_tests = simulation._tests_block
+        monkeypatch.setattr(simulation, "_cores", lambda: 2)
         cfg = DgpConfig(dgp="ar-garch", skewness=0.25, n_obs=60, seed=35,
                         burn_in=20)
 
-        def run(fail_at):
-            p_values = []
+        def run(broken):
+            p_values = [None] * 200
 
-            def failing_tests(*args, **kwargs):
-                results, failures = real(*args, **kwargs)
+            def forecasts(paths, shift):
+                x = real_forecasts(paths, shift)
+                if broken and len(x) == 72:
+                    x[2] = paths.realizations[2]
+                return x
+
+            def recording_tests(*args, **kwargs):
+                results, failures = real_tests(*args, **kwargs)
+                first = {128: 0, 72: 128}[len(results)]
                 for i, result in enumerate(results):
-                    if len(p_values) == fail_at:
-                        p_values.append(None)
-                        results[i], failures[i] = None, DegenerateErrors("forced")
-                    else:
-                        p_values.append(result.p_value)
+                    p_values[first + i] = None if result is None else result.p_value
                 return results, failures
 
-            monkeypatch.setattr(simulation, "_tests_block", failing_tests)
+            monkeypatch.setattr(simulation, "_block_forecasts", forecasts)
+            monkeypatch.setattr(simulation, "_tests_block", recording_tests)
             return run_size_experiment(cfg, 2, 200, nominal_alpha=0.5), p_values
 
-        clean, clean_p = run(None)
-        failed, failed_p = run(130)
+        clean, clean_p = run(broken=False)
+        failed, failed_p = run(broken=True)
         assert clean.failures == {} and clean.successes == 200
+        assert None not in clean_p
         assert failed.failures == {"DegenerateErrors": 1}
         assert failed.successes == 199
         assert failed_p[130] is None
@@ -888,3 +910,84 @@ class TestBlockScoring:
             assert failed.failures == {"DegenerateErrors": 1, "SingularMatrixError": 1}
             assert failed.successes == 98
             assert abs(failed.rate * 98 - round(failed.rate * 98)) < 1e-9
+
+
+class BlockFailed(Exception):
+    pass
+
+
+class TestHelperThread:
+    """_map_blocks with the helper thread forced on and blocks of 7 streams."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        import centest.simulation as simulation
+
+        monkeypatch.setattr(simulation, "_cores", lambda: 2)
+        monkeypatch.setattr(simulation, "_CHUNK", 7)
+
+    @staticmethod
+    def streams(n):
+        return (RandomStream(0, i) for i in range(n))
+
+    def test_caller_and_helper_alternate_in_block_order(self):
+        from centest.simulation import _map_blocks
+
+        before = threading.active_count()
+        threads = {}
+
+        def fn(first, streams):
+            threads[first] = threading.get_ident()
+            return first, len(streams)
+
+        out = list(_map_blocks(fn, self.streams(30)))
+        assert out == [(0, 7), (7, 7), (14, 7), (21, 7), (28, 2)]
+        caller = threading.get_ident()
+        assert [threads[first] == caller for first, _ in out] == [
+            True, False, True, False, True]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0, 7, 14], ids=["caller", "helper", "caller-later"])
+    def test_block_exception_reaches_the_consumer(self, failing):
+        from centest.simulation import _map_blocks
+
+        before = threading.active_count()
+
+        def fn(first, streams):
+            if first == failing:
+                raise BlockFailed(f"block {first} failed")
+            return first
+
+        seen = []
+        with pytest.raises(BlockFailed, match=f"^block {failing} failed$"):
+            for first in _map_blocks(fn, self.streams(30)):
+                seen.append(first)
+        assert seen == list(range(0, failing, 7))
+        assert threading.active_count() == before
+
+    def test_early_close_joins_the_helper(self):
+        from centest.simulation import _map_blocks
+
+        before = threading.active_count()
+        blocks = _map_blocks(lambda first, streams: first, self.streams(30))
+        assert next(blocks) == 0
+        assert threading.active_count() == before + 1
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_helper_scoring_exception_reaches_the_caller(self, monkeypatch):
+        import centest.simulation as simulation
+
+        real = simulation._tests_block
+
+        def failing_on_the_helper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise BlockFailed("scored on the helper thread")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "_tests_block", failing_on_the_helper)
+        cfg = DgpConfig(dgp="ar1", skewness=0.25, n_obs=60, seed=36, burn_in=20)
+        before = threading.active_count()
+        with pytest.raises(BlockFailed, match="^scored on the helper thread$"):
+            run_size_experiment(cfg, 2, 100)
+        assert threading.active_count() == before
