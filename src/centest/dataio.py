@@ -22,7 +22,6 @@ SCHEMA_VERSION = 1
 
 REALIZATION_COLUMN = "y"
 FORECAST_COLUMN = "x"
-CONST_COLUMN = "const"
 PRICE_COLUMN = "price"
 
 # Figure shading: member of the tightest (largest-alpha) set, member of some
@@ -248,7 +247,7 @@ def test_result_to_dict(result: TestResult, alpha_levels=(0.05, 0.10)) -> dict:
         "df": result.df,
         "p_value": result.p_value,
         "bandwidth": result.bandwidth,
-        "reject_at": {f"{a:g}": bool(result.p_value < a) for a in alpha_levels},
+        "reject_at": {f"{a:g}": bool(result.reject_at(a)) for a in alpha_levels},
     }
 
 

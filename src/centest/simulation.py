@@ -27,13 +27,13 @@ about seven (B, T) arrays' worth for the cross-section ones (four
 covariate columns among them), and its draws while it is made: at B = 128,
 T = 500 and burn_in = 1000 that is 3.6 to 5.1 MB, peaking below 8 MB.
 
-The experiments and the implied-theta pooling run their blocks on two
-threads when the process may use two or more cores: the caller and one
-helper thread take alternate blocks (see _map_blocks), so two blocks are
-live at once and memory is two blocks' worth, whatever the replication
-count. The results are consumed in block order, and each block knows the
-index of its first replication, so the reports do not depend on which
-thread made which block. On one core the caller runs every block.
+With two or more usable cores the experiments and the implied-theta pooling
+run their blocks on two threads (see _map_blocks): the caller takes the even
+blocks, the helper the odd ones, each straight through, joined once; either
+exception stops the other after its current block. Two blocks are live at
+once, whatever the replication count. Results come back in block order and a
+block is the range of its replication indices, so the reports do not depend
+on the threads. On one core the caller runs every block.
 
 Each block is also scored in one pass. The bandwidth rule, the weight
 matrices, the stacked moments, the mode test and the GMM objective all have
@@ -52,7 +52,6 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from functools import lru_cache
-from itertools import islice
 from typing import TypeVar
 
 import numpy as np
@@ -85,19 +84,12 @@ MAX_MOMENT_SKEWNESS = float(
 _IMPLIED_THETA_BASE = 1 << 40
 
 # Paths simulated together. A block's arrays hold _CHUNK * (burn_in + T + 2)
-# values each; the caller and one helper thread each hold one block, so memory
-# is two blocks' worth and does not grow with the replication count.
+# values each. The caller takes the even blocks, the helper the odd ones, each
+# straight through, joined once; either exception stops the other after its
+# current block. Memory is two blocks' worth, whatever the replication count.
 _CHUNK = 128
 
 _T = TypeVar("_T")
-
-
-def _path_stream(r: int) -> int:
-    return 2 * r
-
-
-def _noise_stream(r: int) -> int:
-    return 2 * r + 1
 
 
 class Dgp(str, Enum):
@@ -294,7 +286,9 @@ def simulate_paths(
     stream, so a path does not depend on the block it was made in.
     """
     simulate = _simulator(config)
-    for _, streams in _cut_blocks(RandomStream(config.seed, i) for i in stream_ids):
+    ids = list(stream_ids)
+    for start in range(0, len(ids), _CHUNK):
+        streams = [RandomStream(config.seed, i) for i in ids[start:start + _CHUNK]]
         block = simulate(streams)
         for j in range(len(streams)):
             yield _path_row(block, j)
@@ -322,17 +316,6 @@ def _simulator(config: DgpConfig) -> Callable[[list[RandomStream]], SimulatedPat
     return lambda streams: simulate(config, spec, streams)
 
 
-def _cut_blocks(
-    streams: Iterator[RandomStream],
-) -> Iterator[tuple[int, list[RandomStream]]]:
-    """Consecutive blocks of up to ``_CHUNK`` streams, each with the index of
-    its first stream."""
-    first = 0
-    while block := list(islice(streams, _CHUNK)):
-        yield first, block
-        first += len(block)
-
-
 def _cores() -> int:
     """Cores this process may run on."""
     try:
@@ -341,49 +324,40 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(
-    fn: Callable[[int, list[RandomStream]], _T], streams: Iterator[RandomStream]
-) -> Iterator[_T]:
-    """``fn(first, block)`` for each block of ``_cut_blocks(streams)``,
-    yielded in block order.
+def _map_blocks(fn: Callable[[range], _T], n: int) -> list[_T]:
+    """``[fn(rows) for rows in blocks]``, where the blocks are the ranges of
+    up to ``_CHUNK`` consecutive replication indices below ``n``.
 
-    With two or more cores the caller and one helper thread take alternate
-    blocks, the caller the even ones and the helper the odd ones. The blocks
-    are cut on the caller. The helper's next block is queued behind the one
-    it is working on, so it need not wait while the caller finishes its own
-    block or the consumer takes results; each thread works on one block at
-    a time. An exception from either thread reaches the consumer in block
-    order; on any exit, early close included, a queued block is dropped and
-    the helper is joined. With one core the caller runs every block. ``fn``
-    must not depend on which thread runs it.
+    With two or more cores and two or more blocks the caller takes the even
+    blocks, one helper thread the odd ones, each straight through, joined
+    once; either exception stops the other after its current block, and the
+    caller's wins. With one core the caller runs every block. ``fn`` must
+    not depend on which thread runs it.
     """
-    blocks = _cut_blocks(streams)
-    if _cores() < 2:
-        for first, block in blocks:
-            yield fn(first, block)
-        return
+    blocks = [range(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+    if _cores() < 2 or len(blocks) < 2:
+        return [fn(rows) for rows in blocks]
     from concurrent.futures import ThreadPoolExecutor
 
-    helper = ThreadPoolExecutor(max_workers=1)
-    pending = []
+    results: list = [None] * len(blocks)
+    stop = False
 
-    def hand_over():
-        theirs = next(blocks, None)
-        if theirs is not None:
-            pending.append(helper.submit(fn, *theirs))
+    def run(share: range) -> None:
+        nonlocal stop
+        try:
+            for i in share:
+                if stop:
+                    return
+                results[i] = fn(blocks[i])
+        except BaseException:
+            stop = True
+            raise
 
-    try:
-        mine = next(blocks, None)
-        hand_over()
-        while mine is not None:
-            result = fn(*mine)
-            mine = next(blocks, None)
-            hand_over()
-            yield result
-            if pending:
-                yield pending.pop(0).result()
-    finally:
-        helper.shutdown(wait=True, cancel_futures=True)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        theirs = helper.submit(run, range(1, len(blocks), 2))
+        run(range(0, len(blocks), 2))
+    theirs.result()
+    return results
 
 
 def _cross_section_block(
@@ -479,14 +453,12 @@ def _block_forecasts(paths: SimulatedPath, shift: float) -> np.ndarray:
 
 
 def _block_instruments(
-    paths: SimulatedPath, forecasts: np.ndarray, instrument_set: InstrumentSet,
-    out: np.ndarray | None = None,
+    paths: SimulatedPath, forecasts: np.ndarray, instrument_set: InstrumentSet
 ) -> np.ndarray:
-    """The first k of (1, X, extra) for each observation, written into
-    ``out`` of shape forecasts.shape + (k,)."""
+    """The first k of (1, X, extra) for each observation, of shape
+    forecasts.shape + (k,)."""
     k = int(instrument_set)
-    if out is None:
-        out = np.empty(forecasts.shape + (k,))
+    out = np.empty(forecasts.shape + (k,))
     out[..., 0] = 1.0
     if k > 1:
         out[..., 1] = forecasts
@@ -532,6 +504,39 @@ def build_instruments(
 ) -> np.ndarray:
     return _block_instruments(
         path, np.asarray(forecasts, dtype=float), InstrumentSet(instrument_set))
+
+
+def _replication_maker(
+    config: DgpConfig, beta, instrument_set: InstrumentSet,
+    path_stream: Callable[[int], int], distortion: Distortion | str | None = None,
+    kappa: float = 0.0,
+) -> Callable[[range], tuple[np.ndarray, np.ndarray]]:
+    """``rows -> (errors, instruments)`` for a block of replications.
+
+    Replication r simulates its path from stream ``path_stream(r)``, forms
+    the beta forecasts, distorts them with noise from stream 2r + 1 when
+    ``distortion`` is set, and builds its instruments. The block's arrays
+    pass the checks every ForecastDataset passes, and come back as forecast
+    errors (B, T) and instruments (B, T, k); the paths, burn-in included,
+    are not kept.
+    """
+    shift = _forecast_shift(config, beta)
+    simulate = _simulator(config)
+
+    def make(rows: range) -> tuple[np.ndarray, np.ndarray]:
+        block = simulate([RandomStream(config.seed, path_stream(r)) for r in rows])
+        x = _block_forecasts(block, shift)
+        if distortion is not None:
+            x = np.stack([
+                distort_forecasts(xj, distortion, kappa,
+                                  RandomStream(config.seed, 2 * r + 1))
+                for r, xj in zip(rows, x)
+            ])
+        instruments = _block_instruments(block, x, instrument_set)
+        _check_aligned(block.realizations, x, instruments)
+        return x - block.realizations, instruments
+
+    return make
 
 
 class ThetaSetKind(str, Enum):
@@ -644,22 +649,17 @@ def implied_theta(
             note="unidentified: all centrality measures coincide",
         )
 
-    shift = _forecast_shift(config, b)
+    make = _replication_maker(config, b, instrument_set,
+                              lambda r: _IMPLIED_THETA_BASE + r)
     k = int(instrument_set)
     errors = np.empty((draws, config.n_obs))
     instruments = np.empty((draws, config.n_obs, k))
-    simulate = _simulator(config)
 
-    def pool(first: int, streams: list[RandomStream]) -> None:
-        block = simulate(streams)
-        rows = slice(first, first + len(streams))
-        x = _block_forecasts(block, shift)
-        np.subtract(x, block.realizations, out=errors[rows])
-        _block_instruments(block, x, instrument_set, out=instruments[rows])
+    def pool(rows: range) -> None:
+        block = slice(rows.start, rows.stop)
+        errors[block], instruments[block] = make(rows)
 
-    ids = range(_IMPLIED_THETA_BASE, _IMPLIED_THETA_BASE + draws)
-    for _ in _map_blocks(pool, (RandomStream(config.seed, i) for i in ids)):
-        pass
+    _map_blocks(pool, draws)
     errors = errors.reshape(-1)
     instruments = instruments.reshape(-1, k)
     n = errors.size
@@ -724,8 +724,20 @@ class SimulationReport:
     details: dict = field(default_factory=dict)
 
 
-def _mc_se(rate: float, n: int) -> float:
-    return float(np.sqrt(rate * (1.0 - rate) / n)) if n > 0 else float("nan")
+def _report(
+    kind: str, config: DgpConfig, instrument_set: InstrumentSet, replications: int,
+    nominal_level: float, details: dict, outcomes: list, failures: dict[str, int],
+) -> SimulationReport:
+    """The report of the successful replications' 0/1 ``outcomes``: their
+    count, their mean and its Monte Carlo standard error (NaN when none
+    succeeded)."""
+    successes = len(outcomes)
+    rate = se = float("nan")
+    if successes:
+        rate = sum(outcomes) / successes
+        se = float(np.sqrt(rate * (1.0 - rate) / successes))
+    return SimulationReport(kind, config, instrument_set, replications, successes,
+                            rate, se, nominal_level, failures, details)
 
 
 def _check_replications(replications: int) -> None:
@@ -744,43 +756,20 @@ def _run_replications(
 ) -> tuple[list, dict[str, int]]:
     """The one replication loop behind every experiment.
 
-    Replications are scored a block of up to ``_CHUNK`` at a time, the
-    caller and one helper thread taking alternate blocks (_map_blocks), and
-    the scores are collected in block order. Replication r simulates its
-    path from stream 2r, forms the beta forecasts, distorts them with noise
-    from stream 2r + 1 when ``distortion`` is set, and builds its
-    instruments. The block's arrays
-    pass the checks every ForecastDataset passes, and ``score`` gets its
-    forecast errors (B, T) and instruments (B, T, k) in one call. Like the
-    block kernels it returns the per-replication scores and failures: None
-    or the DegenerateErrors or SingularMatrixError that scoring that
-    replication alone would raise; such a replication is counted by
-    exception name and skipped. Returns the scores of the successful
-    replications, in order, and the counts.
+    Blocks of replications (_map_blocks) are made by _replication_maker
+    with paths from streams 2r, and ``score`` gets each block's errors and
+    instruments in one call. Like the block kernels it returns the
+    per-replication scores and failures: None or the DegenerateErrors or
+    SingularMatrixError that scoring that replication alone would raise;
+    such a replication is counted by exception name and skipped. Returns
+    the scores of the successful replications, in order, and the counts.
     """
-    shift = _forecast_shift(config, beta)
-    simulate = _simulator(config)
-
-    def score_block(first: int, streams: list[RandomStream]) -> tuple[list, list]:
-        block = simulate(streams)
-        x = _block_forecasts(block, shift)
-        if distortion is not None:
-            x = np.stack([
-                distort_forecasts(xj, distortion, kappa,
-                                  RandomStream(config.seed, _noise_stream(first + j)))
-                for j, xj in enumerate(x)
-            ])
-        instruments = _block_instruments(block, x, instrument_set)
-        _check_aligned(block.realizations, x, instruments)
-        errors = x - block.realizations
-        # the paths, burn-in included, are not kept while the block is scored
-        del block, x
-        return score(errors, instruments)
-
+    make = _replication_maker(config, beta, instrument_set, lambda r: 2 * r,
+                              distortion, kappa)
     scores = []
     failures: dict[str, int] = {}
-    streams = (RandomStream(config.seed, _path_stream(r)) for r in range(replications))
-    for results, block_failures in _map_blocks(score_block, streams):
+    for results, block_failures in _map_blocks(lambda rows: score(*make(rows)),
+                                               replications):
         for result, failure in zip(results, block_failures):
             if failure is None:
                 scores.append(result)
@@ -817,24 +806,13 @@ def run_size_experiment(
         return [None if test is None else test.p_value < nominal_alpha
                 for test in tests], failures
 
-    outcomes, failures = _run_replications(
-        config, replications, [0.0, 0.0, 1.0], instrument_set, rejects,
-        distortion, kappa,
-    )
-    successes = len(outcomes)
-    rate = sum(outcomes) / successes if successes else float("nan")
-    return SimulationReport(
-        kind="size" if distortion is None else "power",
-        config=config,
-        instrument_set=instrument_set,
-        replications=replications,
-        successes=successes,
-        rate=rate,
-        mc_standard_error=_mc_se(rate, successes),
-        nominal_level=nominal_alpha,
-        failures=failures,
-        details={"distortion": None if distortion is None else Distortion(distortion).value,
-                 "kappa": kappa},
+    return _report(
+        "size" if distortion is None else "power", config, instrument_set,
+        replications, nominal_alpha,
+        {"distortion": None if distortion is None else Distortion(distortion).value,
+         "kappa": kappa},
+        *_run_replications(config, replications, [0.0, 0.0, 1.0], instrument_set,
+                           rejects, distortion, kappa),
     )
 
 
@@ -889,26 +867,14 @@ def run_coverage_experiment(
         objectives, failures = _objective_rows(errors, instruments, theta_row, kernel)
         return (objectives[:, 0] <= quantile).tolist(), failures
 
-    outcomes, failures = _run_replications(
-        config, replications, beta, instrument_set, covers
-    )
-    successes = len(outcomes)
-    rate = sum(outcomes) / successes if successes else float("nan")
-    return SimulationReport(
-        kind="coverage",
-        config=config,
-        instrument_set=instrument_set,
-        replications=replications,
-        successes=successes,
-        rate=rate,
-        mc_standard_error=_mc_se(rate, successes),
-        nominal_level=level,
-        failures=failures,
-        details={
+    return _report(
+        "coverage", config, instrument_set, replications, level,
+        {
             "beta": [float(v) for v in _theta_array(beta)],
             "theta": [float(v) for v in theta.as_array()],
             "theta_set_kind": theta_set.kind.value,
         },
+        *_run_replications(config, replications, beta, instrument_set, covers),
     )
 
 

@@ -888,8 +888,8 @@ class TestBlockScoring:
                     x[3] = paths.realizations[3]
                 return x
 
-            def instruments(paths, x, instrument_set, out=None):
-                h = real_instruments(paths, x, instrument_set, out)
+            def instruments(paths, x, instrument_set):
+                h = real_instruments(paths, x, instrument_set)
                 if broken:
                     h[5, :, 1] = 1.0
                 return h
@@ -917,7 +917,7 @@ class BlockFailed(Exception):
 
 
 class TestHelperThread:
-    """_map_blocks with the helper thread forced on and blocks of 7 streams."""
+    """_map_blocks with the helper thread forced on and blocks of 7 replications."""
 
     @pytest.fixture(autouse=True)
     def two_cores(self, monkeypatch):
@@ -926,53 +926,102 @@ class TestHelperThread:
         monkeypatch.setattr(simulation, "_cores", lambda: 2)
         monkeypatch.setattr(simulation, "_CHUNK", 7)
 
-    @staticmethod
-    def streams(n):
-        return (RandomStream(0, i) for i in range(n))
-
-    def test_caller_and_helper_alternate_in_block_order(self):
+    def test_caller_takes_the_even_blocks_in_block_order(self):
         from centest.simulation import _map_blocks
 
         before = threading.active_count()
         threads = {}
 
-        def fn(first, streams):
-            threads[first] = threading.get_ident()
-            return first, len(streams)
+        def fn(rows):
+            threads[rows.start] = threading.get_ident()
+            return rows
 
-        out = list(_map_blocks(fn, self.streams(30)))
-        assert out == [(0, 7), (7, 7), (14, 7), (21, 7), (28, 2)]
+        out = _map_blocks(fn, 30)
+        assert out == [range(0, 7), range(7, 14), range(14, 21), range(21, 28),
+                       range(28, 30)]
         caller = threading.get_ident()
-        assert [threads[first] == caller for first, _ in out] == [
+        assert [threads[rows.start] == caller for rows in out] == [
             True, False, True, False, True]
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("failing", [0, 7, 14], ids=["caller", "helper", "caller-later"])
-    def test_block_exception_reaches_the_consumer(self, failing):
+    def test_one_block_runs_on_the_caller(self):
         from centest.simulation import _map_blocks
 
         before = threading.active_count()
-
-        def fn(first, streams):
-            if first == failing:
-                raise BlockFailed(f"block {first} failed")
-            return first
-
-        seen = []
-        with pytest.raises(BlockFailed, match=f"^block {failing} failed$"):
-            for first in _map_blocks(fn, self.streams(30)):
-                seen.append(first)
-        assert seen == list(range(0, failing, 7))
+        assert _map_blocks(lambda rows: threading.get_ident(), 7) == [
+            threading.get_ident()]
+        assert _map_blocks(lambda rows: rows, 0) == []
         assert threading.active_count() == before
 
-    def test_early_close_joins_the_helper(self):
+    @pytest.mark.parametrize("failing", [0, 7, 14, 21],
+                             ids=["caller", "helper", "caller-later", "helper-later"])
+    def test_block_exception_reaches_the_caller(self, failing):
         from centest.simulation import _map_blocks
 
         before = threading.active_count()
-        blocks = _map_blocks(lambda first, streams: first, self.streams(30))
-        assert next(blocks) == 0
-        assert threading.active_count() == before + 1
-        blocks.close()
+
+        def fn(rows):
+            if rows.start == failing:
+                raise BlockFailed(f"block {rows.start} failed")
+            return rows
+
+        with pytest.raises(BlockFailed, match=f"^block {failing} failed$"):
+            _map_blocks(fn, 30)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("first_to_fail", ["caller", "helper"])
+    def test_the_callers_exception_wins(self, first_to_fail):
+        # each thread's first block fails: both enter their block before
+        # either raises, and the second to fail waits for the first
+        from centest.simulation import _map_blocks
+
+        before = threading.active_count()
+        caller = threading.get_ident()
+        both_running = threading.Barrier(2, timeout=10)
+        first_failing = threading.Event()
+
+        def fn(rows):
+            on_caller = threading.get_ident() == caller
+            both_running.wait()
+            if on_caller == (first_to_fail == "caller"):
+                first_failing.set()
+            else:
+                assert first_failing.wait(timeout=10)
+            raise BlockFailed("caller" if on_caller else "helper")
+
+        with pytest.raises(BlockFailed, match="^caller$"):
+            _map_blocks(fn, 30)
+        assert threading.active_count() == before
+
+    def test_interrupt_on_the_caller_stops_the_helper(self):
+        # With a long switch interval each thread keeps the interpreter lock
+        # until it blocks: the helper, once started, runs into its first
+        # block and waits there for the event; the caller's first block sets
+        # it and raises, and the caller sets the stop flag before it blocks
+        # to join the helper. So the helper runs exactly one block.
+        from centest.simulation import _map_blocks
+
+        before = threading.active_count()
+        caller = threading.get_ident()
+        interrupted = threading.Event()
+        helper_blocks = []
+
+        def fn(rows):
+            if threading.get_ident() == caller:
+                interrupted.set()
+                raise KeyboardInterrupt
+            assert interrupted.wait(timeout=10)
+            helper_blocks.append(rows.start)
+            return rows
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(10.0)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                _map_blocks(fn, 30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert helper_blocks == [7]
         assert threading.active_count() == before
 
     def test_helper_scoring_exception_reaches_the_caller(self, monkeypatch):
