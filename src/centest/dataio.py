@@ -385,10 +385,13 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
 def _check_scan(grid: ConfidenceSetGrid) -> None:
     """Raise ValueError unless the points are the resolution's lattice
     (central_tendency._lattice), index and weights, in its order, and every
-    member flag is what confidence_set sets: objective <= Q_df(1 - alpha),
-    false for a NaN objective."""
+    member flag and p-value is what confidence_set sets: member when
+    objective <= Q_df(1 - alpha), false for a NaN objective; the p-value
+    null exactly when the objective is, and else chi_square_sf(df, objective)
+    up to a relative 1e-12 * max(1, objective), the slack for another
+    build's incomplete gamma function."""
     from .central_tendency import _lattice
-    from .numerics import chi_square_quantile
+    from .numerics import chi_square_quantile, chi_square_sf
 
     m = grid.resolution
     if m < 1:
@@ -399,8 +402,15 @@ def _check_scan(grid: ConfidenceSetGrid) -> None:
                          f"resolution-{m} lattice has {size}")
     i, j, rows = _lattice(m)
     quantiles = {a: chi_square_quantile(grid.df, 1.0 - a) for a in grid.alpha_levels}
-    for n, (p, index, row) in enumerate(zip(grid.points, zip(i.tolist(), j.tolist()),
-                                            rows.tolist())):
+    objectives = np.array([p.objective for p in grid.points])
+    negative = np.flatnonzero(objectives < 0.0)
+    if negative.size:
+        n = int(negative[0])
+        raise ValueError(f"point {n} field 'objective' must be >= 0, "
+                         f"got {grid.points[n].objective!r}")
+    tails = chi_square_sf(grid.df, objectives).tolist()
+    for n, (p, index, row, tail) in enumerate(zip(
+            grid.points, zip(i.tolist(), j.tolist()), rows.tolist(), tails)):
         if p.index != index:
             raise ValueError(f"point {n} field 'index' is {json.dumps(p.index)}, but "
                              f"point {n} of the lattice is {json.dumps(index)}")
@@ -414,6 +424,15 @@ def _check_scan(grid: ConfidenceSetGrid) -> None:
                     f"point {n} member field '{a:g}' is {json.dumps(p.memberships[a])}, "
                     f"but objective {p.objective!r} <= quantile {q!r} is "
                     f"{json.dumps(not p.memberships[a])}")
+        if (p.objective != p.objective) != (p.p_value != p.p_value):
+            raise ValueError(f"point {n} field 'p_value' is {_json_number(p.p_value)}, "
+                             f"but its objective is {_json_number(p.objective)}")
+        # no slack when the tail is 0 (an infinite objective) or NaN
+        slack = 1e-12 * max(1.0, p.objective) * tail if tail > 0.0 else 0.0
+        if abs(p.p_value - tail) > slack:
+            raise ValueError(f"point {n} field 'p_value' is {p.p_value!r}, but the "
+                             f"chi-square tail of its objective {p.objective!r} at "
+                             f"df = {grid.df} is {tail!r}")
 
 
 def report_to_dict(report) -> dict:

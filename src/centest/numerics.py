@@ -1,5 +1,6 @@
 """Kernels, chi-square tail functions, the eigenvalue-floor check,
-smoothed-objective minimization, and seeded random streams.
+smoothed-objective minimization, scalar root and minimum searches, and
+seeded random streams.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of workers. Quadrature follows an adaptive Gauss-Kronrod scheme
@@ -173,8 +174,8 @@ def generalized_modal_midpoint(
     Raises ValueError if ``density`` does not integrate to 1 on ``support``
     within 1e-6, or if delta <= 0.
     """
-    # deferred: slow to import, and only this validation helper uses them
-    from scipy import integrate, optimize
+    # deferred: slow to import, and only this validation helper uses it
+    from scipy import integrate
 
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -196,13 +197,78 @@ def generalized_modal_midpoint(
     i = int(np.argmin(values))
     if i == 0 or i == len(grid) - 1:
         raise ValueError("smoothed objective is minimized on the support boundary")
-    res = optimize.minimize_scalar(
-        objective,
-        bracket=(grid[i - 1], grid[i], grid[i + 1]),
-        method="golden",
-        options={"xtol": 1e-10},
-    )
-    return float(res.x)
+    return _golden(objective, grid[i - 1], grid[i], grid[i + 1], 1e-10)
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
+    """A root of f in [xa, xb], where f changes sign: scipy.optimize.brentq's
+    C loop with its default rtol (4 eps) and maxiter (100), step for step,
+    so the same root to the last bit."""
+    rtol = 4.0 * np.finfo(float).eps
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return float(xcur)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("root search did not converge in 100 iterations")
+
+
+def _golden(f: Callable[[float], float], xa: float, xb: float, xc: float,
+            xtol: float) -> float:
+    """The minimizer of f inside the bracket xa < xb < xc, f(xb) below both
+    ends: scipy.optimize.minimize_scalar(method="golden")'s loop with its
+    maxiter (5000), step for step, so the same point to the last bit."""
+    gr = 0.61803399
+    gc = 1.0 - gr
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gc * (xc - xb)
+    else:
+        x1, x2 = xb - gc * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1 = x1, x2
+            x2 = gr * x1 + gc * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2 = x2, x1
+            x1 = gr * x2 + gc * x0
+            f2, f1 = f1, f(x1)
+    return float(x1 if f1 < f2 else x2)
 
 
 @dataclass(frozen=True)

@@ -119,11 +119,13 @@ def _tests_block(
     singular = [None if note is None else SingularMatrixError(note) for (note,) in notes]
     failures = first_failures(failures, singular)
     covariances = np.swapaxes(rows, 1, 2) @ rows / t
+    p_values = chi_square_sf(k, statistics[:, 0])
     tests = [
         None if failure is not None else TestResult(
-            statistic=s, df=k, p_value=chi_square_sf(k, s), functional=kind,
+            statistic=s, df=k, p_value=p, functional=kind,
             bandwidth=bandwidth, covariance=omega)
-        for s, bandwidth, omega, failure in zip(
-            statistics[:, 0].tolist(), bandwidths, covariances, failures)
+        for s, p, bandwidth, omega, failure in zip(
+            statistics[:, 0].tolist(), p_values.tolist(), bandwidths, covariances,
+            failures)
     ]
     return tests, failures

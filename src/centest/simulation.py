@@ -19,8 +19,9 @@ its own draws and takes all of them in one draw call: the covariates'
 normals, then the innovations' (one standard normal per innovation, or two
 under skewness). One call gives the same numbers as consecutive calls, so
 a path is bitwise the same whatever block it was made in, and a single
-path is the one-row case of the same kernel. The time-series recursions
-take one vector step per time step across the block. Forecasts and
+path is the one-row case of the same kernel. The GARCH recursion takes one
+vector step per time step across the block, and the AR recursion one
+scaled cumulative sum per span of 512 steps (see _ar_filter). Forecasts and
 instruments are formed for the whole block from its arrays. A block holds
 two or three (B, burn_in + T + 2) arrays for the time-series DGPs and
 about seven (B, T) arrays' worth for the cross-section ones (four
@@ -64,6 +65,8 @@ from .identification import Functional, _assemble_stacked, _check_aligned, _weig
 from .numerics import (
     Kernel,
     RandomStream,
+    _brentq,
+    _golden,
     chi_square_quantile,
     gaussian_kernel,
     standard_normal_rows,
@@ -106,6 +109,12 @@ _CROSS_SECTION_SDS = np.array([0.0, 1.0, 1.0, np.sqrt(0.1)])
 _CROSS_SECTION_ZETA = np.array([1.0, 1.0, 1.0, 1.0])
 _AR_COEF = 0.5
 _GARCH_CONST, _GARCH_PERSIST, _GARCH_ARCH = 0.1, 0.8, 0.1
+# _ar_filter scales a span of at most _AR_SPAN steps up by 2**j and back by
+# 2**-j: the largest factor, 2**511, leaves room below overflow for any
+# innovation path the DGPs draw.
+_AR_SPAN = 512
+_AR_UP = np.ldexp(1.0, np.arange(_AR_SPAN))
+_AR_DOWN = np.ldexp(1.0, -np.arange(_AR_SPAN))
 # Blocks with fewer rows run the GARCH recursion on Python floats, row by row:
 # numpy's dispatch at every time step makes the vector loop slower below this.
 _GARCH_ROW_LOOP_BELOW = 24
@@ -211,8 +220,10 @@ def skew_normal_params(gamma: float) -> SkewNormalSpec:
     skewness ``gamma``.
 
     The shape parameter comes from inverting the family's closed-form
-    skewness; the median from root-finding on the CDF and the mode from
-    golden-section maximization of the density.
+    skewness; the median from Brent's root search on the CDF and the mode
+    from golden-section maximization of the density (numerics._brentq and
+    numerics._golden, ports of scipy.optimize's that give its values to the
+    last bit).
     """
     gamma = float(gamma)
     if abs(gamma) >= MAX_MOMENT_SKEWNESS:
@@ -221,9 +232,6 @@ def skew_normal_params(gamma: float) -> SkewNormalSpec:
         )
     if gamma == 0.0:
         return SkewNormalSpec(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-    # deferred to the first call (then cached), so `test` and `cset` never load it
-    from scipy import optimize
-
     # moment inversion: gamma = (4-pi)/2 * m1^3 / (1-m1^2)^(3/2), m1 = b*delta
     c = np.cbrt(2.0 * gamma / (4.0 - np.pi))
     m1 = c / np.sqrt(1.0 + c * c)
@@ -237,17 +245,10 @@ def skew_normal_params(gamma: float) -> SkewNormalSpec:
     def raw_cdf(x):
         return special.ndtr(x) - 2.0 * special.owens_t(x, shape)
 
-    median_raw = optimize.brentq(lambda x: raw_cdf(x) - 0.5, -8.0, 8.0, xtol=1e-14)
+    median_raw = _brentq(lambda x: raw_cdf(x) - 0.5, -8.0, 8.0, 1e-14)
     grid = np.linspace(-4.0, 4.0, 161)
-    dens = raw_pdf(grid)
-    i = int(np.argmax(dens))
-    res = optimize.minimize_scalar(
-        lambda x: -raw_pdf(x),
-        bracket=(grid[i - 1], grid[i], grid[i + 1]),
-        method="golden",
-        options={"xtol": 1e-12},
-    )
-    mode_raw = float(res.x)
+    i = int(np.argmax(raw_pdf(grid)))
+    mode_raw = _golden(lambda x: -raw_pdf(x), grid[i - 1], grid[i], grid[i + 1], 1e-12)
     return SkewNormalSpec(
         shape=shape,
         center=float(m1),
@@ -393,9 +394,6 @@ def _time_series_block(
     config: DgpConfig, spec: SkewNormalSpec, streams: list[RandomStream]
 ) -> SimulatedPath:
     """AR(1) or AR(1)-GARCH(1,1) paths, one row per stream."""
-    # deferred: only the AR DGPs use scipy.signal, and it is slow to import
-    from scipy.signal import lfilter
-
     t, b = config.n_obs, config.burn_in
     n = b + t + 2
     xi = _skew_normal_variates(spec, standard_normal_rows(streams, _normal_count(spec, n)))
@@ -404,7 +402,8 @@ def _time_series_block(
     else:
         sig = _garch_sigma(xi)
         shocks = sig * xi
-    y = lfilter([1.0], [1.0, -_AR_COEF], shocks, axis=1)
+    # y_i = shocks_i + 0.5 y_{i-1} from y_{-1} = 0, across the block at once
+    y = _ar_filter(shocks)
     return SimulatedPath(
         realizations=y[:, b + 2:],
         cond_loc=_AR_COEF * y[:, b + 1: b + t + 1],
@@ -413,6 +412,30 @@ def _time_series_block(
         covariates=y[:, b + 1: b + t + 1, None],
         extra_instrument=y[:, b: b + t],
     )
+
+
+def _ar_filter(x: np.ndarray) -> np.ndarray:
+    """The AR(1) recursion y_i = x_i + 0.5 y_{i-1}, y_{-1} = 0, along each
+    row of x (B, n): bitwise what scipy's ``lfilter([1], [1, -0.5], x,
+    axis=1)`` returns, unless a value overflows or becomes subnormal.
+
+    In spans of up to _AR_SPAN steps from s, y_{s+j} 2**j is the cumulative
+    sum of x_{s+j} 2**j with its first term fl(x_s + 0.5 y_{s-1}). The
+    coefficient 0.5 makes every scale a power of two, and scaling by a power
+    of two commutes with rounding, so each partial sum is the
+    recursion's rounded value times 2**j, and scaling back is exact. The
+    first term of the first span gets ``+ 0.0``, so a -0.0 shock gives
+    +0.0, as lfilter's.
+    """
+    y = np.empty_like(x)
+    n = x.shape[1]
+    for s in range(0, n, _AR_SPAN):
+        w = min(_AR_SPAN, n - s)
+        span = x[:, s:s + w] * _AR_UP[:w]
+        span[:, 0] = x[:, s] + _AR_COEF * y[:, s - 1] if s else x[:, 0] + 0.0
+        np.cumsum(span, axis=1, out=span)
+        np.multiply(span, _AR_DOWN[:w], out=y[:, s:s + w])
+    return y
 
 
 def _garch_sigma(xi: np.ndarray) -> np.ndarray:

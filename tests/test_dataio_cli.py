@@ -22,6 +22,7 @@ from centest import (
     MissingColumnError,
     RandomStream,
     build_instruments,
+    chi_square_sf,
     confidence_set,
     emit_confidence_set,
     instrument_moment_test,
@@ -438,10 +439,11 @@ class TestJsonWriter:
         notes = [None, 'a "quoted" word', "back\\slash", "two\nlines", "S_T ≥ Q, θ ∉ Θ",
                  None]
         i, j, _ = _lattice(2)
+        tail = chi_square_sf(2, 1.5)
         points = [
             GridPoint(index=index, weights=weights,
                       objective=1.5 if note is None else float("nan"),
-                      p_value=0.25 if note is None else float("nan"),
+                      p_value=tail if note is None else float("nan"),
                       memberships={0.1: note is None, 0.05: note is None}, note=note)
             for index, weights, note in zip(zip(i.tolist(), j.tolist()), simplex_grid(2),
                                             notes)
@@ -454,7 +456,7 @@ class TestJsonWriter:
         doc = json.loads(text)
         assert [e["note"] for e in doc["points"]] == notes
         assert [e["objective"] for e in doc["points"]] == [1.5, None, None, None, None, 1.5]
-        assert [e["p_value"] for e in doc["points"]] == [0.25, None, None, None, None, 0.25]
+        assert [e["p_value"] for e in doc["points"]] == [tail, None, None, None, None, tail]
         back = grid_from_dict(doc)
         assert [p.note for p in back.points] == notes
         assert np.isnan(back.points[1].objective) and np.isnan(back.points[1].p_value)
@@ -495,6 +497,17 @@ def _null_member(doc):
                             member={"0.05": True, "0.1": True})
 
 
+def _null_objective(doc):
+    doc["points"][0].update(objective=None, p_value=0.5,
+                            member={"0.05": False, "0.1": False})
+
+
+def _scale_p_value(factor):
+    def edit(doc):
+        doc["points"][0]["p_value"] *= factor
+    return edit
+
+
 class TestStoredScanConsistency:
     """grid_from_dict rejects a scan whose points are not the resolution's
     lattice or whose member flags contradict its objectives."""
@@ -527,9 +540,22 @@ class TestStoredScanConsistency:
          "[0.5, 0.5, 0.0]"),
         (_flip_member, "point 0 member field '0.05' is "),
         (_null_member, "point 3 member field '0.05' is true, but objective nan <= "),
+        (_set_point(0, p_value=0.123456), "point 0 field 'p_value' is 0.123456, but the "
+         "chi-square tail of its objective "),
+        (_scale_p_value(1.0 + 1e-9), "point 0 field 'p_value' is "),
+        (_set_point(0, p_value=None), "point 0 field 'p_value' is null, but its objective "
+         "is "),
+        (_null_objective, "point 0 field 'p_value' is 0.5, but its objective is null"),
+        (_set_point(5, objective=-1.0), "point 5 field 'objective' must be >= 0, got -1.0"),
+        (_set_point(0, objective=float("inf"), p_value=1e-300,
+                    member={"0.05": False, "0.1": False}),
+         "point 0 field 'p_value' is 1e-300, but the chi-square tail of its objective "
+         "inf at df = 2 is 0.0"),
     ], ids=["point-missing", "resolution-too-large", "resolution-zero",
             "index-of-another-point", "index-off-the-lattice", "theta-of-another-point",
-            "member-flipped", "null-objective-member"])
+            "member-flipped", "null-objective-member", "p-value-off-its-objective",
+            "p-value-off-by-1e-9", "null-p-value", "null-objective-with-p-value",
+            "negative-objective", "infinite-objective"])
     def test_contradiction_exits_2(self, rng, tmp_path, capsys, edit, message):
         _, text = self.scan(rng)
         doc = json.loads(text)
@@ -544,6 +570,14 @@ class TestStoredScanConsistency:
         assert capsys.readouterr().err == f"centest: error: {raised.value}\n"
         assert not svg.exists()
 
+    def test_p_value_within_tolerance_loads(self, rng):
+        # 1e-13 relative, inside the 1e-12 slack for another build's
+        # incomplete gamma function
+        _, text = self.scan(rng)
+        doc = json.loads(text)
+        _scale_p_value(1.0 + 1e-13)(doc)
+        assert grid_from_dict(doc).points[0].p_value == doc["points"][0]["p_value"]
+
     def test_contradictory_one_point_scan_exits_2(self, tmp_path, capsys):
         js = tmp_path / "bad.json"
         js.write_text(json.dumps(CONTRADICTORY_SCAN))
@@ -552,12 +586,13 @@ class TestStoredScanConsistency:
         assert capsys.readouterr().err == (
             "centest: error: document holds 1 points, but the resolution-1 lattice has 3\n")
         assert not svg.exists()
-        # each of its point's faults is caught on its own in a full m = 1 scan
+        # each of its point's faults is caught on its own in a full m = 1 scan,
+        # whose p-values are the chi-square (1 df) tails of its objectives
         full = dict(CONTRADICTORY_SCAN, points=[
             {"index": [0, 0], "theta": [0.0, 0.0, 1.0], "objective": 1.0,
-             "p_value": 0.3, "member": {"0.05": True}, "note": None},
+             "p_value": 0.31731050786291115, "member": {"0.05": True}, "note": None},
             {"index": [0, 1], "theta": [0.0, 1.0, 0.0], "objective": 5.0,
-             "p_value": 0.03, "member": {"0.05": False}, "note": None},
+             "p_value": 0.025347318677468325, "member": {"0.05": False}, "note": None},
             {"index": [1, 0], "theta": [1.0, 0.0, 0.0], "objective": None,
              "p_value": None, "member": {"0.05": False}, "note": "singular"},
         ])

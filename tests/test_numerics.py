@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 from centest import (
     Kernel,
@@ -17,7 +17,13 @@ from centest import (
     get_kernel,
     kernel_deriv_sq_integral,
 )
-from centest.numerics import RELATIVE_EIG_FLOOR, floored_eigh, standard_normal_rows
+from centest.numerics import (
+    RELATIVE_EIG_FLOOR,
+    _brentq,
+    _golden,
+    floored_eigh,
+    standard_normal_rows,
+)
 
 
 def central_difference(f, u, h=1e-6):
@@ -343,6 +349,34 @@ class TestGeneralizedModalMidpoint:
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(ValueError):
             generalized_modal_midpoint(normal_pdf(0, 1), 0.0)
+
+
+class TestScalarSearches:
+    """_brentq and _golden take scipy.optimize's steps, so they return its
+    points to the last bit."""
+
+    @pytest.mark.parametrize("f, a, b, xtol", [
+        (math.cos, 0.0, 3.0, 1e-14),
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12),
+        (lambda x: math.tanh(40.0 * (x - 0.3)), -1.0, 5.0, 1e-10),
+        (lambda x: x - 1.0, 1.0, 2.0, 1e-12),  # a root at an end
+    ])
+    def test_brentq_equals_scipy(self, f, a, b, xtol):
+        assert _brentq(f, a, b, xtol) == optimize.brentq(f, a, b, xtol=xtol)
+
+    def test_brentq_needs_a_sign_change(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(math.exp, 0.0, 1.0, 1e-12)
+
+    @pytest.mark.parametrize("f, bracket, xtol", [
+        (lambda x: (x - 0.7) ** 4 + 0.1 * x, (-1.0, 0.5, 2.0), 1e-10),
+        (lambda x: -math.exp(-0.5 * (x + 2.0) ** 2), (-2.5, -2.1, -1.0), 1e-12),
+        (math.cosh, (-3.0, 0.9, 1.0), 1e-12),  # the short side on the right
+    ])
+    def test_golden_equals_scipy(self, f, bracket, xtol):
+        expected = optimize.minimize_scalar(f, bracket=bracket, method="golden",
+                                            options={"xtol": xtol}).x
+        assert _golden(f, *bracket, xtol) == expected
 
 
 class TestRandomStream:

@@ -36,8 +36,9 @@ def test_removed_names_stay_removed():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
-# scipy modules that `test` and `cset` never call: each is imported inside
-# the one function that uses it, so a one-shot command starts up without them
+# scipy modules that no command calls: `simulate` needs scipy.special alone,
+# and generalized_modal_midpoint imports scipy.integrate when called, so a
+# one-shot command starts up without them
 DEFERRED_SCIPY = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.stats")
 
 _IMPORT_BOUNDARY_SCRIPT = """
@@ -56,6 +57,16 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = centest.cli.main(["cset", "--input", data, "--instruments", "z",
                              "--with-const", "--grid-m", "4"])
 print("cset", code, *loaded())
+for name, argv in [
+    ("size-ar1", ["--experiment", "size", "--dgp", "ar1"]),
+    ("size-ar-garch", ["--experiment", "size", "--dgp", "ar-garch"]),
+    ("coverage", ["--experiment", "coverage", "--dgp", "heteroskedastic",
+                  "--beta", "mean-mode", "--draws", "200"]),
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = centest.cli.main(["simulate", *argv, "--gamma", "0.5",
+                                 "--sample-size", "50", "--replications", "100"])
+    print(name, code, *loaded())
 """
 
 
@@ -75,4 +86,5 @@ def test_commands_import_only_the_scipy_they_call(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["import", "test 0", "cset 0"]
+    assert proc.stdout.splitlines() == ["import", "test 0", "cset 0", "size-ar1 0",
+                                        "size-ar-garch 0", "coverage 0"]

@@ -5,7 +5,8 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
+from scipy.signal import lfilter
 
 from centest import (
     DegenerateErrors,
@@ -30,7 +31,7 @@ from centest import (
     stacked_moments,
 )
 from centest.dataio import report_to_dict
-from centest.simulation import MAX_MOMENT_SKEWNESS
+from centest.simulation import _AR_SPAN, MAX_MOMENT_SKEWNESS, SkewNormalSpec, _ar_filter
 
 DGPS = ["homoskedastic-iid", "heteroskedastic", "ar1", "ar-garch"]
 
@@ -53,7 +54,39 @@ def moment_skewness_oracle(shape):
     return m3 / m2 ** 1.5
 
 
+def scipy_skew_normal_spec(gamma):
+    """skew_normal_params through scipy.optimize's brentq and golden-section
+    search: the reference that the package's own searches match bit for bit."""
+    c = np.cbrt(2.0 * gamma / (4.0 - np.pi))
+    m1 = c / np.sqrt(1.0 + c * c)
+    delta = m1 / np.sqrt(2.0 / np.pi)
+    shape = float(delta / np.sqrt(1.0 - delta * delta))
+    spread = float(np.sqrt(1.0 - m1 * m1))
+
+    def raw_pdf(x):
+        return 2.0 * np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi) * special.ndtr(shape * x)
+
+    median_raw = optimize.brentq(
+        lambda x: special.ndtr(x) - 2.0 * special.owens_t(x, shape) - 0.5, -8.0, 8.0,
+        xtol=1e-14)
+    grid = np.linspace(-4.0, 4.0, 161)
+    i = int(np.argmax(raw_pdf(grid)))
+    mode_raw = optimize.minimize_scalar(
+        lambda x: -raw_pdf(x), bracket=(grid[i - 1], grid[i], grid[i + 1]),
+        method="golden", options={"xtol": 1e-12}).x
+    return SkewNormalSpec(
+        shape=shape, center=float(m1), spread=spread, mean_xi=0.0,
+        median_xi=float((median_raw - m1) / spread),
+        mode_xi=float((mode_raw - m1) / spread), moment_skewness=gamma)
+
+
 class TestSkewNormalParams:
+    def test_equals_scipy_optimize_searches(self):
+        # the in-house Brent and golden-section searches take scipy's steps,
+        # so every field is scipy's to the last bit (404 points, none at 0)
+        for gamma in np.linspace(-0.99, 0.99, 404).tolist():
+            assert skew_normal_params.__wrapped__(gamma) == scipy_skew_normal_spec(gamma)
+
     def test_symmetric_case(self):
         spec = skew_normal_params(0.0)
         assert spec.shape == 0.0
@@ -323,6 +356,32 @@ GOLDEN_PATHS = {
         "773e590492dd8df2ec04372d20a5b5faed94aaa220602c30b6a0e75728217459",
     ),
 }
+
+
+class TestArFilter:
+    """_ar_filter is bitwise lfilter([1], [1, -0.5], x, axis=1)."""
+
+    @staticmethod
+    def shocks(b, n, scale=1.0):
+        return scale * RandomStream(31, n).generator().standard_normal((b, n))
+
+    @pytest.mark.parametrize("b, n", [
+        (1, 1502), (3, _AR_SPAN - 1), (3, _AR_SPAN), (3, _AR_SPAN + 1),
+        (2, 3 * _AR_SPAN), (130, 1502), (1, 1),
+    ], ids=["one-row", "below-a-span", "one-span", "one-past-a-span", "three-spans",
+            "a-block", "one-step"])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3])
+    def test_equals_lfilter(self, b, n, scale):
+        x = self.shocks(b, n, scale)
+        expected = lfilter([1.0], [1.0, -0.5], x, axis=1)
+        assert _ar_filter(x).tobytes() == expected.tobytes()
+
+    def test_negative_zero_first_shock(self):
+        x = self.shocks(2, 600)
+        x[:, 0] = -0.0
+        y = _ar_filter(x)
+        assert y.tobytes() == lfilter([1.0], [1.0, -0.5], x, axis=1).tobytes()
+        assert not np.signbit(y[:, 0]).any()
 
 
 class TestSimulatePaths:
