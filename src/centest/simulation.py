@@ -19,9 +19,12 @@ its own draws and takes all of them in one draw call: the covariates'
 normals, then the innovations' (one standard normal per innovation, or two
 under skewness). One call gives the same numbers as consecutive calls, so
 a path is bitwise the same whatever block it was made in, and a single
-path is the one-row case of the same kernel. The GARCH recursion takes one
-vector step per time step across the block, and the AR recursion one
-scaled cumulative sum per span of 512 steps (see _ar_filter). Forecasts and
+path is the one-row case of the same kernel. The cross-section covariates
+are filled a column at a time from every third normal of a row. The GARCH
+recursion takes one vector step per time step across the block, five ufunc
+calls into preallocated rows (a block of fewer than _GARCH_ROW_LOOP_BELOW
+rows runs it on Python floats instead), and the AR recursion one scaled
+cumulative sum per span of 512 steps (see _ar_filter). Forecasts and
 instruments are formed for the whole block from its arrays. A block holds
 two or three (B, burn_in + T + 2) arrays for the time-series DGPs and
 about seven (B, T) arrays' worth for the cross-section ones (four
@@ -116,7 +119,8 @@ _AR_SPAN = 512
 _AR_UP = np.ldexp(1.0, np.arange(_AR_SPAN))
 _AR_DOWN = np.ldexp(1.0, -np.arange(_AR_SPAN))
 # Blocks with fewer rows run the GARCH recursion on Python floats, row by row:
-# numpy's dispatch at every time step makes the vector loop slower below this.
+# numpy's dispatch at every time step makes the vector loop slower below this
+# (they tie at about 22 rows of 1502 steps; from 24 the vector loop wins).
 _GARCH_ROW_LOOP_BELOW = 24
 
 
@@ -369,9 +373,12 @@ def _cross_section_block(
     draws = standard_normal_rows(streams, 3 * t + _normal_count(spec, t))
     z = np.empty((len(streams), t, 4))
     z[..., 0] = 1.0
-    # bitwise what rng.normal(loc, scale, size=(t, 3)) returns
-    z[..., 1:] = (_CROSS_SECTION_MEANS[1:]
-                  + _CROSS_SECTION_SDS[1:] * draws[:, :3 * t].reshape(-1, t, 3))
+    # column by column, bitwise what rng.normal(loc, scale, size=(t, 3))
+    # returns: loc + scale * z, from every third normal of the row
+    for c in (1, 2, 3):
+        column = z[..., c]
+        np.multiply(draws[:, c - 1:3 * t:3], _CROSS_SECTION_SDS[c], out=column)
+        np.add(column, _CROSS_SECTION_MEANS[c], out=column)
     xi = _skew_normal_variates(spec, draws[:, 3 * t:])
     cond_loc = z @ _CROSS_SECTION_ZETA
     if config.dgp is Dgp.HOMOSKEDASTIC_IID:
@@ -439,16 +446,20 @@ def _ar_filter(x: np.ndarray) -> np.ndarray:
 
 
 def _garch_sigma(xi: np.ndarray) -> np.ndarray:
-    """Conditional standard deviations of the GARCH(1,1) recursion for each
-    row of innovations, starting from the unconditional variance of 1: one
-    vector step per time step across the rows, or for a short block the same
-    operations in the same order on Python floats, one row at a time."""
+    """Conditional standard deviations of the GARCH(1,1) recursion
+    s2' = c + p s2 + a s2 xi^2 for each row of innovations, starting from the
+    unconditional variance of 1.
+
+    A block takes one vector step per time step across its rows: five ufunc
+    calls writing into preallocated rows (c, p and a held as rows too), with
+    no temporaries. A short block takes the same operations in the same order
+    on Python floats, one row at a time. Both give the same bits.
+    """
     rows, n = xi.shape
-    squares = xi * xi
     if rows < _GARCH_ROW_LOOP_BELOW:
         c, p, a = _GARCH_CONST, _GARCH_PERSIST, _GARCH_ARCH
         s2 = np.empty((rows, n))
-        for j, row in enumerate(squares[:, :-1].tolist()):
+        for j, row in enumerate((xi * xi)[:, :-1].tolist()):
             prev = 1.0
             out = [prev]
             for sq in row:
@@ -456,13 +467,20 @@ def _garch_sigma(xi: np.ndarray) -> np.ndarray:
                 out.append(prev)
             s2[j] = out
         return np.sqrt(s2)
-    squares = np.ascontiguousarray(squares.T)
+    # time-major, so that each step reads and writes contiguous rows
+    squares = np.multiply(xi.T, xi.T, out=np.empty((n, rows)))
     s2 = np.empty((n, rows))
     s2[0] = 1.0
-    for i in range(n - 1):
-        s2[i + 1] = (_GARCH_CONST + _GARCH_PERSIST * s2[i]
-                     + _GARCH_ARCH * s2[i] * squares[i])
-    return np.sqrt(s2).T
+    c, p, a = (np.full(rows, v) for v in (_GARCH_CONST, _GARCH_PERSIST, _GARCH_ARCH))
+    level, arch = np.empty(rows), np.empty(rows)
+    multiply, add = np.multiply, np.add
+    for s, sq, following in zip(s2[:-1], squares[:-1], s2[1:]):
+        multiply(p, s, level)
+        add(c, level, level)
+        multiply(a, s, arch)
+        multiply(arch, sq, arch)
+        add(level, arch, following)
+    return np.sqrt(s2, out=s2).T
 
 
 def _forecast_shift(config: DgpConfig, beta) -> float:

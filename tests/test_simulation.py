@@ -31,7 +31,14 @@ from centest import (
     stacked_moments,
 )
 from centest.dataio import report_to_dict
-from centest.simulation import _AR_SPAN, MAX_MOMENT_SKEWNESS, SkewNormalSpec, _ar_filter
+from centest.simulation import (
+    _AR_SPAN,
+    _GARCH_ROW_LOOP_BELOW,
+    MAX_MOMENT_SKEWNESS,
+    SkewNormalSpec,
+    _ar_filter,
+    _garch_sigma,
+)
 
 DGPS = ["homoskedastic-iid", "heteroskedastic", "ar1", "ar-garch"]
 
@@ -238,20 +245,39 @@ class TestSimulateDgp:
         with pytest.raises(ValueError):
             DgpConfig(dgp="ar1", skewness=0.0, n_obs=50, seed=1, burn_in=0)
 
-    def test_garch_one_row_branch_matches_vector_loop(self):
-        from centest.simulation import _GARCH_ROW_LOOP_BELOW, _garch_sigma
-
-        # the smallest block that takes the vector loop, against short blocks
-        # (one row, two rows, the largest short block) on the float branch
-        xi = RandomStream(13, 2).generator().standard_normal((_GARCH_ROW_LOOP_BELOW, 400))
+    @pytest.mark.parametrize("rows, n", [
+        (_GARCH_ROW_LOOP_BELOW, 400), (128, 400), (129, 400), (128, 2),
+    ])
+    def test_garch_one_row_branch_matches_vector_loop(self, rows, n):
+        # blocks on the vector loop (the smallest, a full block, one past it,
+        # a single step) against short blocks (one row, two rows, the largest
+        # short block) and single rows on the float branch
+        xi = RandomStream(13, 2).generator().standard_normal((rows, n))
         block = _garch_sigma(xi)
         assert block.shape == xi.shape
-        for rows in (1, 2, _GARCH_ROW_LOOP_BELOW - 1):
-            short = _garch_sigma(xi[:rows])
-            assert short.shape == (rows, 400)
-            assert np.array_equal(short, block[:rows])
-        for j in range(len(xi)):
-            assert np.array_equal(_garch_sigma(xi[j:j + 1]), block[j:j + 1])
+        for short in (1, 2, _GARCH_ROW_LOOP_BELOW - 1):
+            assert _garch_sigma(xi[:short]).tobytes() == block[:short].tobytes()
+        for j in range(rows):
+            assert _garch_sigma(xi[j:j + 1]).tobytes() == block[j:j + 1].tobytes()
+
+    @pytest.mark.parametrize("skewness", [0.0, 0.5])
+    def test_cross_section_covariates_are_generator_normals(self, skewness):
+        from centest.simulation import (
+            _CROSS_SECTION_MEANS,
+            _CROSS_SECTION_SDS,
+            _cross_section_block,
+        )
+
+        t, seed = 60, 21
+        cfg = DgpConfig(dgp="heteroskedastic", skewness=skewness, n_obs=t, seed=seed)
+        streams = [RandomStream(seed, i) for i in range(130)]
+        z = _cross_section_block(cfg, skew_normal_params(skewness), streams).covariates
+        assert z.shape == (130, t, 4)
+        for stream, row in zip(streams, z):
+            expected = stream.generator().normal(
+                _CROSS_SECTION_MEANS[1:], _CROSS_SECTION_SDS[1:], size=(t, 3))
+            assert row[:, 1:].tobytes() == expected.tobytes()
+            assert np.array_equal(row[:, 0], np.ones(t))
 
     def test_garch_matches_hand_recursion(self):
         cfg = DgpConfig(dgp="ar-garch", skewness=0.5, n_obs=10, seed=9, burn_in=3)
