@@ -73,7 +73,6 @@ from .simulation import (
     run_grid_coverage_experiment,
     run_size_experiment,
     simulate_dgp,
-    simulate_paths,
     skew_normal_params,
 )
 
@@ -136,7 +135,6 @@ __all__ = [
     "sigma_hat",
     "simplex_grid",
     "simulate_dgp",
-    "simulate_paths",
     "skew_normal_params",
     "stacked_moments",
     "write_dataset_csv",

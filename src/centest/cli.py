@@ -17,7 +17,7 @@ from pathlib import Path
 from . import dataio
 from .central_tendency import confidence_set
 from .errors import DegenerateErrors, MissingColumnError, SingularMatrixError
-from .identification import Functional, _check_bandwidth
+from .identification import ForecastDataset, Functional, _check_bandwidth
 from .numerics import RandomStream, get_kernel
 from .rationality import instrument_moment_test, mode_test
 from .simulation import (
@@ -25,6 +25,7 @@ from .simulation import (
     Distortion,
     InstrumentSet,
     build_instruments,
+    distort_forecasts,
     optimal_forecasts,
     run_coverage_experiment,
     run_size_experiment,
@@ -194,6 +195,8 @@ def _cmd_simulate(args) -> int:
         raise argparse.ArgumentTypeError(
             f"{' and '.join(stray)} {verb} to {scope} experiments only"
         )
+    if args.experiment == "power" and args.distortion is None:
+        raise argparse.ArgumentTypeError("power experiments need --distortion")
     alpha_level = 0.05 if args.alpha_level is None else args.alpha_level
     beta = _BETA_NAMES["mode"] if args.beta is None else args.beta
     config = DgpConfig(
@@ -205,15 +208,14 @@ def _cmd_simulate(args) -> int:
     )
     instrument_set = InstrumentSet(args.instrument_set)
     if args.out_dataset:
-        _write_example_dataset(args.out_dataset, config, beta, instrument_set)
+        _write_example_dataset(args.out_dataset, config, beta, instrument_set,
+                               args.distortion, args.kappa)
     if args.experiment == "size":
         report = run_size_experiment(
             config, instrument_set, args.replications, nominal_alpha=alpha_level,
             kernel=get_kernel(args.kernel),
         )
     elif args.experiment == "power":
-        if args.distortion is None:
-            raise argparse.ArgumentTypeError("power experiments need --distortion")
         report = run_size_experiment(
             config, instrument_set, args.replications, nominal_alpha=alpha_level,
             distortion=Distortion(args.distortion), kappa=args.kappa,
@@ -238,12 +240,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _write_example_dataset(out_path, config: DgpConfig, beta, instrument_set) -> None:
+def _write_example_dataset(
+    out_path, config: DgpConfig, beta, instrument_set, distortion, kappa: float
+) -> None:
+    """Replication 0 as a CSV: its path from stream 0 and, in a power
+    experiment, its forecasts distorted with the noise of stream 1."""
     path = simulate_dgp(config, RandomStream(config.seed, 0))
     forecasts = optimal_forecasts(path, config, beta)
+    if distortion is not None:
+        forecasts = distort_forecasts(forecasts, distortion, kappa,
+                                      RandomStream(config.seed, 1))
     instruments = build_instruments(path, forecasts, instrument_set)
-    from .identification import ForecastDataset
-
     dataset = ForecastDataset(path.realizations, forecasts, instruments)
     names = ["const", "xinst", "extra"][: instruments.shape[1]]
     dataio.write_dataset_csv(dataset, out_path, instrument_names=names)
@@ -307,7 +314,8 @@ def build_parser() -> _Parser:
                        default="gaussian")
     p_sim.add_argument("--out-json", default=None)
     p_sim.add_argument("--out-dataset", default=None,
-                       help="also write replication 0 as a CSV")
+                       help="also write replication 0 as a CSV (in a power "
+                       "experiment, with its distorted forecasts)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_plot = sub.add_parser("plot", help="render a stored confidence set as SVG")

@@ -8,14 +8,16 @@ Output is deterministic: no timestamps, fixed key order, data CSV floats at
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .central_tendency import ConfidenceSetGrid
+from .central_tendency import ConfidenceSetGrid, GridPoint, SimplexWeights, _lattice
 from .errors import MissingColumnError
 from .identification import ForecastDataset
+from .numerics import chi_square_quantile, chi_square_sf
 from .rationality import TestResult
 
 SCHEMA_VERSION = 1
@@ -107,8 +109,6 @@ def _read_columns(path, names, label_column: str | None = None) -> dict:
     that is not such an integer raises ``MissingColumnError`` or a
     ``ValueError`` naming the row and column.
     """
-    import io
-
     path = Path(path)
     with path.open(encoding="utf-8") as handle:
         try:
@@ -337,8 +337,6 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
     scans. A malformed document raises ValueError naming the missing field
     or the wrong type, and so does one that contradicts itself (see
     _check_scan)."""
-    from .central_tendency import GridPoint, SimplexWeights
-
     if _field(payload, "kind", "document") != "confidence_set":
         raise ValueError("payload is not a confidence_set document")
     alpha_levels = _field(payload, "alpha_levels", "document", list)
@@ -390,9 +388,6 @@ def _check_scan(grid: ConfidenceSetGrid) -> None:
     null exactly when the objective is, and else chi_square_sf(df, objective)
     up to a relative 1e-12 * max(1, objective), the slack for another
     build's incomplete gamma function."""
-    from .central_tendency import _lattice
-    from .numerics import chi_square_quantile, chi_square_sf
-
     m = grid.resolution
     if m < 1:
         raise ValueError(f"document field 'resolution' must be >= 1, got {m}")

@@ -44,8 +44,9 @@ class ForecastDataset:
     forecasts : (T,) array
         Point forecasts X issued one step earlier.
     instruments : (T, k) array
-        Variables known at forecast time. Full column rank is required but
-        checked lazily, when a covariance is formed.
+        Variables known at forecast time; a (T,) vector is one column. Full
+        column rank is required but checked lazily, when a covariance is
+        formed.
     cluster_labels : (T,) int array, optional
         Wave labels for the clustered covariance estimator.
     """
@@ -58,23 +59,24 @@ class ForecastDataset:
     def __post_init__(self):
         realizations = np.atleast_1d(np.asarray(self.realizations, dtype=float))
         forecasts = np.atleast_1d(np.asarray(self.forecasts, dtype=float))
-        instruments = np.atleast_2d(np.asarray(self.instruments, dtype=float))
-        if instruments.shape[0] == 1 and realizations.size > 1:
-            instruments = instruments.T
-        for name, values in (("realizations", realizations), ("forecasts", forecasts)):
-            if values.ndim != 1:
-                raise ValueError(
-                    f"{name} must be one-dimensional, got shape {values.shape}")
-        _check_aligned(realizations, forecasts, instruments)
-        arrays = {
-            "realizations": realizations,
-            "forecasts": forecasts,
-            "instruments": instruments,
-        }
+        instruments = np.asarray(self.instruments, dtype=float)
+        arrays = {"realizations": realizations, "forecasts": forecasts}
         if self.cluster_labels is not None:
             arrays["cluster_labels"] = np.asarray(self.cluster_labels)
-            if arrays["cluster_labels"].size != realizations.size:
-                raise ValueError("cluster labels must cover every observation")
+        for name, values in arrays.items():
+            if values.ndim != 1:
+                raise ValueError(f"{name.replace('_', ' ')} must be one-dimensional, "
+                                 f"got shape {values.shape}")
+        if instruments.ndim == 1:
+            instruments = instruments[:, None]
+        elif instruments.ndim != 2 or instruments.shape[0] != realizations.size:
+            raise ValueError(f"instruments must have shape (T, k) with T = "
+                             f"{realizations.size}, got shape {instruments.shape}")
+        _check_aligned(realizations, forecasts, instruments)
+        arrays["instruments"] = instruments
+        labels = arrays.get("cluster_labels")
+        if labels is not None and labels.size != realizations.size:
+            raise ValueError("cluster labels must cover every observation")
         for name, values in arrays.items():
             view = values.view()  # not a copy; the caller's array stays writable
             view.flags.writeable = False

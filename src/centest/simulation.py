@@ -52,7 +52,7 @@ the others, and the replication loop counts it by exception name.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from functools import lru_cache
@@ -243,16 +243,12 @@ def skew_normal_params(gamma: float) -> SkewNormalSpec:
     shape = float(delta / np.sqrt(1.0 - delta * delta))
     spread = float(np.sqrt(1.0 - m1 * m1))
 
-    def raw_pdf(x):
-        return 2.0 * np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi) * special.ndtr(shape * x)
-
-    def raw_cdf(x):
-        return special.ndtr(x) - 2.0 * special.owens_t(x, shape)
-
-    median_raw = _brentq(lambda x: raw_cdf(x) - 0.5, -8.0, 8.0, 1e-14)
+    # the raw law is the spec at center 0 and spread 1 (its centralities unused)
+    raw = SkewNormalSpec(shape, 0.0, 1.0, 0.0, 0.0, 0.0, gamma)
+    median_raw = _brentq(lambda x: raw.cdf(x) - 0.5, -8.0, 8.0, 1e-14)
     grid = np.linspace(-4.0, 4.0, 161)
-    i = int(np.argmax(raw_pdf(grid)))
-    mode_raw = _golden(lambda x: -raw_pdf(x), grid[i - 1], grid[i], grid[i + 1], 1e-12)
+    i = int(np.argmax(raw.pdf(grid)))
+    mode_raw = _golden(lambda x: -raw.pdf(x), grid[i - 1], grid[i], grid[i + 1], 1e-12)
     return SkewNormalSpec(
         shape=shape,
         center=float(m1),
@@ -282,35 +278,14 @@ class SimulatedPath:
     extra_instrument: np.ndarray
 
 
-def simulate_paths(
-    config: DgpConfig, stream_ids: Iterable[int]
-) -> Iterator[SimulatedPath]:
-    """Yield one path per ``RandomStream(config.seed, id)``, in order.
-
-    Paths are simulated ``_CHUNK`` at a time; each draws from its own
-    stream, so a path does not depend on the block it was made in.
-    """
-    simulate = _simulator(config)
-    ids = list(stream_ids)
-    for start in range(0, len(ids), _CHUNK):
-        streams = [RandomStream(config.seed, i) for i in ids[start:start + _CHUNK]]
-        block = simulate(streams)
-        for j in range(len(streams)):
-            yield _path_row(block, j)
-
-
 def simulate_dgp(config: DgpConfig, stream: RandomStream | None = None) -> SimulatedPath:
     """Simulate a path; identical (config, stream) reproduce it bitwise.
 
     Time-series cases discard ``burn_in`` observations; the GARCH recursion
     starts from its unconditional variance of 1.
     """
-    stream = stream or RandomStream(config.seed, 0)
-    return _path_row(_simulator(config)([stream]), 0)
-
-
-def _path_row(block: SimulatedPath, j: int) -> SimulatedPath:
-    return SimulatedPath(*(getattr(block, f.name)[j].copy()
+    block = _simulator(config)([stream or RandomStream(config.seed, 0)])
+    return SimulatedPath(*(getattr(block, f.name)[0].copy()
                            for f in fields(SimulatedPath)))
 
 
@@ -483,37 +458,14 @@ def _garch_sigma(xi: np.ndarray) -> np.ndarray:
     return np.sqrt(s2, out=s2).T
 
 
-def _forecast_shift(config: DgpConfig, beta) -> float:
-    """beta' (Mean(xi), Median(xi), Mode(xi)), validating beta."""
-    spec = skew_normal_params(config.skewness)
-    return float(_theta_array(beta) @ spec.centralities)
-
-
-def _block_forecasts(paths: SimulatedPath, shift: float) -> np.ndarray:
-    return paths.cond_loc + paths.sigma_next * shift
-
-
-def _block_instruments(
-    paths: SimulatedPath, forecasts: np.ndarray, instrument_set: InstrumentSet
-) -> np.ndarray:
-    """The first k of (1, X, extra) for each observation, of shape
-    forecasts.shape + (k,)."""
-    k = int(instrument_set)
-    out = np.empty(forecasts.shape + (k,))
-    out[..., 0] = 1.0
-    if k > 1:
-        out[..., 1] = forecasts
-    if k > 2:
-        out[..., 2] = paths.extra_instrument
-    return out
-
-
 def optimal_forecasts(path: SimulatedPath, config: DgpConfig, beta) -> np.ndarray:
-    """Convex combination of the optimal mean/median/mode forecast series:
+    """Convex combination of the optimal mean/median/mode forecast series,
+    for one path or a block of them:
 
         X_t = zeta' Z_t + sigma_{t+1} * beta' (Mean(xi), Median(xi), Mode(xi)).
     """
-    return _block_forecasts(path, _forecast_shift(config, beta))
+    spec = skew_normal_params(config.skewness)
+    return path.cond_loc + path.sigma_next * float(_theta_array(beta) @ spec.centralities)
 
 
 def distort_forecasts(
@@ -543,8 +495,17 @@ def distort_forecasts(
 def build_instruments(
     path: SimulatedPath, forecasts, instrument_set: InstrumentSet | int
 ) -> np.ndarray:
-    return _block_instruments(
-        path, np.asarray(forecasts, dtype=float), InstrumentSet(instrument_set))
+    """The first k of (1, X, extra) for each observation of a path or a
+    block, of shape forecasts.shape + (k,)."""
+    forecasts = np.asarray(forecasts, dtype=float)
+    k = int(InstrumentSet(instrument_set))
+    out = np.empty(forecasts.shape + (k,))
+    out[..., 0] = 1.0
+    if k > 1:
+        out[..., 1] = forecasts
+    if k > 2:
+        out[..., 2] = path.extra_instrument
+    return out
 
 
 def _replication_maker(
@@ -561,19 +522,18 @@ def _replication_maker(
     errors (B, T) and instruments (B, T, k); the paths, burn-in included,
     are not kept.
     """
-    shift = _forecast_shift(config, beta)
     simulate = _simulator(config)
 
     def make(rows: range) -> tuple[np.ndarray, np.ndarray]:
         block = simulate([RandomStream(config.seed, path_stream(r)) for r in rows])
-        x = _block_forecasts(block, shift)
+        x = optimal_forecasts(block, config, beta)
         if distortion is not None:
             x = np.stack([
                 distort_forecasts(xj, distortion, kappa,
                                   RandomStream(config.seed, 2 * r + 1))
                 for r, xj in zip(rows, x)
             ])
-        instruments = _block_instruments(block, x, instrument_set)
+        instruments = build_instruments(block, x, instrument_set)
         _check_aligned(block.realizations, x, instruments)
         return x - block.realizations, instruments
 
@@ -674,16 +634,10 @@ def implied_theta(
     instrument_set = InstrumentSet(instrument_set)
     kernel = kernel or gaussian_kernel()
 
-    if np.array_equal(b, [1.0, 0.0, 0.0]):
-        return ImpliedThetaSet(
-            ThetaSetKind.SINGLETON, np.array([[1.0, 0.0, 0.0]]),
-            SimplexWeights(1.0, 0.0, 0.0),
-        )
-    if np.array_equal(b, [0.0, 0.0, 1.0]):
-        return ImpliedThetaSet(
-            ThetaSetKind.SINGLETON, np.array([[0.0, 0.0, 1.0]]),
-            SimplexWeights(0.0, 0.0, 1.0),
-        )
+    for vertex in ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
+        if np.array_equal(b, vertex):
+            return ImpliedThetaSet(ThetaSetKind.SINGLETON, np.array([vertex]),
+                                   SimplexWeights(*vertex))
     if config.skewness == 0.0:
         return ImpliedThetaSet(
             ThetaSetKind.SIMPLEX, np.eye(3), SimplexWeights.from_array(b),

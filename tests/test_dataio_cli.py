@@ -698,6 +698,33 @@ class TestCli:
         ds = load_csv(data, ["const", "xinst"])
         assert ds.n_obs == 100
 
+    @pytest.mark.parametrize("distortion, kappa", [("noise", "0.5"), ("bias", "0.3")])
+    def test_power_dataset_holds_the_scored_forecasts(self, tmp_path, monkeypatch,
+                                                      distortion, kappa):
+        # the dump is replication 0 as scored: its x - y is, bit for bit, row 0
+        # of the errors the mode test gets (100 replications are one block)
+        import centest.simulation as simulation
+
+        real_tests = simulation._tests_block
+        scored = []
+
+        def recording_tests(functional, errors, *args):
+            scored.append(errors[0].copy())
+            return real_tests(functional, errors, *args)
+
+        monkeypatch.setattr(simulation, "_tests_block", recording_tests)
+        data = tmp_path / "rep0.csv"
+        code = main([
+            "simulate", "--experiment", "power", "--dgp", "ar1", "--gamma", "0.5",
+            "--sample-size", "100", "--replications", "100", "--seed", "9",
+            "--distortion", distortion, "--kappa", kappa, "--out-dataset", str(data),
+        ])
+        assert code == 0
+        assert len(scored) == 1
+        ds = load_csv(data, ["const", "xinst"])
+        assert np.array_equal(ds.instruments[:, 1], ds.forecasts)
+        assert (ds.forecasts - ds.realizations).tobytes() == scored[0].tobytes()
+
     def test_random_walk_flag(self, tmp_path):
         rng = np.random.default_rng(6)
         prices = np.cumsum(rng.standard_normal(400)) + 50.0

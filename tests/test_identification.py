@@ -50,6 +50,22 @@ class TestForecastDataset:
         assert ds.instruments.shape == (3, 1)
         assert ds.n_obs == 3 and ds.n_instruments == 1
 
+    def test_instruments_other_than_a_matrix_rejected_by_shape(self):
+        y = np.arange(5.0)
+        with pytest.raises(ValueError, match=r"instruments must have shape \(T, k\) "
+                           r"with T = 2, got shape \(5, 2, 1\)"):
+            ForecastDataset(y[:2], y[:2], np.ones((5, 2, 1)))
+        # a (1, T) row is not read as a column
+        with pytest.raises(ValueError, match=r"instruments must have shape \(T, k\) "
+                           r"with T = 5, got shape \(1, 5\)"):
+            ForecastDataset(y, y, np.ones((1, 5)))
+
+    def test_column_cluster_labels_rejected_by_shape(self):
+        y = np.arange(5.0)
+        with pytest.raises(ValueError, match=r"cluster labels must be "
+                           r"one-dimensional, got shape \(5, 1\)"):
+            ForecastDataset(y, y, np.ones(5), cluster_labels=np.zeros((5, 1), int))
+
     def test_frozen_with_read_only_views(self):
         y = np.array([1.0, 2.0, 3.0])
         labels = np.array([0, 0, 1])

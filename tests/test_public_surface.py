@@ -10,15 +10,21 @@ from centest import central_tendency, identification, numerics, simulation
 
 # names removed from the package: the S_T engine behind gmm_objective and
 # confidence_set replaced the pre-engine algebra, stacked_moments carries the
-# weight matrices, and central_tendency._theta_array validates every theta
+# weight matrices, central_tendency._theta_array validates every theta, and
+# optimal_forecasts and build_instruments take a path or a block of paths
 REMOVED = [
     "_beta_array",
+    "_block_forecasts",
+    "_block_instruments",
     "_eigh_above_floor",
+    "_forecast_shift",
+    "_path_row",
     "combined_moment",
     "gmm_objective_from_stacked",
     "gmm_objectives_from_stacked",
     "inverse_sqrt_spd",
     "kernel_eval",
+    "simulate_paths",
     "solve_spd",
     "weighting_matrices",
 ]

@@ -26,7 +26,6 @@ from centest import (
     run_grid_coverage_experiment,
     run_size_experiment,
     simulate_dgp,
-    simulate_paths,
     skew_normal_params,
     stacked_moments,
 )
@@ -436,17 +435,17 @@ class TestSimulatePaths:
         cfg = DgpConfig(dgp=dgp, skewness=skewness, n_obs=20, seed=33, burn_in=5)
         # 131 ids, out of order, cross the default block boundary at 128
         ids = [3 * i + 1 for i in range(130)] + [0]
-        paths = list(simulate_paths(cfg, ids))
-        assert len(paths) == len(ids)
-        for stream_id, path in zip(ids, paths):
-            single = simulate_dgp(cfg, RandomStream(cfg.seed, stream_id))
-            for name in FIELDS:
-                assert np.array_equal(getattr(path, name), getattr(single, name))
-                assert getattr(path, name).shape == getattr(single, name).shape
-
-    def test_empty_stream_list(self):
-        cfg = DgpConfig(dgp="ar-garch", skewness=0.0, n_obs=20, seed=1)
-        assert list(simulate_paths(cfg, [])) == []
+        size = simulation._CHUNK
+        for start in range(0, len(ids), size):
+            block_ids = ids[start:start + size]
+            block = simulation._simulator(cfg)(
+                [RandomStream(cfg.seed, i) for i in block_ids])
+            for j, stream_id in enumerate(block_ids):
+                single = simulate_dgp(cfg, RandomStream(cfg.seed, stream_id))
+                for name in FIELDS:
+                    row = getattr(block, name)[j]
+                    assert np.array_equal(row, getattr(single, name))
+                    assert row.shape == getattr(single, name).shape
 
 
 class TestOptimalForecasts:
@@ -763,7 +762,7 @@ class TestExperiments:
         # as the helper thread scores the second block beside the first.
         import centest.simulation as simulation
 
-        real_forecasts = simulation._block_forecasts
+        real_forecasts = simulation.optimal_forecasts
         real_tests = simulation._tests_block
         monkeypatch.setattr(simulation, "_cores", lambda: 2)
         cfg = DgpConfig(dgp="ar-garch", skewness=0.25, n_obs=60, seed=35,
@@ -772,8 +771,8 @@ class TestExperiments:
         def run(broken):
             p_values = [None] * 200
 
-            def forecasts(paths, shift):
-                x = real_forecasts(paths, shift)
+            def forecasts(paths, config, beta):
+                x = real_forecasts(paths, config, beta)
                 if broken and len(x) == 72:
                     x[2] = paths.realizations[2]
                 return x
@@ -785,7 +784,7 @@ class TestExperiments:
                     p_values[first + i] = None if result is None else result.p_value
                 return results, failures
 
-            monkeypatch.setattr(simulation, "_block_forecasts", forecasts)
+            monkeypatch.setattr(simulation, "optimal_forecasts", forecasts)
             monkeypatch.setattr(simulation, "_tests_block", recording_tests)
             return run_size_experiment(cfg, 2, 200, nominal_alpha=0.5), p_values
 
@@ -962,12 +961,12 @@ class TestBlockScoring:
         # replication 5 gets collinear instruments; both sit in one block
         import centest.simulation as simulation
 
-        real_forecasts = simulation._block_forecasts
-        real_instruments = simulation._block_instruments
+        real_forecasts = simulation.optimal_forecasts
+        real_instruments = simulation.build_instruments
 
         def run(experiment, broken):
-            def forecasts(paths, shift):
-                x = real_forecasts(paths, shift)
+            def forecasts(paths, config, beta):
+                x = real_forecasts(paths, config, beta)
                 assert len(x) == 100
                 if broken:
                     x[3] = paths.realizations[3]
@@ -979,8 +978,8 @@ class TestBlockScoring:
                     h[5, :, 1] = 1.0
                 return h
 
-            monkeypatch.setattr(simulation, "_block_forecasts", forecasts)
-            monkeypatch.setattr(simulation, "_block_instruments", instruments)
+            monkeypatch.setattr(simulation, "optimal_forecasts", forecasts)
+            monkeypatch.setattr(simulation, "build_instruments", instruments)
             return experiment()
 
         cfg = DgpConfig(dgp="heteroskedastic", skewness=0.5, n_obs=80, seed=43)
