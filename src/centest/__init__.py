@@ -43,7 +43,6 @@ from .identification import (
 )
 from .numerics import (
     Kernel,
-    KernelKind,
     RandomStream,
     biweight_kernel,
     chi_square_quantile,
@@ -92,7 +91,6 @@ __all__ = [
     "ImpliedThetaSet",
     "InstrumentSet",
     "Kernel",
-    "KernelKind",
     "MEAN_VERTEX",
     "MEDIAN_VERTEX",
     "MODE_VERTEX",

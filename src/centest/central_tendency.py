@@ -22,7 +22,6 @@ from .numerics import (
     chi_square_quantile,
     chi_square_sf,
     floored_eigh,
-    gaussian_kernel,
 )
 
 DEFAULT_ALPHA_LEVELS = (0.05, 0.10)
@@ -64,6 +63,30 @@ def _theta_array(theta) -> np.ndarray:
     if isinstance(theta, SimplexWeights):
         return theta.as_array()
     return SimplexWeights.from_array(theta).as_array()
+
+
+def _member_header(alpha: float) -> str:
+    """The CSV column of one level's member flags: member_ and the
+    confidence percent, rounded."""
+    return f"member_{round((1.0 - alpha) * 100):d}"
+
+
+def _check_alpha_levels(alpha_levels) -> tuple[float, ...]:
+    """The levels as a tuple. ValueError unless each lies in (0, 1) and no two
+    share a name in the output files: the f"{a:g}" key of the JSON member
+    flags and of a test's reject_at, or the CSV column (_member_header)."""
+    alpha_levels = tuple(alpha_levels)
+    if not alpha_levels or not all(0.0 < a < 1.0 for a in alpha_levels):
+        raise ValueError(f"alpha levels must lie in (0, 1), got {alpha_levels}")
+    for label in ("{:g}".format, _member_header):
+        seen: dict[str, float] = {}
+        for a in alpha_levels:
+            name = label(a)
+            if name in seen:
+                raise ValueError(f"alpha levels {seen[name]!r} and {a!r} share "
+                                 f"the output label {name!r}")
+            seen[name] = a
+    return alpha_levels
 
 
 def _lattice(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,7 +184,7 @@ def _dataset_objectives(
         delta = bandwidth_rule_of_thumb(
             dataset.forecasts - dataset.realizations, dataset.n_obs
         ).delta
-    stacked = stacked_moments(dataset, delta, kernel or gaussian_kernel())
+    stacked = stacked_moments(dataset, delta, kernel)
     objectives, (notes,) = _objectives_block(
         thetas, stacked.per_obs[None], dataset.cluster_labels)
     return objectives[0], notes, delta
@@ -240,9 +263,7 @@ def confidence_set(
     with a note.
     """
     i, j, thetas = _lattice(m)
-    alpha_levels = tuple(alpha_levels)
-    if not alpha_levels or not all(0.0 < a < 1.0 for a in alpha_levels):
-        raise ValueError(f"alpha levels must lie in (0, 1), got {alpha_levels}")
+    alpha_levels = _check_alpha_levels(alpha_levels)
     objectives, notes, delta = _dataset_objectives(thetas, dataset, delta, kernel)
     k = dataset.n_instruments
     thresholds = {a: chi_square_quantile(k, 1.0 - a) for a in alpha_levels}

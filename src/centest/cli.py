@@ -15,21 +15,24 @@ import sys
 from pathlib import Path
 
 from . import dataio
-from .central_tendency import confidence_set
+from .central_tendency import (
+    DEFAULT_ALPHA_LEVELS,
+    DEFAULT_GRID_RESOLUTION,
+    _check_alpha_levels,
+    confidence_set,
+)
 from .errors import DegenerateErrors, MissingColumnError, SingularMatrixError
 from .identification import ForecastDataset, Functional, _check_bandwidth
-from .numerics import RandomStream, get_kernel
+from .numerics import KERNELS
 from .rationality import instrument_moment_test, mode_test
 from .simulation import (
+    Dgp,
     DgpConfig,
     Distortion,
     InstrumentSet,
-    build_instruments,
-    distort_forecasts,
-    optimal_forecasts,
+    _replication_maker,
     run_coverage_experiment,
     run_size_experiment,
-    simulate_dgp,
 )
 
 USAGE_ERROR = 1
@@ -54,12 +57,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _alpha_list(text: str) -> tuple[float, ...]:
     try:
-        levels = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}") from None
-    if not levels or not all(0.0 < a < 1.0 for a in levels):
-        raise argparse.ArgumentTypeError("alpha levels must lie in (0, 1)")
-    return levels
+        return _check_alpha_levels(float(part) for part in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}") from None
 
 
 def _bandwidth(text: str) -> float:
@@ -106,12 +106,12 @@ def _add_dataset_arguments(parser: _Parser) -> None:
         "level with instruments (1, X)",
     )
     # None marks an option left out, so that test can reject the mode
-    # options for mean and median; the commands fill in the gaussian kernel
+    # options for mean and median, and the library picks the default kernel
     parser.add_argument("--bandwidth", type=_bandwidth, default=None,
                         help="override the rule-of-thumb mode bandwidth "
                         "(positive and finite)")
-    parser.add_argument("--kernel", choices=["gaussian", "biweight"],
-                        default=None, help="mode kernel (default gaussian)")
+    parser.add_argument("--kernel", choices=list(KERNELS), default=None,
+                        help="mode kernel (default gaussian)")
 
 
 def _load_dataset(args):
@@ -140,7 +140,7 @@ def _cmd_test(args) -> int:
               "clusters)", file=sys.stderr)
     if functional is Functional.MODE:
         result = mode_test(dataset, delta=args.bandwidth,
-                           kernel=get_kernel(args.kernel or "gaussian"))
+                           kernel=KERNELS.get(args.kernel))
     else:
         result = instrument_moment_test(functional, dataset)
     payload = dataio.test_result_to_dict(result, args.alpha)
@@ -161,7 +161,7 @@ def _cmd_cset(args) -> int:
         m=args.grid_m,
         alpha_levels=args.alpha,
         delta=args.bandwidth,
-        kernel=get_kernel(args.kernel or "gaussian"),
+        kernel=KERNELS.get(args.kernel),
     )
     dataio.emit_confidence_set(
         grid, json_path=args.out_json, csv_path=args.out_csv, svg_path=args.out_svg
@@ -178,9 +178,14 @@ def _cmd_cset(args) -> int:
     return 0
 
 
+def _given(**options) -> dict:
+    """The options given, so that the library's defaults fill in the others."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _cmd_simulate(args) -> int:
-    distorted = args.distortion is not None or args.kappa != 0.0
-    if distorted and args.experiment != "power":
+    distortion = _given(distortion=args.distortion, kappa=args.kappa)
+    if distortion and args.experiment != "power":
         raise argparse.ArgumentTypeError(
             "--distortion and --kappa apply to power experiments only"
         )
@@ -197,36 +202,30 @@ def _cmd_simulate(args) -> int:
         )
     if args.experiment == "power" and args.distortion is None:
         raise argparse.ArgumentTypeError("power experiments need --distortion")
-    alpha_level = 0.05 if args.alpha_level is None else args.alpha_level
     beta = _BETA_NAMES["mode"] if args.beta is None else args.beta
     config = DgpConfig(
         dgp=args.dgp,
         skewness=args.gamma,
         n_obs=args.sample_size,
         seed=args.seed,
-        burn_in=args.burn_in,
+        **_given(burn_in=args.burn_in),
     )
     instrument_set = InstrumentSet(args.instrument_set)
-    if args.out_dataset:
-        _write_example_dataset(args.out_dataset, config, beta, instrument_set,
-                               args.distortion, args.kappa)
-    if args.experiment == "size":
-        report = run_size_experiment(
-            config, instrument_set, args.replications, nominal_alpha=alpha_level,
-            kernel=get_kernel(args.kernel),
-        )
-    elif args.experiment == "power":
-        report = run_size_experiment(
-            config, instrument_set, args.replications, nominal_alpha=alpha_level,
-            distortion=Distortion(args.distortion), kappa=args.kappa,
-            kernel=get_kernel(args.kernel),
+    if args.out_dataset:  # replication 0, as the experiment scores it
+        (y,), (x,), (h,) = _replication_maker(
+            config, beta, instrument_set, **distortion)(range(1))
+        names = ["const", "xinst", "extra"][: h.shape[1]]
+        dataio.write_dataset_csv(ForecastDataset(y, x, h), args.out_dataset, names)
+    kernel = KERNELS.get(args.kernel)
+    if args.experiment == "coverage":
+        report = run_coverage_experiment(
+            config, beta, instrument_set, args.replications, kernel=kernel,
+            **_given(level=args.level, draws=args.draws),
         )
     else:
-        report = run_coverage_experiment(
-            config, beta, instrument_set, args.replications,
-            level=0.90 if args.level is None else args.level,
-            draws=1000 if args.draws is None else args.draws,
-            kernel=get_kernel(args.kernel),
+        report = run_size_experiment(
+            config, instrument_set, args.replications, kernel=kernel, **distortion,
+            **_given(nominal_alpha=args.alpha_level),
         )
     payload = dataio.report_to_dict(report)
     if args.out_json:
@@ -238,22 +237,6 @@ def _cmd_simulate(args) -> int:
         f"{report.successes}/{report.replications} replications)"
     )
     return 0
-
-
-def _write_example_dataset(
-    out_path, config: DgpConfig, beta, instrument_set, distortion, kappa: float
-) -> None:
-    """Replication 0 as a CSV: its path from stream 0 and, in a power
-    experiment, its forecasts distorted with the noise of stream 1."""
-    path = simulate_dgp(config, RandomStream(config.seed, 0))
-    forecasts = optimal_forecasts(path, config, beta)
-    if distortion is not None:
-        forecasts = distort_forecasts(forecasts, distortion, kappa,
-                                      RandomStream(config.seed, 1))
-    instruments = build_instruments(path, forecasts, instrument_set)
-    dataset = ForecastDataset(path.realizations, forecasts, instruments)
-    names = ["const", "xinst", "extra"][: instruments.shape[1]]
-    dataio.write_dataset_csv(dataset, out_path, instrument_names=names)
 
 
 def _cmd_plot(args) -> int:
@@ -271,15 +254,15 @@ def build_parser() -> _Parser:
     p_test = sub.add_parser("test", help="run one rationality test")
     _add_dataset_arguments(p_test)
     p_test.add_argument("--functional", required=True,
-                        choices=["mean", "median", "mode"])
-    p_test.add_argument("--alpha", type=_alpha_list, default=(0.05, 0.10))
+                        choices=[f.value for f in Functional])
+    p_test.add_argument("--alpha", type=_alpha_list, default=DEFAULT_ALPHA_LEVELS)
     p_test.add_argument("--out-json", default=None)
     p_test.set_defaults(func=_cmd_test)
 
     p_cset = sub.add_parser("cset", help="confidence set over centrality weights")
     _add_dataset_arguments(p_cset)
-    p_cset.add_argument("--grid-m", type=int, default=50)
-    p_cset.add_argument("--alpha", type=_alpha_list, default=(0.05, 0.10))
+    p_cset.add_argument("--grid-m", type=int, default=DEFAULT_GRID_RESOLUTION)
+    p_cset.add_argument("--alpha", type=_alpha_list, default=DEFAULT_ALPHA_LEVELS)
     p_cset.add_argument("--out-json", default=None)
     p_cset.add_argument("--out-csv", default=None)
     p_cset.add_argument("--out-svg", default=None)
@@ -288,14 +271,14 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo experiments")
     p_sim.add_argument("--experiment", required=True,
                        choices=["size", "power", "coverage"])
-    p_sim.add_argument("--dgp", required=True, choices=[
-        "homoskedastic-iid", "heteroskedastic", "ar1", "ar-garch"])
+    p_sim.add_argument("--dgp", required=True, choices=[d.value for d in Dgp])
     p_sim.add_argument("--gamma", type=float, default=0.0)
     p_sim.add_argument("--sample-size", type=int, required=True)
     p_sim.add_argument("--replications", type=int, required=True)
-    p_sim.add_argument("--instrument-set", type=int, default=2, choices=[1, 2, 3])
+    p_sim.add_argument("--instrument-set", type=int, default=2,
+                       choices=[s.value for s in InstrumentSet])
     # None marks an option left out, so that one given to an experiment
-    # that does not use it is rejected; _cmd_simulate fills in the defaults
+    # that does not use it is rejected, and the library's defaults apply
     p_sim.add_argument("--alpha-level", type=float, default=None,
                        help="nominal test level for size/power (default 0.05)")
     p_sim.add_argument("--level", type=float, default=None,
@@ -303,15 +286,14 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--beta", type=_beta_triple, default=None,
                        help="forecast combination for coverage experiments "
                        "(default mode)")
-    p_sim.add_argument("--distortion", choices=["bias", "noise"], default=None)
-    p_sim.add_argument("--kappa", type=float, default=0.0)
+    p_sim.add_argument("--distortion", choices=[d.value for d in Distortion])
+    p_sim.add_argument("--kappa", type=float, default=None)
     p_sim.add_argument("--draws", type=int, default=None,
                        help="replications pooled for the implied theta in "
                        "coverage experiments (default 1000)")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--burn-in", type=int, default=1000)
-    p_sim.add_argument("--kernel", choices=["gaussian", "biweight"],
-                       default="gaussian")
+    p_sim.add_argument("--burn-in", type=int, default=None)
+    p_sim.add_argument("--kernel", choices=list(KERNELS), default=None)
     p_sim.add_argument("--out-json", default=None)
     p_sim.add_argument("--out-dataset", default=None,
                        help="also write replication 0 as a CSV (in a power "

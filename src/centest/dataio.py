@@ -14,7 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .central_tendency import ConfidenceSetGrid, GridPoint, SimplexWeights, _lattice
+from .central_tendency import (
+    DEFAULT_ALPHA_LEVELS,
+    ConfidenceSetGrid,
+    GridPoint,
+    SimplexWeights,
+    _check_alpha_levels,
+    _lattice,
+    _member_header,
+)
 from .errors import MissingColumnError
 from .identification import ForecastDataset
 from .numerics import chi_square_quantile, chi_square_sf
@@ -238,7 +246,8 @@ def random_walk_forecasts(prices) -> ForecastDataset:
     )
 
 
-def test_result_to_dict(result: TestResult, alpha_levels=(0.05, 0.10)) -> dict:
+def test_result_to_dict(result: TestResult, alpha_levels=DEFAULT_ALPHA_LEVELS) -> dict:
+    _check_alpha_levels(alpha_levels)
     return {
         "schema": SCHEMA_VERSION,
         "kind": "rationality_test",
@@ -344,7 +353,7 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
                                    for a in alpha_levels):
         raise ValueError("document field 'alpha_levels' must hold numbers in (0, 1), "
                          f"got {json.dumps(alpha_levels)}")
-    alpha_levels = tuple(float(a) for a in alpha_levels)
+    alpha_levels = _check_alpha_levels(float(a) for a in alpha_levels)
     points = []
     for i, entry in enumerate(_field(payload, "points", "document", list)):
         where = f"point {i}"
@@ -452,10 +461,6 @@ def report_to_dict(report) -> dict:
         "failures": dict(report.failures),
         "details": report.details,
     }
-
-
-def _member_header(alpha: float) -> str:
-    return f"member_{round((1.0 - alpha) * 100):d}"
 
 
 def grid_to_csv(grid: ConfidenceSetGrid) -> str:

@@ -157,8 +157,7 @@ def identification_values(
     elif delta is not None or kernel is not None:
         raise ValueError(
             f"delta and kernel apply to the mode only, not the {kind.value}")
-    return _values(kind, np.asarray(errors, dtype=float), delta,
-                   kernel or gaussian_kernel())
+    return _values(kind, np.asarray(errors, dtype=float), delta, kernel)
 
 
 def _check_bandwidth(delta) -> None:
@@ -169,12 +168,13 @@ def _check_bandwidth(delta) -> None:
         raise ValueError(f"mode values need a positive bandwidth, got {delta}{note}")
 
 
-def _values(kind: Functional, e: np.ndarray, delta, kernel: Kernel) -> np.ndarray:
+def _values(kind: Functional, e: np.ndarray, delta, kernel: Kernel | None) -> np.ndarray:
+    """One functional's values; here alone the mode kernel defaults to the Gaussian."""
     if kind is Functional.MEAN:
         return e.copy()
     if kind is Functional.MEDIAN:
         return np.sign(e)
-    return delta ** -0.5 * kernel.deriv_at(-e / delta)
+    return delta ** -0.5 * (kernel or gaussian_kernel()).deriv_at(-e / delta)
 
 
 def _identification_matrix(errors, delta, kernel) -> np.ndarray:
@@ -183,7 +183,6 @@ def _identification_matrix(errors, delta, kernel) -> np.ndarray:
     bandwidth per row."""
     e = np.asarray(errors, dtype=float)
     d = np.expand_dims(np.asarray(delta, dtype=float), -1)
-    kernel = kernel or gaussian_kernel()
     return np.stack([_values(f, e, d, kernel) for f in FUNCTIONALS], axis=-2)
 
 

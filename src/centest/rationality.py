@@ -35,7 +35,7 @@ from .identification import (
     _values,
     forecast_errors,
 )
-from .numerics import Kernel, chi_square_sf, gaussian_kernel
+from .numerics import Kernel, chi_square_sf
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def mode_test(
     """
     if delta is not None:
         _check_bandwidth(delta)
-    return _one_row(Functional.MODE, dataset, kernel or gaussian_kernel(), delta)
+    return _one_row(Functional.MODE, dataset, kernel, delta)
 
 
 def _one_row(kind: Functional, dataset: ForecastDataset, kernel,

@@ -71,7 +71,6 @@ from .numerics import (
     _brentq,
     _golden,
     chi_square_quantile,
-    gaussian_kernel,
     standard_normal_rows,
 )
 from .rationality import _tests_block
@@ -151,7 +150,7 @@ class DgpConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dgp", Dgp(self.dgp))
-        if abs(self.skewness) >= MAX_MOMENT_SKEWNESS:
+        if not abs(self.skewness) < MAX_MOMENT_SKEWNESS:  # NaN fails too
             raise ValueError(
                 f"|skewness| must be below the skew-normal bound "
                 f"{MAX_MOMENT_SKEWNESS:.4f}, got {self.skewness}"
@@ -230,7 +229,7 @@ def skew_normal_params(gamma: float) -> SkewNormalSpec:
     last bit).
     """
     gamma = float(gamma)
-    if abs(gamma) >= MAX_MOMENT_SKEWNESS:
+    if not abs(gamma) < MAX_MOMENT_SKEWNESS:  # NaN fails too
         raise ValueError(
             f"|gamma| must be below {MAX_MOMENT_SKEWNESS:.4f}, got {gamma}"
         )
@@ -510,21 +509,21 @@ def build_instruments(
 
 def _replication_maker(
     config: DgpConfig, beta, instrument_set: InstrumentSet,
-    path_stream: Callable[[int], int], distortion: Distortion | str | None = None,
-    kappa: float = 0.0,
-) -> Callable[[range], tuple[np.ndarray, np.ndarray]]:
-    """``rows -> (errors, instruments)`` for a block of replications.
+    distortion: Distortion | str | None = None, kappa: float = 0.0,
+    path_stream: Callable[[int], int] = lambda r: 2 * r,
+) -> Callable[[range], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``rows -> (realizations, forecasts, instruments)`` for a block of
+    replications, of shapes (B, T), (B, T) and (B, T, k).
 
     Replication r simulates its path from stream ``path_stream(r)``, forms
     the beta forecasts, distorts them with noise from stream 2r + 1 when
-    ``distortion`` is set, and builds its instruments. The block's arrays
-    pass the checks every ForecastDataset passes, and come back as forecast
-    errors (B, T) and instruments (B, T, k); the paths, burn-in included,
-    are not kept.
+    ``distortion`` is set, and builds its instruments. The arrays pass the
+    checks every ForecastDataset passes; the paths, burn-in included, are
+    not kept.
     """
     simulate = _simulator(config)
 
-    def make(rows: range) -> tuple[np.ndarray, np.ndarray]:
+    def make(rows: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         block = simulate([RandomStream(config.seed, path_stream(r)) for r in rows])
         x = optimal_forecasts(block, config, beta)
         if distortion is not None:
@@ -535,7 +534,7 @@ def _replication_maker(
             ])
         instruments = build_instruments(block, x, instrument_set)
         _check_aligned(block.realizations, x, instruments)
-        return x - block.realizations, instruments
+        return block.realizations, x, instruments
 
     return make
 
@@ -632,7 +631,6 @@ def implied_theta(
         raise ValueError(f"draws must be >= 1, got {draws}")
     b = _theta_array(beta)
     instrument_set = InstrumentSet(instrument_set)
-    kernel = kernel or gaussian_kernel()
 
     for vertex in ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
         if np.array_equal(b, vertex):
@@ -645,14 +643,15 @@ def implied_theta(
         )
 
     make = _replication_maker(config, b, instrument_set,
-                              lambda r: _IMPLIED_THETA_BASE + r)
+                              path_stream=lambda r: _IMPLIED_THETA_BASE + r)
     k = int(instrument_set)
     errors = np.empty((draws, config.n_obs))
     instruments = np.empty((draws, config.n_obs, k))
 
     def pool(rows: range) -> None:
         block = slice(rows.start, rows.stop)
-        errors[block], instruments[block] = make(rows)
+        y, x, instruments[block] = make(rows)
+        errors[block] = x - y
 
     _map_blocks(pool, draws)
     errors = errors.reshape(-1)
@@ -752,19 +751,22 @@ def _run_replications(
     """The one replication loop behind every experiment.
 
     Blocks of replications (_map_blocks) are made by _replication_maker
-    with paths from streams 2r, and ``score`` gets each block's errors and
-    instruments in one call. Like the block kernels it returns the
+    with paths from streams 2r, and ``score`` gets each block's forecast
+    errors and instruments in one call. Like the block kernels it returns the
     per-replication scores and failures: None or the DegenerateErrors or
     SingularMatrixError that scoring that replication alone would raise;
     such a replication is counted by exception name and skipped. Returns
     the scores of the successful replications, in order, and the counts.
     """
-    make = _replication_maker(config, beta, instrument_set, lambda r: 2 * r,
-                              distortion, kappa)
+    make = _replication_maker(config, beta, instrument_set, distortion, kappa)
+
+    def run(rows: range) -> tuple[list, list]:
+        y, x, instruments = make(rows)
+        return score(x - y, instruments)
+
     scores = []
     failures: dict[str, int] = {}
-    for results, block_failures in _map_blocks(lambda rows: score(*make(rows)),
-                                               replications):
+    for results, block_failures in _map_blocks(run, replications):
         for result, failure in zip(results, block_failures):
             if failure is None:
                 scores.append(result)
@@ -794,7 +796,6 @@ def run_size_experiment(
     if not 0.0 <= nominal_alpha < 1.0:
         raise ValueError(f"nominal level must lie in [0, 1), got {nominal_alpha}")
     instrument_set = InstrumentSet(instrument_set)
-    kernel = kernel or gaussian_kernel()
 
     def rejects(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
         tests, failures = _tests_block(Functional.MODE, errors, instruments, kernel)
@@ -850,7 +851,6 @@ def run_coverage_experiment(
     if not 0.0 < level < 1.0:
         raise ValueError(f"coverage level must lie in (0, 1), got {level}")
     instrument_set = InstrumentSet(instrument_set)
-    kernel = kernel or gaussian_kernel()
     theta_set = implied_theta(config, beta, draws, instrument_set, kernel)
     theta = theta_set.evaluation_point
     # the instrument set's value is its column count k
@@ -904,7 +904,6 @@ def run_grid_coverage_experiment(
     """
     _check_replications(replications)
     instrument_set = InstrumentSet(instrument_set)
-    kernel = kernel or gaussian_kernel()
     theta_rows = _lattice(m)[2]
     thetas = [SimplexWeights(*row) for row in theta_rows.tolist()]
     quantile = chi_square_quantile(int(instrument_set), level)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -16,9 +17,13 @@ import centest
 
 from centest import (
     ConfidenceSetGrid,
+    Dgp,
     DgpConfig,
+    Distortion,
     ForecastDataset,
+    Functional,
     GridPoint,
+    InstrumentSet,
     MissingColumnError,
     RandomStream,
     build_instruments,
@@ -30,12 +35,15 @@ from centest import (
     mode_test,
     optimal_forecasts,
     random_walk_forecasts,
+    run_coverage_experiment,
+    run_size_experiment,
     simplex_grid,
     simulate_dgp,
     write_dataset_csv,
 )
+from centest import dataio
 from centest.central_tendency import _lattice
-from centest.cli import main
+from centest.cli import build_parser, main
 from centest.dataio import (
     grid_from_dict,
     grid_to_csv,
@@ -43,6 +51,7 @@ from centest.dataio import (
     grid_to_svg,
     load_prices,
 )
+from centest.numerics import KERNELS
 
 from conftest import make_dataset
 
@@ -415,7 +424,9 @@ class TestJsonWriter:
     exactly what json.dumps(..., indent=2, sort_keys=True) writes."""
 
     @pytest.mark.parametrize("m", [1, 7, 50])
-    @pytest.mark.parametrize("alphas", [(0.05,), (0.1, 0.05), (0.1, 0.05, 0.005, 1e-05)],
+    # four levels whose member_NN CSV columns differ (0.005 and 1e-05 would
+    # both be member_100, which confidence_set rejects)
+    @pytest.mark.parametrize("alphas", [(0.05,), (0.1, 0.05), (0.1, 0.05, 0.01, 1e-05)],
                              ids=["one", "two", "four"])
     def test_text_is_the_json_dumps_layout(self, rng, m, alphas):
         ds = make_dataset(rng, t=60, k=2, skew=0.3)
@@ -500,6 +511,23 @@ def _null_member(doc):
 def _null_objective(doc):
     doc["points"][0].update(objective=None, p_value=0.5,
                             member={"0.05": False, "0.1": False})
+
+
+@pytest.mark.parametrize("alphas, label", [
+    ((0.05, 0.050000001), "'0.05'"),
+    ((0.05, 0.054), "'member_95'"),
+])
+def test_library_rejects_alpha_levels_sharing_a_label(rng, alphas, label):
+    # one JSON member key or one CSV column would stand for two levels
+    ds = make_dataset(rng, t=60, k=2, skew=0.3)
+    message = (f"^alpha levels {alphas[0]!r} and {alphas[1]!r} share the output "
+               f"label {label}$")
+    with pytest.raises(ValueError, match=message):
+        confidence_set(ds, m=2, alpha_levels=alphas)
+    with pytest.raises(ValueError, match=message):
+        dataio.test_result_to_dict(instrument_moment_test("mean", ds), alphas)
+    with pytest.raises(ValueError, match=message):
+        grid_from_dict(_one_point_scan(alpha_levels=list(alphas)))
 
 
 def _scale_p_value(factor):
@@ -698,32 +726,116 @@ class TestCli:
         ds = load_csv(data, ["const", "xinst"])
         assert ds.n_obs == 100
 
-    @pytest.mark.parametrize("distortion, kappa", [("noise", "0.5"), ("bias", "0.3")])
-    def test_power_dataset_holds_the_scored_forecasts(self, tmp_path, monkeypatch,
-                                                      distortion, kappa):
-        # the dump is replication 0 as scored: its x - y is, bit for bit, row 0
-        # of the errors the mode test gets (100 replications are one block)
+    # the scorer of each experiment and the position of its errors argument
+    # (instruments follow)
+    @pytest.mark.parametrize("flags, scorer, at", [
+        (["--experiment", "size"], "_tests_block", 1),
+        (["--experiment", "power", "--distortion", "noise", "--kappa", "0.5"],
+         "_tests_block", 1),
+        (["--experiment", "power", "--distortion", "bias", "--kappa", "0.3"],
+         "_tests_block", 1),
+        (["--experiment", "coverage", "--beta", "mean-mode", "--draws", "50"],
+         "_objective_rows", 0),
+    ], ids=["size", "power-noise", "power-bias", "coverage"])
+    def test_dataset_holds_the_scored_replication(self, tmp_path, monkeypatch, flags,
+                                                  scorer, at):
+        # the dump is replication 0 as scored: its x - y and instruments are,
+        # bit for bit, row 0 of what the experiment's scorer gets (100
+        # replications are one block)
         import centest.simulation as simulation
 
-        real_tests = simulation._tests_block
+        real = getattr(simulation, scorer)
         scored = []
 
-        def recording_tests(functional, errors, *args):
-            scored.append(errors[0].copy())
-            return real_tests(functional, errors, *args)
+        def recording(*args):
+            errors, instruments = args[at:at + 2]
+            scored.append((errors[0].copy(), instruments[0].copy()))
+            return real(*args)
 
-        monkeypatch.setattr(simulation, "_tests_block", recording_tests)
+        monkeypatch.setattr(simulation, scorer, recording)
         data = tmp_path / "rep0.csv"
         code = main([
-            "simulate", "--experiment", "power", "--dgp", "ar1", "--gamma", "0.5",
+            "simulate", *flags, "--dgp", "ar1", "--gamma", "0.5",
             "--sample-size", "100", "--replications", "100", "--seed", "9",
-            "--distortion", distortion, "--kappa", kappa, "--out-dataset", str(data),
+            "--out-dataset", str(data),
         ])
         assert code == 0
         assert len(scored) == 1
         ds = load_csv(data, ["const", "xinst"])
         assert np.array_equal(ds.instruments[:, 1], ds.forecasts)
-        assert (ds.forecasts - ds.realizations).tobytes() == scored[0].tobytes()
+        errors, instruments = scored[0]
+        assert (ds.forecasts - ds.realizations).tobytes() == errors.tobytes()
+        assert ds.instruments.tobytes() == instruments.tobytes()
+
+    def test_choices_are_the_library_names(self):
+        parser = build_parser()
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+
+        def choices(command):
+            return {action.option_strings[-1]: list(action.choices)
+                    for action in commands[command]._actions
+                    if action.choices is not None}
+
+        kernels = list(KERNELS)
+        assert choices("test") == {"--kernel": kernels,
+                                   "--functional": [f.value for f in Functional]}
+        assert choices("cset") == {"--kernel": kernels}
+        assert choices("simulate") == {
+            "--experiment": ["size", "power", "coverage"],
+            "--dgp": [d.value for d in Dgp],
+            "--instrument-set": [s.value for s in InstrumentSet],
+            "--distortion": [d.value for d in Distortion],
+            "--kernel": kernels,
+        }
+
+    @pytest.mark.parametrize("flags", [
+        ["--experiment", "size"],
+        ["--experiment", "power", "--distortion", "bias"],
+        ["--experiment", "coverage", "--beta", "mean-mode"],
+    ], ids=["size", "power", "coverage"])
+    def test_simulate_defaults_are_the_library_defaults(self, tmp_path, flags):
+        # no --alpha-level, --level, --draws, --kappa, --burn-in or --kernel:
+        # the JSON is the library call's with its own defaults
+        config = DgpConfig(dgp="heteroskedastic", skewness=0.5, n_obs=40, seed=3)
+        if "coverage" in flags:
+            report = run_coverage_experiment(config, (0.5, 0.0, 0.5), 2, 100)
+        else:
+            report = run_size_experiment(config, 2, 100,
+                                         distortion="bias" if "power" in flags else None)
+        expected, out = tmp_path / "library.json", tmp_path / "cli.json"
+        dataio.write_json(dataio.report_to_dict(report), expected)
+        assert main(["simulate", *flags, "--dgp", "heteroskedastic", "--gamma", "0.5",
+                     "--sample-size", "40", "--replications", "100", "--seed", "3",
+                     "--out-json", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("command", ["test", "cset"])
+    @pytest.mark.parametrize("alphas, label", [
+        ("0.05,0.050000001", "'0.05'"),
+        ("0.05,0.054", "'member_95'"),
+        ("0.1,0.05,0.1", "'0.1'"),
+    ])
+    def test_alpha_levels_sharing_a_label_are_a_usage_error(self, tmp_path, capsys,
+                                                            command, alphas, label):
+        data = write_sim_csv(tmp_path)
+        out = tmp_path / "out.json"
+        extra = ["--functional", "mean"] if command == "test" else ["--grid-m", "2"]
+        code = main([command, "--input", str(data), "--instruments", "const,xinst",
+                     *extra, "--alpha", alphas, "--out-json", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"argument --alpha: bad alpha list '{alphas}': alpha levels " in err
+        assert f"share the output label {label}\n" in err
+        assert not out.exists()
+
+    def test_simulate_nan_gamma_fails_the_skewness_bound(self, capsys):
+        code = main(["simulate", "--experiment", "size", "--dgp", "ar1", "--gamma", "nan",
+                     "--sample-size", "100", "--replications", "100"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "centest: error: |skewness| must be below the skew-normal bound 0.9953, "
+            "got nan\n")
 
     def test_random_walk_flag(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -747,6 +859,8 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--experiment", "size", "--distortion", "noise", "--kappa", "0.5"],
         ["--experiment", "size", "--kappa", "0.5"],
+        # given, even at the library's default
+        ["--experiment", "size", "--kappa", "0"],
         ["--experiment", "coverage", "--distortion", "bias"],
     ])
     def test_simulate_rejects_distortion_outside_power(self, tmp_path, capsys,
@@ -917,13 +1031,17 @@ class TestCli:
          "document field 'alpha_levels' must hold numbers in (0, 1), got [0.05, 1.5]"),
         (_one_point_scan(alpha_levels=[]),
          "document field 'alpha_levels' must hold numbers in (0, 1), got []"),
+        (_one_point_scan(alpha_levels=[0.05, 0.050000001]),
+         "alpha levels 0.05 and 0.050000001 share the output label '0.05'"),
+        (_one_point_scan(alpha_levels=[0.05, 0.054]),
+         "alpha levels 0.05 and 0.054 share the output label 'member_95'"),
     ], ids=["no-alpha-levels", "top-level-list", "point-without-member",
             "member-not-a-bool", "objective-not-a-number", "p-value-a-bool",
             "resolution-not-an-integer", "df-a-bool", "n-obs-not-an-integer",
             "bandwidth-not-a-number", "bandwidth-null", "index-not-integers",
             "index-a-bool", "index-of-three", "note-not-a-string",
             "alpha-levels-strings", "alpha-levels-a-bool", "alpha-level-above-one",
-            "alpha-levels-empty"])
+            "alpha-levels-empty", "alpha-labels-collide", "alpha-headers-collide"])
     def test_malformed_plot_json_exits_2_without_traceback(self, tmp_path, capsys,
                                                            payload, message):
         js = tmp_path / "bad.json"

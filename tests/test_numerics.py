@@ -18,6 +18,7 @@ from centest import (
     kernel_deriv_sq_integral,
 )
 from centest.numerics import (
+    KERNELS,
     RELATIVE_EIG_FLOOR,
     _brentq,
     _golden,
@@ -97,6 +98,10 @@ class TestKernels:
     def test_get_kernel_by_name(self):
         assert get_kernel("gaussian") is gaussian_kernel()
         assert get_kernel("biweight") is biweight_kernel()
+        assert list(KERNELS) == ["gaussian", "biweight"]
+        with pytest.raises(ValueError, match="^unknown kernel 'epanechnikov'; "
+                                             "choose from gaussian, biweight$"):
+            get_kernel("epanechnikov")
 
 
 def chi2_density(df):

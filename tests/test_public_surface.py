@@ -10,9 +10,11 @@ from centest import central_tendency, identification, numerics, simulation
 
 # names removed from the package: the S_T engine behind gmm_objective and
 # confidence_set replaced the pre-engine algebra, stacked_moments carries the
-# weight matrices, central_tendency._theta_array validates every theta, and
-# optimal_forecasts and build_instruments take a path or a block of paths
+# weight matrices, central_tendency._theta_array validates every theta,
+# optimal_forecasts and build_instruments take a path or a block of paths,
+# and numerics.KERNELS names the kernels
 REMOVED = [
+    "KernelKind",
     "_beta_array",
     "_block_forecasts",
     "_block_instruments",

@@ -164,6 +164,13 @@ class TestSkewNormalParams:
         with pytest.raises(ValueError):
             DgpConfig(dgp="ar1", skewness=-MAX_MOMENT_SKEWNESS, n_obs=100, seed=0)
 
+    def test_nan_skewness_fails_the_bound(self):
+        # abs(nan) >= bound is False; the bound must still reject NaN
+        with pytest.raises(ValueError, match="^\\|gamma\\| must be below 0.9953, got nan$"):
+            skew_normal_params(float("nan"))
+        with pytest.raises(ValueError, match="skew-normal bound 0.9953, got nan$"):
+            DgpConfig(dgp="ar1", skewness=float("nan"), n_obs=100, seed=0)
+
 
 class TestSimulateDgp:
     @pytest.mark.parametrize("dgp", [
