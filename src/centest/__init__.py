@@ -44,13 +44,10 @@ from .identification import (
 from .numerics import (
     Kernel,
     RandomStream,
-    biweight_kernel,
     chi_square_quantile,
     chi_square_sf,
-    gaussian_kernel,
     generalized_modal_midpoint,
     get_kernel,
-    kernel_deriv_sq_integral,
 )
 from .rationality import TestResult, instrument_moment_test, mode_test
 from .simulation import (
@@ -105,7 +102,6 @@ __all__ = [
     "TestResult",
     "ThetaSetKind",
     "bandwidth_rule_of_thumb",
-    "biweight_kernel",
     "build_instruments",
     "chi_square_quantile",
     "chi_square_sf",
@@ -113,14 +109,12 @@ __all__ = [
     "distort_forecasts",
     "emit_confidence_set",
     "forecast_errors",
-    "gaussian_kernel",
     "generalized_modal_midpoint",
     "get_kernel",
     "gmm_objective",
     "identification_values",
     "implied_theta",
     "instrument_moment_test",
-    "kernel_deriv_sq_integral",
     "load_csv",
     "median_abs_deviation",
     "mode_test",

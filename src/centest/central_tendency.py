@@ -89,12 +89,16 @@ def _check_alpha_levels(alpha_levels) -> tuple[float, ...]:
     return alpha_levels
 
 
+def _check_resolution(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"grid resolution must be >= 1, got {m}")
+
+
 def _lattice(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lattice's index arrays i, j >= 0, i + j <= m, in lexicographic
     (i, j) order, and its (P, 3) weight rows (i/m, j/m, (m-i-j)/m);
     P = (m+1)(m+2)/2."""
-    if m < 1:
-        raise ValueError(f"grid resolution must be >= 1, got {m}")
+    _check_resolution(m)
     i, i_plus_j = np.triu_indices(m + 1)
     j = i_plus_j - i
     return i, j, np.column_stack([i / m, j / m, (m - i_plus_j) / m])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import dataio
@@ -19,6 +20,8 @@ from .central_tendency import (
     DEFAULT_ALPHA_LEVELS,
     DEFAULT_GRID_RESOLUTION,
     _check_alpha_levels,
+    _check_resolution,
+    _theta_array,
     confidence_set,
 )
 from .errors import DegenerateErrors, MissingColumnError, SingularMatrixError
@@ -30,6 +33,11 @@ from .simulation import (
     DgpConfig,
     Distortion,
     InstrumentSet,
+    _check_draws,
+    _check_kappa,
+    _check_level,
+    _check_nominal_alpha,
+    _check_replications,
     _replication_maker,
     run_coverage_experiment,
     run_size_experiment,
@@ -69,6 +77,16 @@ def _bandwidth(text: str) -> float:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad bandwidth {text!r}: {exc}") from None
     return value
+
+
+@contextmanager
+def _option_checks():
+    """Run the library's checks of option values, before any work: a
+    ValueError they raise is a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _beta_triple(text: str):
@@ -155,6 +173,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_cset(args) -> int:
+    with _option_checks():
+        _check_resolution(args.grid_m)
     dataset = _load_dataset(args)
     grid = confidence_set(
         dataset,
@@ -203,13 +223,23 @@ def _cmd_simulate(args) -> int:
     if args.experiment == "power" and args.distortion is None:
         raise argparse.ArgumentTypeError("power experiments need --distortion")
     beta = _BETA_NAMES["mode"] if args.beta is None else args.beta
-    config = DgpConfig(
-        dgp=args.dgp,
-        skewness=args.gamma,
-        n_obs=args.sample_size,
-        seed=args.seed,
-        **_given(burn_in=args.burn_in),
-    )
+    with _option_checks():
+        config = DgpConfig(
+            dgp=args.dgp,
+            skewness=args.gamma,
+            n_obs=args.sample_size,
+            seed=args.seed,
+            **_given(burn_in=args.burn_in),
+        )
+        _check_replications(args.replications)
+        _theta_array(beta)
+        # an option left out takes the library's default, which is in range
+        for check, value in ((_check_nominal_alpha, args.alpha_level),
+                             (_check_level, args.level), (_check_draws, args.draws)):
+            if value is not None:
+                check(value)
+        if args.kappa is not None:
+            _check_kappa(args.distortion, args.kappa)
     instrument_set = InstrumentSet(args.instrument_set)
     if args.out_dataset:  # replication 0, as the experiment scores it
         (y,), (x,), (h,) = _replication_maker(

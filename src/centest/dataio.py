@@ -113,9 +113,10 @@ def _read_columns(path, names, label_column: str | None = None) -> dict:
     and padded with whitespace, and must be ASCII decimal numbers. A
     ``label_column``, if given, is parsed too and must hold integers below
     2**53 in magnitude, which float64 holds exactly. An empty file, a
-    missing column, a short or blank row, a non-numeric cell or a label
-    that is not such an integer raises ``MissingColumnError`` or a
-    ``ValueError`` naming the row and column.
+    missing column, a needed column that the header names twice, a short or
+    blank row, a non-numeric cell or a label that is not such an integer
+    raises ``MissingColumnError`` or a ``ValueError`` naming the row and
+    column.
     """
     path = Path(path)
     with path.open(encoding="utf-8") as handle:
@@ -128,6 +129,9 @@ def _read_columns(path, names, label_column: str | None = None) -> dict:
     for name in wanted:
         if name not in header:
             raise MissingColumnError(name)
+        if header.count(name) > 1:
+            raise ValueError(f"{path}: the header names column {name!r} "
+                             f"{header.count(name)} times")
     index = {name: header.index(name) for name in wanted}
     n_lines = body.count("\n")
     if body and not body.endswith("\n"):
@@ -365,11 +369,19 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
         if note is not None and not isinstance(note, str):
             raise ValueError(f"{where} field 'note' must be a string or null, "
                              f"got {type(note).__name__}")
+        theta = _field(entry, "theta", where, list)
+        if len(theta) != 3 or not all(type(v) in (int, float) for v in theta):
+            raise ValueError(f"{where} field 'theta' must hold three numbers, "
+                             f"got {json.dumps(theta)}")
+        try:
+            weights = SimplexWeights.from_array(theta)
+        except ValueError as exc:
+            raise ValueError(f"{where} field 'theta': {exc}") from None
         member = _field(entry, "member", where)
         points.append(
             GridPoint(
                 index=tuple(index),
-                weights=SimplexWeights.from_array(_field(entry, "theta", where, list)),
+                weights=weights,
                 objective=_number(entry, "objective", where),
                 p_value=_number(entry, "p_value", where),
                 memberships={a: _field(member, f"{a:g}", f"{where} member", bool)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bandwidth import _block_bandwidths
 from .errors import SingularMatrixError, first_failures, raise_row_failure
-from .numerics import RELATIVE_EIG_FLOOR, Kernel, floored_eigh, gaussian_kernel
+from .numerics import KERNELS, RELATIVE_EIG_FLOOR, Kernel, floored_eigh
 
 
 class Functional(str, Enum):
@@ -174,7 +174,7 @@ def _values(kind: Functional, e: np.ndarray, delta, kernel: Kernel | None) -> np
         return e.copy()
     if kind is Functional.MEDIAN:
         return np.sign(e)
-    return delta ** -0.5 * (kernel or gaussian_kernel()).deriv_at(-e / delta)
+    return delta ** -0.5 * (kernel or KERNELS["gaussian"]).deriv_at(-e / delta)
 
 
 def _identification_matrix(errors, delta, kernel) -> np.ndarray:

@@ -78,18 +78,9 @@ _BIWEIGHT = Kernel(
 )
 
 
-def gaussian_kernel() -> Kernel:
-    """The standard normal density kernel (the default everywhere: strict
-    identification of the smoothed mode needs unbounded support)."""
-    return _GAUSSIAN
-
-
-def biweight_kernel() -> Kernel:
-    """The biweight (quartic) kernel, offered for comparison only."""
-    return _BIWEIGHT
-
-
 # The kernels by name: get_kernel and every --kernel option read this table.
+# The Gaussian is the default, because strict identification of the smoothed
+# mode needs unbounded support; the biweight is offered for comparison only.
 KERNELS = {"gaussian": _GAUSSIAN, "biweight": _BIWEIGHT}
 
 
@@ -97,11 +88,6 @@ def get_kernel(name: str) -> Kernel:
     if name not in KERNELS:
         raise ValueError(f"unknown kernel {name!r}; choose from {', '.join(KERNELS)}")
     return KERNELS[name]
-
-
-def kernel_deriv_sq_integral(kernel: Kernel) -> float:
-    """Return the cached integral of K'(u)^2 over the real line."""
-    return kernel.deriv_sq_integral
 
 
 def chi_square_sf(df: int, x):

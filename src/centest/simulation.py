@@ -22,10 +22,9 @@ a path is bitwise the same whatever block it was made in, and a single
 path is the one-row case of the same kernel. The cross-section covariates
 are filled a column at a time from every third normal of a row. The GARCH
 recursion takes one vector step per time step across the block, five ufunc
-calls into preallocated rows (a block of fewer than _GARCH_ROW_LOOP_BELOW
-rows runs it on Python floats instead), and the AR recursion one scaled
-cumulative sum per span of 512 steps (see _ar_filter). Forecasts and
-instruments are formed for the whole block from its arrays. A block holds
+calls into preallocated rows, and the AR recursion one scaled cumulative sum
+per span of 512 steps (see _ar_filter). Forecasts and instruments are formed
+for the whole block from its arrays. A block holds
 two or three (B, burn_in + T + 2) arrays for the time-series DGPs and
 about seven (B, T) arrays' worth for the cross-section ones (four
 covariate columns among them), and its draws while it is made: at B = 128,
@@ -117,10 +116,6 @@ _GARCH_CONST, _GARCH_PERSIST, _GARCH_ARCH = 0.1, 0.8, 0.1
 _AR_SPAN = 512
 _AR_UP = np.ldexp(1.0, np.arange(_AR_SPAN))
 _AR_DOWN = np.ldexp(1.0, -np.arange(_AR_SPAN))
-# Blocks with fewer rows run the GARCH recursion on Python floats, row by row:
-# numpy's dispatch at every time step makes the vector loop slower below this
-# (they tie at about 22 rows of 1502 steps; from 24 the vector loop wins).
-_GARCH_ROW_LOOP_BELOW = 24
 
 
 class InstrumentSet(IntEnum):
@@ -424,23 +419,12 @@ def _garch_sigma(xi: np.ndarray) -> np.ndarray:
     s2' = c + p s2 + a s2 xi^2 for each row of innovations, starting from the
     unconditional variance of 1.
 
-    A block takes one vector step per time step across its rows: five ufunc
-    calls writing into preallocated rows (c, p and a held as rows too), with
-    no temporaries. A short block takes the same operations in the same order
-    on Python floats, one row at a time. Both give the same bits.
+    Each time step is one vector step across the rows: five ufunc calls
+    writing into preallocated rows (c, p and a held as rows too), with no
+    temporaries. A row's values do not depend on the other rows, so a single
+    path is the one-row case.
     """
     rows, n = xi.shape
-    if rows < _GARCH_ROW_LOOP_BELOW:
-        c, p, a = _GARCH_CONST, _GARCH_PERSIST, _GARCH_ARCH
-        s2 = np.empty((rows, n))
-        for j, row in enumerate((xi * xi)[:, :-1].tolist()):
-            prev = 1.0
-            out = [prev]
-            for sq in row:
-                prev = c + p * prev + a * prev * sq
-                out.append(prev)
-            s2[j] = out
-        return np.sqrt(s2)
     # time-major, so that each step reads and writes contiguous rows
     squares = np.multiply(xi.T, xi.T, out=np.empty((n, rows)))
     s2 = np.empty((n, rows))
@@ -467,6 +451,16 @@ def optimal_forecasts(path: SimulatedPath, config: DgpConfig, beta) -> np.ndarra
     return path.cond_loc + path.sigma_next * float(_theta_array(beta) @ spec.centralities)
 
 
+def _check_kappa(kind: Distortion | str, kappa: float) -> Distortion:
+    """The distortion, once ``kappa`` is checked against its range."""
+    kind = Distortion(kind)
+    if kind is Distortion.BIAS and not -1.0 < kappa < 1.0:
+        raise ValueError(f"bias kappa must lie in (-1, 1), got {kappa}")
+    if kind is Distortion.NOISE and not 0.0 <= kappa < 1.0:
+        raise ValueError(f"noise kappa must lie in [0, 1), got {kappa}")
+    return kind
+
+
 def distort_forecasts(
     forecasts, kind: Distortion | str, kappa: float, stream: RandomStream
 ) -> np.ndarray:
@@ -476,15 +470,11 @@ def distort_forecasts(
     noise -> X + N(0, kappa * var(X)) draws, kappa in [0, 1); kappa = 0 is an
              exact identity (no draws consumed)
     """
-    kind = Distortion(kind)
+    kind = _check_kappa(kind, kappa)
     x = np.asarray(forecasts, dtype=float)
     sd = float(x.std())
     if kind is Distortion.BIAS:
-        if not -1.0 < kappa < 1.0:
-            raise ValueError(f"bias kappa must lie in (-1, 1), got {kappa}")
         return x + kappa * sd
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError(f"noise kappa must lie in [0, 1), got {kappa}")
     if kappa == 0.0:
         return x.copy()
     rng = stream.generator()
@@ -608,6 +598,11 @@ def _plane_simplex_intersection(normal: np.ndarray) -> list[np.ndarray]:
     return unique
 
 
+def _check_draws(draws: int) -> None:
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
+
+
 def implied_theta(
     config: DgpConfig,
     beta,
@@ -627,8 +622,7 @@ def implied_theta(
     intersected with the simplex. A segment's evaluation point is its
     midpoint.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    _check_draws(draws)
     b = _theta_array(beta)
     instrument_set = InstrumentSet(instrument_set)
 
@@ -739,6 +733,16 @@ def _check_replications(replications: int) -> None:
         raise ValueError(f"need at least 100 replications, got {replications}")
 
 
+def _check_nominal_alpha(nominal_alpha: float) -> None:
+    if not 0.0 <= nominal_alpha < 1.0:
+        raise ValueError(f"nominal level must lie in [0, 1), got {nominal_alpha}")
+
+
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"coverage level must lie in (0, 1), got {level}")
+
+
 def _run_replications(
     config: DgpConfig,
     replications: int,
@@ -793,8 +797,7 @@ def run_size_experiment(
     covariances) are counted, not fatal.
     """
     _check_replications(replications)
-    if not 0.0 <= nominal_alpha < 1.0:
-        raise ValueError(f"nominal level must lie in [0, 1), got {nominal_alpha}")
+    _check_nominal_alpha(nominal_alpha)
     instrument_set = InstrumentSet(instrument_set)
 
     def rejects(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
@@ -848,8 +851,7 @@ def run_coverage_experiment(
     the beta representative under symmetry.
     """
     _check_replications(replications)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"coverage level must lie in (0, 1), got {level}")
+    _check_level(level)
     instrument_set = InstrumentSet(instrument_set)
     theta_set = implied_theta(config, beta, draws, instrument_set, kernel)
     theta = theta_set.evaluation_point
@@ -903,6 +905,7 @@ def run_grid_coverage_experiment(
     failure, counted by exception name, and left out of the rates.
     """
     _check_replications(replications)
+    _check_level(level)
     instrument_set = InstrumentSet(instrument_set)
     theta_rows = _lattice(m)[2]
     thetas = [SimplexWeights(*row) for row in theta_rows.tolist()]

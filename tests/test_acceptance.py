@@ -21,15 +21,12 @@ from centest import (
     MODE_VERTEX,
     RandomStream,
     bandwidth_rule_of_thumb,
-    biweight_kernel,
     build_instruments,
     chi_square_quantile,
     chi_square_sf,
-    gaussian_kernel,
     generalized_modal_midpoint,
     gmm_objective,
     instrument_moment_test,
-    kernel_deriv_sq_integral,
     mode_test,
     optimal_forecasts,
     run_coverage_experiment,
@@ -40,6 +37,7 @@ from centest import (
     skew_normal_params,
 )
 from centest.cli import main
+from centest.numerics import KERNELS
 
 SEED = 20260809
 
@@ -265,11 +263,11 @@ class TestCriterion10SpecialFunctions:
 
     def test_kernel_integrals_against_quadrature(self):
         worst = 0.0
-        for kernel in (gaussian_kernel(), biweight_kernel()):
+        for kernel in KERNELS.values():
             lo, hi = kernel.support
             oracle = integrate.quad(lambda u: float(kernel.deriv_at(u)) ** 2,
                                     lo, hi, epsabs=1e-12)[0]
-            worst = max(worst, abs(kernel_deriv_sq_integral(kernel) - oracle))
+            worst = max(worst, abs(kernel.deriv_sq_integral - oracle))
             mass = integrate.quad(lambda u: float(kernel.value_at(u)), lo, hi,
                                   epsabs=1e-12)[0]
             worst = max(worst, abs(mass - 1.0))

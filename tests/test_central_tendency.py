@@ -10,10 +10,10 @@ from centest import (
     MODE_VERTEX,
     SimplexWeights,
     SingularMatrixError,
-    biweight_kernel,
     chi_square_quantile,
     chi_square_sf,
     confidence_set,
+    get_kernel,
     gmm_objective,
     instrument_moment_test,
     mode_test,
@@ -355,7 +355,7 @@ class TestConfidenceSet:
         e = rng.choice([-1.0, 1.0], t) * (2.0 + rng.random(t))
         e[5] = 0.1
         ds = ForecastDataset(x - e, x, np.column_stack([np.ones(t), x]))
-        grid = confidence_set(ds, m=4, delta=0.5, kernel=biweight_kernel())
+        grid = confidence_set(ds, m=4, delta=0.5, kernel=get_kernel("biweight"))
         singular = [p.index for p in grid.points if p.note is not None]
         assert singular == [(0, 0)]
         for p in grid.points:

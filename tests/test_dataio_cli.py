@@ -132,6 +132,26 @@ class TestLoadCsv:
         assert ds.cluster_labels.dtype == np.int64
         assert np.array_equal(ds.cluster_labels, [3, -1, 3])
 
+    def test_needed_column_named_twice_rejected(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x,z,x\n1,2,3,4\n5,6,7,8\n9,1,2,3\n")
+        with pytest.raises(ValueError, match="the header names column 'x' 2 times$"):
+            load_csv(f, ["z"], with_const=True)
+        # a repeated column that is not needed is not read
+        f.write_text("y,x,z,z\n1,2,3,4\n5,6,7,8\n9,1,2,3\n")
+        assert load_csv(f, [], with_const=True).n_obs == 3
+
+    def test_needed_column_named_twice_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "d.csv"
+        f.write_text("y,x,z,x\n1,2,3,4\n5,6,7,8\n9,1,2,3\n")
+        out = tmp_path / "out.json"
+        code = main(["test", "--input", str(f), "--functional", "mean",
+                     "--instruments", "z", "--with-const", "--out-json", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"centest: error: {f}: the header names column 'x' 2 times\n")
+        assert not out.exists()
+
     def test_no_instruments_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("y,x\n1,2\n3,4\n")
@@ -832,7 +852,7 @@ class TestCli:
     def test_simulate_nan_gamma_fails_the_skewness_bound(self, capsys):
         code = main(["simulate", "--experiment", "size", "--dgp", "ar1", "--gamma", "nan",
                      "--sample-size", "100", "--replications", "100"])
-        assert code == 2
+        assert code == 1
         assert capsys.readouterr().err == (
             "centest: error: |skewness| must be below the skew-normal bound 0.9953, "
             "got nan\n")
@@ -895,23 +915,63 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_simulate_invalid_beta_exits_2(self, capsys):
+    def test_simulate_invalid_beta_is_a_usage_error(self, capsys):
         code = main(["simulate", "--experiment", "coverage", "--dgp", "ar1",
                      "--sample-size", "100", "--replications", "100",
                      "--beta", "0.5,0.2,0.2"])
         err = capsys.readouterr().err
-        assert code == 2
+        assert code == 1
         assert err == "centest: error: weights must sum to 1, got sum 0.8999999999999999\n"
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
-    def test_simulate_seed_out_of_range_exits_2(self, capsys, seed):
+    def test_simulate_seed_out_of_range_is_a_usage_error(self, capsys, seed):
         code = main(["simulate", "--experiment", "size", "--dgp", "ar1",
                      "--sample-size", "100", "--replications", "100",
                      f"--seed={seed}"])
         err = capsys.readouterr().err
-        assert code == 2
+        assert code == 1
         assert err.startswith("centest: error: seed must lie in [0, 2**64)")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--experiment", "size", "--replications", "50"],
+         "need at least 100 replications, got 50"),
+        (["--experiment", "coverage", "--level", "1.5"],
+         "coverage level must lie in (0, 1), got 1.5"),
+        (["--experiment", "size", "--alpha-level", "2"],
+         "nominal level must lie in [0, 1), got 2.0"),
+        (["--experiment", "coverage", "--beta", "mean-mode", "--draws", "0"],
+         "draws must be >= 1, got 0"),
+        (["--experiment", "size", "--sample-size", "1"],
+         "sample size must be >= 2, got 1"),
+        (["--experiment", "size", "--burn-in", "0"],
+         "time-series DGPs need burn_in >= 1"),
+        (["--experiment", "coverage", "--beta", "0.5,0.5,0.5"],
+         "weights must sum to 1, got sum 1.5"),
+        (["--experiment", "power", "--distortion", "bias", "--kappa", "1.5"],
+         "bias kappa must lie in (-1, 1), got 1.5"),
+        (["--experiment", "power", "--distortion", "noise", "--kappa", "-0.1"],
+         "noise kappa must lie in [0, 1), got -0.1"),
+    ], ids=["replications", "level", "alpha-level", "draws", "sample-size", "burn-in",
+            "beta", "bias-kappa", "noise-kappa"])
+    def test_simulate_option_out_of_range_is_a_usage_error(self, tmp_path, capsys,
+                                                           flags, message):
+        # the library's own check and message, before any output is written
+        out, data = tmp_path / "sim.json", tmp_path / "rep0.csv"
+        code = main(["simulate", "--dgp", "ar1", "--sample-size", "100",
+                     "--replications", "100", *flags, "--out-json", str(out),
+                     "--out-dataset", str(data)])
+        assert code == 1
+        assert capsys.readouterr().err == f"centest: error: {message}\n"
+        assert not out.exists() and not data.exists()
+
+    def test_cset_grid_resolution_is_checked_before_the_input(self, tmp_path, capsys):
+        # the file does not exist: the option is a usage error before it is read
+        code = main(["cset", "--input", str(tmp_path / "absent.csv"), "--with-const",
+                     "--grid-m", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "centest: error: grid resolution must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("command", ["test", "cset"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -1023,6 +1083,14 @@ class TestCli:
          "point 0 field 'index' must hold two integers, got [0, 0, 1]"),
         (_one_point_scan(point={"note": 5}),
          "point 0 field 'note' must be a string or null, got int"),
+        (_one_point_scan(point={"theta": [0.5, 0.5]}),
+         "point 0 field 'theta' must hold three numbers, got [0.5, 0.5]"),
+        (_one_point_scan(point={"theta": ["a", 0.0, 1.0]}),
+         "point 0 field 'theta' must hold three numbers, got [\"a\", 0.0, 1.0]"),
+        (_one_point_scan(point={"theta": [True, 0.0, 0.0]}),
+         "point 0 field 'theta' must hold three numbers, got [true, 0.0, 0.0]"),
+        (_one_point_scan(point={"theta": [0.5, -0.5, 1.0]}),
+         "point 0 field 'theta': weights must be nonnegative, got [ 0.5 -0.5  1. ]"),
         (_one_point_scan(alpha_levels=["0.05", "0.1"]),
          "document field 'alpha_levels' must hold numbers in (0, 1), got [\"0.05\", \"0.1\"]"),
         (_one_point_scan(alpha_levels=[True]),
@@ -1040,6 +1108,7 @@ class TestCli:
             "resolution-not-an-integer", "df-a-bool", "n-obs-not-an-integer",
             "bandwidth-not-a-number", "bandwidth-null", "index-not-integers",
             "index-a-bool", "index-of-three", "note-not-a-string",
+            "theta-of-two", "theta-not-numbers", "theta-a-bool", "theta-negative",
             "alpha-levels-strings", "alpha-levels-a-bool", "alpha-level-above-one",
             "alpha-levels-empty", "alpha-labels-collide", "alpha-headers-collide"])
     def test_malformed_plot_json_exits_2_without_traceback(self, tmp_path, capsys,

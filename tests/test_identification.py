@@ -12,7 +12,7 @@ from centest import (
     SingularMatrixError,
     confidence_set,
     forecast_errors,
-    gaussian_kernel,
+    get_kernel,
     gmm_objective,
     identification_values,
     mode_test,
@@ -141,7 +141,7 @@ class TestIdentificationValues:
         assert np.array_equal(out, [-3.0, 2.0])
 
     def test_mode_against_finite_difference(self):
-        kernel = gaussian_kernel()
+        kernel = get_kernel("gaussian")
         out = identification_values("mode", [1.0], delta=1.0)
         # K'(-1) by central finite difference of K
         fd = (float(kernel.value_at(-1.0 + 1e-6)) -
@@ -164,7 +164,7 @@ class TestIdentificationValues:
 
     @pytest.mark.parametrize("kind", ["mean", "median"])
     @pytest.mark.parametrize("options", [{"delta": 0.7}, {"delta": float("nan")},
-                                         {"kernel": gaussian_kernel()}])
+                                         {"kernel": get_kernel("gaussian")}])
     def test_mode_options_rejected_for_mean_and_median(self, kind, options):
         with pytest.raises(ValueError, match=f"mode only, not the {kind}"):
             identification_values(kind, [1.0, -1.0], **options)
@@ -177,7 +177,7 @@ class TestIdentificationValues:
         assert set(np.unique(out)).issubset({-1.0, 0.0, 1.0})
 
     def test_mode_bound(self, rng):
-        kernel = gaussian_kernel()
+        kernel = get_kernel("gaussian")
         delta = 0.3
         errors = rng.standard_normal(500)
         values = identification_values("mode", errors, delta=delta)
@@ -260,7 +260,7 @@ class TestWeightingMatrices:
 class TestStackedMoments:
     def test_single_observation_rows_identity_weights(self):
         # eps = 1, h = 1, delta = 1: rows (1, 1, K'(-1))
-        values = _identification_matrix(np.array([1.0]), 1.0, gaussian_kernel())
+        values = _identification_matrix(np.array([1.0]), 1.0, get_kernel("gaussian"))
         per_obs = _assemble_stacked(values, np.ones((1, 1)), np.eye(1)[None].repeat(3, 0))
         assert per_obs.shape == (1, 3, 1)
         assert per_obs[0, 0, 0] == 1.0

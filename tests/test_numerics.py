@@ -9,13 +9,10 @@ from scipy import integrate, optimize, special
 from centest import (
     Kernel,
     RandomStream,
-    biweight_kernel,
     chi_square_quantile,
     chi_square_sf,
-    gaussian_kernel,
     generalized_modal_midpoint,
     get_kernel,
-    kernel_deriv_sq_integral,
 )
 from centest.numerics import (
     KERNELS,
@@ -37,13 +34,13 @@ def kernel_at(kernel, u):
 
 class TestKernels:
     def test_gaussian_at_zero(self):
-        value, deriv = kernel_at(gaussian_kernel(), 0.0)
+        value, deriv = kernel_at(get_kernel("gaussian"), 0.0)
         assert value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
         assert value == pytest.approx(0.3989423, abs=5e-8)
         assert deriv == 0.0
 
     def test_gaussian_at_one_against_finite_difference(self):
-        kernel = gaussian_kernel()
+        kernel = get_kernel("gaussian")
         value, deriv = kernel_at(kernel, 1.0)
         assert value == pytest.approx(0.2419707, abs=5e-8)
         fd = central_difference(lambda u: float(kernel.value_at(u)), 1.0)
@@ -51,26 +48,26 @@ class TestKernels:
         assert deriv == pytest.approx(-0.2419707, abs=5e-8)
 
     def test_biweight_at_zero(self):
-        value, deriv = kernel_at(biweight_kernel(), 0.0)
+        value, deriv = kernel_at(get_kernel("biweight"), 0.0)
         assert value == 15.0 / 16.0
         assert deriv == 0.0
 
     def test_biweight_vanishes_outside_support(self):
-        value, deriv = kernel_at(biweight_kernel(), 1.5)
+        value, deriv = kernel_at(get_kernel("biweight"), 1.5)
         assert value == 0.0 and deriv == 0.0
 
     def test_biweight_deriv_against_finite_difference(self):
-        kernel = biweight_kernel()
+        kernel = get_kernel("biweight")
         for u in (-0.8, -0.3, 0.2, 0.9):
             fd = central_difference(lambda v: float(kernel.value_at(v)), u)
             assert float(kernel.deriv_at(u)) == pytest.approx(fd, abs=1e-8)
 
     def test_gaussian_deriv_odd_symmetry_exact(self):
-        kernel = gaussian_kernel()
+        kernel = get_kernel("gaussian")
         u = np.linspace(0.0, 6.0, 301)
         assert np.array_equal(kernel.deriv_at(-u), -kernel.deriv_at(u))
 
-    @pytest.mark.parametrize("kernel", [gaussian_kernel(), biweight_kernel()])
+    @pytest.mark.parametrize("kernel", KERNELS.values())
     def test_unit_mass_and_zero_first_moment(self, kernel):
         lo, hi = kernel.support
         mass, _ = integrate.quad(lambda u: float(kernel.value_at(u)), lo, hi,
@@ -83,21 +80,21 @@ class TestKernels:
     @pytest.mark.parametrize(
         "kernel,closed_form",
         [
-            (gaussian_kernel(), 0.25 / math.sqrt(math.pi)),
-            (biweight_kernel(), 15.0 / 7.0),
+            (get_kernel("gaussian"), 0.25 / math.sqrt(math.pi)),
+            (get_kernel("biweight"), 15.0 / 7.0),
         ],
     )
     def test_deriv_sq_integral_against_quadrature(self, kernel, closed_form):
         lo, hi = kernel.support
         oracle, _ = integrate.quad(lambda u: float(kernel.deriv_at(u)) ** 2, lo, hi,
                                    epsabs=1e-12)
-        assert kernel_deriv_sq_integral(kernel) == pytest.approx(oracle, abs=1e-8)
-        assert kernel_deriv_sq_integral(kernel) == pytest.approx(closed_form, abs=1e-12)
-        assert kernel_deriv_sq_integral(kernel) > 0.0
+        assert kernel.deriv_sq_integral == pytest.approx(oracle, abs=1e-8)
+        assert kernel.deriv_sq_integral == pytest.approx(closed_form, abs=1e-12)
+        assert kernel.deriv_sq_integral > 0.0
 
     def test_get_kernel_by_name(self):
-        assert get_kernel("gaussian") is gaussian_kernel()
-        assert get_kernel("biweight") is biweight_kernel()
+        for name in ("gaussian", "biweight"):
+            assert get_kernel(name) is KERNELS[name]
         assert list(KERNELS) == ["gaussian", "biweight"]
         with pytest.raises(ValueError, match="^unknown kernel 'epanechnikov'; "
                                              "choose from gaussian, biweight$"):
@@ -425,7 +422,7 @@ class TestRandomStream:
 
     def test_kernel_dataclass_is_frozen(self):
         with pytest.raises(Exception):
-            gaussian_kernel().deriv_sq_integral = 1.0  # type: ignore[misc]
+            get_kernel("gaussian").deriv_sq_integral = 1.0  # type: ignore[misc]
 
     def test_kernel_type(self):
-        assert isinstance(gaussian_kernel(), Kernel)
+        assert isinstance(get_kernel("gaussian"), Kernel)

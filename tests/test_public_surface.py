@@ -12,19 +12,24 @@ from centest import central_tendency, identification, numerics, simulation
 # confidence_set replaced the pre-engine algebra, stacked_moments carries the
 # weight matrices, central_tendency._theta_array validates every theta,
 # optimal_forecasts and build_instruments take a path or a block of paths,
-# and numerics.KERNELS names the kernels
+# numerics.KERNELS names the kernels (get_kernel looks them up), and one
+# vector step makes the GARCH variances of a single path or a block
 REMOVED = [
     "KernelKind",
+    "_GARCH_ROW_LOOP_BELOW",
     "_beta_array",
     "_block_forecasts",
     "_block_instruments",
     "_eigh_above_floor",
     "_forecast_shift",
     "_path_row",
+    "biweight_kernel",
     "combined_moment",
+    "gaussian_kernel",
     "gmm_objective_from_stacked",
     "gmm_objectives_from_stacked",
     "inverse_sqrt_spd",
+    "kernel_deriv_sq_integral",
     "kernel_eval",
     "simulate_paths",
     "solve_spd",
@@ -33,7 +38,7 @@ REMOVED = [
 
 
 def test_all_is_unique_and_resolves():
-    assert len(set(centest.__all__)) == len(centest.__all__)
+    assert len(set(centest.__all__)) == len(centest.__all__) == 55
     for name in centest.__all__:
         assert hasattr(centest, name), name
 

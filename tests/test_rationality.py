@@ -10,7 +10,6 @@ from centest import (
     SingularMatrixError,
     bandwidth_rule_of_thumb,
     chi_square_sf,
-    gaussian_kernel,
     get_kernel,
     instrument_moment_test,
     mode_test,
@@ -134,7 +133,7 @@ class TestModeTest:
         delta = 0.7
         result = mode_test(ds, delta=delta)
         errors = ds.forecasts - ds.realizations
-        kernel = gaussian_kernel()
+        kernel = get_kernel("gaussian")
         w = delta ** -1.0 * kernel.deriv_at(errors / delta) ** 2
         omega = (ds.instruments * w[:, None]).T @ ds.instruments / 60
         assert np.allclose(result.covariance, omega, atol=1e-12)
@@ -142,10 +141,8 @@ class TestModeTest:
 
 class TestBiweightKernel:
     def test_mode_test_runs_with_biweight(self, rng):
-        from centest import biweight_kernel
-
         ds = make_dataset(rng, t=200, k=2, skew=0.4)
-        result = mode_test(ds, kernel=biweight_kernel())
+        result = mode_test(ds, kernel=get_kernel("biweight"))
         assert result.statistic >= 0.0
         assert 0.0 <= result.p_value <= 1.0
         assert result.p_value == pytest.approx(
@@ -155,12 +152,10 @@ class TestBiweightKernel:
     def test_biweight_and_gaussian_agree_in_order_of_magnitude(self, rng):
         # the kernels share the identification target; wildly different
         # statistics on the same data would signal a scaling bug
-        from centest import biweight_kernel
-
         ds = make_dataset(rng, t=400, k=2, skew=0.4)
         delta = 1.2
         j_gauss = mode_test(ds, delta=delta).statistic
-        j_bi = mode_test(ds, delta=delta, kernel=biweight_kernel()).statistic
+        j_bi = mode_test(ds, delta=delta, kernel=get_kernel("biweight")).statistic
         assert 0.05 < (j_bi + 0.1) / (j_gauss + 0.1) < 20.0
 
 

@@ -20,6 +20,7 @@ from centest import (
     ThetaSetKind,
     build_instruments,
     distort_forecasts,
+    get_kernel,
     implied_theta,
     optimal_forecasts,
     run_coverage_experiment,
@@ -32,7 +33,6 @@ from centest import (
 from centest.dataio import report_to_dict
 from centest.simulation import (
     _AR_SPAN,
-    _GARCH_ROW_LOOP_BELOW,
     MAX_MOMENT_SKEWNESS,
     SkewNormalSpec,
     _ar_filter,
@@ -251,17 +251,15 @@ class TestSimulateDgp:
         with pytest.raises(ValueError):
             DgpConfig(dgp="ar1", skewness=0.0, n_obs=50, seed=1, burn_in=0)
 
-    @pytest.mark.parametrize("rows, n", [
-        (_GARCH_ROW_LOOP_BELOW, 400), (128, 400), (129, 400), (128, 2),
-    ])
-    def test_garch_one_row_branch_matches_vector_loop(self, rows, n):
-        # blocks on the vector loop (the smallest, a full block, one past it,
-        # a single step) against short blocks (one row, two rows, the largest
-        # short block) and single rows on the float branch
+    @pytest.mark.parametrize("rows, n", [(24, 400), (128, 400), (129, 400), (128, 2)])
+    def test_garch_row_subsets_match_block(self, rows, n):
+        # a row's variances do not depend on the other rows of its block: the
+        # first 1, 2 and 23 rows, and each single row, equal the block's rows
+        # byte for byte (a full block, one past it, and a single step included)
         xi = RandomStream(13, 2).generator().standard_normal((rows, n))
         block = _garch_sigma(xi)
         assert block.shape == xi.shape
-        for short in (1, 2, _GARCH_ROW_LOOP_BELOW - 1):
+        for short in (1, 2, 23):
             assert _garch_sigma(xi[:short]).tobytes() == block[:short].tobytes()
         for j in range(rows):
             assert _garch_sigma(xi[j:j + 1]).tobytes() == block[j:j + 1].tobytes()
@@ -638,6 +636,15 @@ class TestExperiments:
         with pytest.raises(ValueError):
             run_coverage_experiment(cfg, [1, 0, 0], 1, 50)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+    def test_both_coverage_experiments_check_the_level_alike(self, level):
+        cfg = DgpConfig(dgp="ar1", skewness=0.0, n_obs=50, seed=26)
+        message = f"^coverage level must lie in \\(0, 1\\), got {level}$"
+        with pytest.raises(ValueError, match=message):
+            run_coverage_experiment(cfg, [1, 0, 0], 1, 100, level=level)
+        with pytest.raises(ValueError, match=message):
+            run_grid_coverage_experiment(cfg, [1, 0, 0], 1, 100, m=2, level=level)
+
     @pytest.mark.parametrize("dgp", [
         "homoskedastic-iid", "heteroskedastic", "ar1", "ar-garch",
     ])
@@ -710,11 +717,9 @@ class TestExperiments:
                                       high.mc_standard_error)
 
     def test_biweight_kernel_size_comparable(self):
-        from centest import biweight_kernel
-
         cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.0, n_obs=500,
                         seed=32)
-        report = run_size_experiment(cfg, 2, 500, kernel=biweight_kernel())
+        report = run_size_experiment(cfg, 2, 500, kernel=get_kernel("biweight"))
         assert 0.02 <= report.rate <= 0.10
 
     def test_grid_coverage_symmetric_near_nominal(self):
