@@ -36,10 +36,8 @@ from .errors import DegenerateErrors, MissingColumnError, SingularMatrixError
 from .identification import (
     ForecastDataset,
     Functional,
-    StackedMoments,
     forecast_errors,
     identification_values,
-    stacked_moments,
 )
 from .numerics import (
     Kernel,
@@ -98,7 +96,6 @@ __all__ = [
     "SimulationReport",
     "SingularMatrixError",
     "SkewNormalSpec",
-    "StackedMoments",
     "TestResult",
     "ThetaSetKind",
     "bandwidth_rule_of_thumb",
@@ -128,6 +125,5 @@ __all__ = [
     "simplex_grid",
     "simulate_dgp",
     "skew_normal_params",
-    "stacked_moments",
     "write_dataset_csv",
 ]

@@ -6,6 +6,10 @@ The weight vector may be strongly, weakly, partially or completely
 unidentified, which rules out point estimation; the confidence set inverts
 the objective against chi-square critical values instead, which stays valid
 in all four identification regimes.
+
+S_T has one block kernel, _objective_rows: gmm_objective and confidence_set
+are its one-row call, and simulation's coverage experiments score blocks of
+replications with it.
 """
 
 from __future__ import annotations
@@ -14,9 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import bandwidth_rule_of_thumb
-from .errors import SingularMatrixError
-from .identification import ForecastDataset, stacked_moments
+from .errors import SingularMatrixError, raise_row_failure
+from .identification import (
+    ForecastDataset,
+    _assemble_stacked,
+    _check_bandwidth,
+    _weighted_block,
+    forecast_errors,
+)
 from .numerics import (
     Kernel,
     chi_square_quantile,
@@ -177,21 +186,27 @@ def _objectives_block(
     return objectives, [notes[i * p:(i + 1) * p] for i in range(b)]
 
 
-def _dataset_objectives(
-    thetas: np.ndarray, dataset: ForecastDataset, delta, kernel
-) -> tuple[np.ndarray, list[str | None], float]:
-    """S_T at every theta (P, 3) for one dataset, under its own cluster
-    labels: the prelude of gmm_objective and confidence_set. ``delta``
-    defaults to the rule-of-thumb bandwidth of the forecast errors. Returns
-    the P objectives, the P notes of _objectives_block and the bandwidth."""
-    if delta is None:
-        delta = bandwidth_rule_of_thumb(
-            dataset.forecasts - dataset.realizations, dataset.n_obs
-        ).delta
-    stacked = stacked_moments(dataset, delta, kernel)
-    objectives, (notes,) = _objectives_block(
-        thetas, stacked.per_obs[None], dataset.cluster_labels)
-    return objectives[0], notes, delta
+def _objective_rows(
+    thetas: np.ndarray,
+    errors: np.ndarray,
+    instruments: np.ndarray,
+    kernel: Kernel | None,
+    delta=None,
+    cluster_labels=None,
+) -> tuple[np.ndarray, list[list[str | None]], np.ndarray, list]:
+    """S_T at every theta (P, 3) for each dataset of a block: errors (B, T),
+    instruments (B, T, k); cluster labels apply to a one-dataset block.
+
+    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth.
+    Returns the (B, P) objectives and their notes (see _objectives_block),
+    the (B,) bandwidths and, per dataset, None or the bandwidth's or the
+    weights' failure (see _weighted_block).
+    """
+    values, weights, delta, failures = _weighted_block(
+        errors, instruments, kernel, delta)
+    objectives, notes = _objectives_block(
+        thetas, _assemble_stacked(values, instruments, weights), cluster_labels)
+    return objectives, notes, delta, failures
 
 
 def gmm_objective(
@@ -207,11 +222,17 @@ def gmm_objective(
 
     nonnegative by construction, with phi_t(theta) = theta' psi_t the
     combined moment. Sigma depends on theta and is recomputed at every
-    point; it is wave-clustered when the dataset carries cluster labels. A
-    singular Sigma(theta) raises SingularMatrixError.
+    point; it is wave-clustered when the dataset carries cluster labels.
+    ``delta`` defaults to the rule-of-thumb bandwidth of the forecast errors.
+    A singular Sigma(theta) raises SingularMatrixError.
     """
-    (s,), (note,), _ = _dataset_objectives(
-        _theta_array(theta)[None], dataset, delta, kernel)
+    thetas = _theta_array(theta)[None]
+    if delta is not None:
+        _check_bandwidth(delta)
+    ((s,),), ((note,),), _, failures = _objective_rows(
+        thetas, forecast_errors(dataset)[None], dataset.instruments[None], kernel,
+        delta, dataset.cluster_labels)
+    raise_row_failure(failures)
     if note is not None:
         raise SingularMatrixError(note)
     return float(s)
@@ -261,14 +282,20 @@ def confidence_set(
 
     A point belongs to the 1-alpha confidence set iff S_T <= Q_k(1-alpha).
     The bandwidth is computed once from the forecast errors and shared by
-    every theta, and all points are scored in one batched pass (see
-    _objectives_block), under the dataset's cluster labels if it has any.
+    every theta, and all points are scored in one batched pass (the one-row
+    call of _objective_rows), under the dataset's cluster labels if it has
+    any.
     Per-point singular covariances are recorded as NaN, non-member points
     with a note.
     """
     i, j, thetas = _lattice(m)
     alpha_levels = _check_alpha_levels(alpha_levels)
-    objectives, notes, delta = _dataset_objectives(thetas, dataset, delta, kernel)
+    if delta is not None:
+        _check_bandwidth(delta)
+    (objectives,), (notes,), (bandwidth,), failures = _objective_rows(
+        thetas, forecast_errors(dataset)[None], dataset.instruments[None], kernel,
+        delta, dataset.cluster_labels)
+    raise_row_failure(failures)
     k = dataset.n_instruments
     thresholds = {a: chi_square_quantile(k, 1.0 - a) for a in alpha_levels}
     # a singular point has a NaN objective, so a NaN p-value, and fails
@@ -291,7 +318,7 @@ def confidence_set(
         resolution=m,
         points=points,
         alpha_levels=alpha_levels,
-        bandwidth=float(delta),
+        bandwidth=float(bandwidth),
         df=k,
         n_obs=dataset.n_obs,
     )

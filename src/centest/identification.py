@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .bandwidth import _block_bandwidths
-from .errors import SingularMatrixError, first_failures, raise_row_failure
+from .errors import SingularMatrixError, first_failures
 from .numerics import KERNELS, RELATIVE_EIG_FLOOR, Kernel, floored_eigh
 
 
@@ -243,20 +243,21 @@ def _weighted_block(
     instruments: np.ndarray,
     kernel: Kernel | None,
     delta=None,
-) -> tuple[np.ndarray, np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Identification values and weight matrices of a block of datasets:
     errors (B, T), instruments (B, T, k).
 
     Without ``delta`` each dataset gets its own rule-of-thumb bandwidth.
-    Returns the (B, 3, T) values, the (B, 3, k, k) weights and, per
-    dataset, None or the exception scoring it alone raises, in that path's
-    order: the bandwidth's DegenerateErrors (zero MAD, then zero sd), then
-    the weights' SingularMatrixError (instrument whitener, then row scale).
+    Returns the (B, 3, T) values, the (B, 3, k, k) weights, the (B,)
+    bandwidths and, per dataset, None or the exception scoring it alone
+    raises, in that path's order: the bandwidth's DegenerateErrors (zero
+    MAD, then zero sd), then the weights' SingularMatrixError (instrument
+    whitener, then row scale).
     """
     delta, failures = _block_bandwidths(errors, delta)
     values = _identification_matrix(errors, delta, kernel)
     weights, weight_failures = _weight_matrices_from_arrays(values, instruments)
-    return values, weights, first_failures(failures, weight_failures)
+    return values, weights, delta, first_failures(failures, weight_failures)
 
 
 def _assemble_stacked(values, instruments, weights) -> np.ndarray:
@@ -268,44 +269,3 @@ def _assemble_stacked(values, instruments, weights) -> np.ndarray:
     weighted_h = instruments @ columns.reshape(*lead, k, n_rows * k)
     shape = weighted_h.shape[:-1] + (n_rows, k)
     return np.swapaxes(values, -1, -2)[..., None] * weighted_h.reshape(shape)
-
-
-@dataclass
-class StackedMoments:
-    """Per-observation 3 x k weighted moment rows plus the inputs that fix
-    them (bandwidth and weight matrices)."""
-
-    per_obs: np.ndarray            # (T, 3, k)
-    bandwidth: float
-    weight_matrices: np.ndarray    # (3, k, k), ordered mean/median/mode
-
-    @property
-    def n_obs(self) -> int:
-        return self.per_obs.shape[0]
-
-    @property
-    def n_instruments(self) -> int:
-        return self.per_obs.shape[2]
-
-    def row(self, kind: Functional | str) -> np.ndarray:
-        """(T, k) weighted moment rows of one functional."""
-        return self.per_obs[:, FUNCTIONALS.index(Functional(kind)), :]
-
-
-def stacked_moments(
-    dataset: ForecastDataset,
-    delta: float,
-    kernel: Kernel | None = None,
-) -> StackedMoments:
-    """Assemble the stacked per-observation moment rows.
-
-    Row r of observation t is h_t' W_r times the identification value of
-    functional r at t, with the row-normalizing weight matrices W_r of
-    _weight_matrices_from_arrays.
-    """
-    _check_bandwidth(delta)
-    (values,), (weights,), failures = _weighted_block(
-        forecast_errors(dataset)[None], dataset.instruments[None], kernel, delta)
-    raise_row_failure(failures)
-    per_obs = _assemble_stacked(values, dataset.instruments, weights)
-    return StackedMoments(per_obs=per_obs, bandwidth=delta, weight_matrices=weights)

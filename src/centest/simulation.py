@@ -38,14 +38,15 @@ once, whatever the replication count. Results come back in block order and a
 block is the range of its replication indices, so the reports do not depend
 on the threads. On one core the caller runs every block.
 
-Each block is also scored in one pass. The bandwidth rule, the weight
-matrices, the stacked moments, the mode test and the GMM objective all have
-block kernels with a leading replication axis, and the single-dataset
-functions are their one-row case. A block kernel returns its results and,
-per replication, None or the exception the single-dataset function would
-raise on it, found by the same checks in the same order; a failed
-replication gets finite placeholder values, so it neither warns nor changes
-the others, and the replication loop counts it by exception name.
+Each block is also scored in one pass, by the block kernels of the mode
+test (rationality._tests_block) and of S_T (central_tendency._objective_rows),
+whose one-row case are the single-dataset functions. A block kernel returns
+its results and, per replication, None or the exception the single-dataset
+function would raise on it, found by the same checks in the same order; a
+failed replication gets finite placeholder values, so it neither warns nor
+changes the others, and the replication loop counts it by exception name.
+The coverage experiments add one rule: the first singular Sigma(theta)
+fails the replication.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ import numpy as np
 from scipy import special
 
 from .bandwidth import bandwidth_rule_of_thumb
-from .central_tendency import SimplexWeights, _lattice, _objectives_block, _theta_array
+from .central_tendency import SimplexWeights, _objective_rows, _theta_array, simplex_grid
 from .errors import SingularMatrixError, first_failures, raise_row_failure
-from .identification import Functional, _assemble_stacked, _check_aligned, _weighted_block
+from .identification import Functional, _check_aligned, _weighted_block
 from .numerics import (
     Kernel,
     RandomStream,
@@ -154,8 +155,8 @@ class DgpConfig:
             raise ValueError(f"sample size must be >= 2, got {self.n_obs}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.dgp in _TIME_SERIES and self.burn_in < 1:
-            raise ValueError("time-series DGPs need burn_in >= 1")
+        if self.burn_in < 1:
+            raise ValueError(f"burn_in must be >= 1, got {self.burn_in}")
 
 
 @dataclass(frozen=True)
@@ -653,7 +654,7 @@ def implied_theta(
     n = errors.size
 
     delta = bandwidth_rule_of_thumb(errors, n_obs=config.n_obs).delta
-    (values,), (weights,), failures = _weighted_block(
+    (values,), (weights,), _, failures = _weighted_block(
         errors[None], instruments[None], kernel, delta)
     raise_row_failure(failures)
     # row r: the mean over observations of v_r h' W_r
@@ -815,24 +816,16 @@ def run_size_experiment(
     )
 
 
-def _objective_rows(
-    errors: np.ndarray, instruments: np.ndarray, thetas: np.ndarray, kernel: Kernel
-) -> tuple[np.ndarray, list]:
-    """S_T at every theta (P, 3) for each dataset of a block, at its own
-    rule-of-thumb bandwidth. Returns the (B, P) objectives and, per dataset,
-    None or the exception scoring it alone raises, in that path's order:
-    the bandwidth's and the weights' failures (see _weighted_block), then a
-    SingularMatrixError for the first singular Sigma(theta)."""
-    values, weights, failures = _weighted_block(errors, instruments, kernel)
-    objectives, notes = _objectives_block(
-        thetas, _assemble_stacked(values, instruments, weights)
-    )
+def _replication_failures(notes: list, failures: list) -> list:
+    """Per replication scored by _objective_rows, None or the exception that
+    fails it, in the one-row path's order: its bandwidth's or weights'
+    failure, then a SingularMatrixError for its first singular Sigma(theta)."""
     singular = [
         next((SingularMatrixError(note) for note in row_notes if note is not None),
              None)
         for row_notes in notes
     ]
-    return objectives, first_failures(failures, singular)
+    return first_failures(failures, singular)
 
 
 def run_coverage_experiment(
@@ -861,8 +854,10 @@ def run_coverage_experiment(
     theta_row = theta.as_array()[None]
 
     def covers(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
-        objectives, failures = _objective_rows(errors, instruments, theta_row, kernel)
-        return (objectives[:, 0] <= quantile).tolist(), failures
+        objectives, notes, _, failures = _objective_rows(
+            theta_row, errors, instruments, kernel)
+        return ((objectives[:, 0] <= quantile).tolist(),
+                _replication_failures(notes, failures))
 
     return _report(
         "coverage", config, instrument_set, replications, level,
@@ -907,13 +902,14 @@ def run_grid_coverage_experiment(
     _check_replications(replications)
     _check_level(level)
     instrument_set = InstrumentSet(instrument_set)
-    theta_rows = _lattice(m)[2]
-    thetas = [SimplexWeights(*row) for row in theta_rows.tolist()]
+    thetas = simplex_grid(m)
+    theta_rows = np.array([theta.as_array() for theta in thetas])
     quantile = chi_square_quantile(int(instrument_set), level)
 
     def memberships(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
-        objectives, failures = _objective_rows(errors, instruments, theta_rows, kernel)
-        return list(objectives <= quantile), failures
+        objectives, notes, _, failures = _objective_rows(
+            theta_rows, errors, instruments, kernel)
+        return list(objectives <= quantile), _replication_failures(notes, failures)
 
     outcomes, failures = _run_replications(
         config, replications, beta, instrument_set, memberships

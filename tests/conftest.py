@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from centest import ForecastDataset
+from centest import ForecastDataset, forecast_errors
+from centest.identification import _assemble_stacked, _weighted_block
 
 
 def make_dataset(rng, t=80, k=2, skew=0.0, cluster=False):
@@ -23,6 +24,16 @@ def make_dataset(rng, t=80, k=2, skew=0.0, cluster=False):
         instruments=np.column_stack(cols),
         cluster_labels=labels,
     )
+
+
+def stacked_rows(ds, delta, kernel=None):
+    """One dataset's (T, 3, k) stacked moment rows and (3, k, k) weight
+    matrices at bandwidth ``delta``, from the block kernels on a block of
+    one; the dataset must not fail."""
+    (values,), (weights,), _, failures = _weighted_block(
+        forecast_errors(ds)[None], ds.instruments[None], kernel, delta)
+    assert failures == [None]
+    return _assemble_stacked(values, ds.instruments, weights), weights
 
 
 @pytest.fixture

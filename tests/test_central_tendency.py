@@ -18,13 +18,13 @@ from centest import (
     instrument_moment_test,
     mode_test,
     sigma_hat,
+    forecast_errors,
     simplex_grid,
-    stacked_moments,
 )
 
-from centest.central_tendency import _lattice
+from centest.central_tendency import _lattice, _objective_rows
 
-from conftest import make_dataset
+from conftest import make_dataset, stacked_rows
 
 
 def _per_point_rows(m):
@@ -317,6 +317,22 @@ class TestConfidenceSet:
         ).delta
         assert grid.bandwidth == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("cluster", [False, True])
+    def test_one_row_calls_are_the_block_kernel(self, rng, cluster):
+        # gmm_objective and confidence_set are the kernel's call on a block of
+        # one, under the dataset's cluster labels: equal to the last bit
+        ds = make_dataset(rng, t=90, k=2, skew=0.4, cluster=cluster)
+        vertices = np.eye(3)
+        objectives, notes, bandwidths, failures = _objective_rows(
+            vertices, forecast_errors(ds)[None], ds.instruments[None], None,
+            cluster_labels=ds.cluster_labels)
+        assert failures == [None] and notes == [[None] * 3]
+        assert [gmm_objective(v, ds) for v in vertices] == objectives[0].tolist()
+        grid = confidence_set(ds, m=1)
+        assert grid.bandwidth == bandwidths[0]
+        # the m = 1 lattice lists the mode, median and mean vertices
+        assert [p.objective for p in grid.points] == objectives[0, ::-1].tolist()
+
     def test_lattice_indices_carried(self, rng):
         ds = make_dataset(rng, t=50, k=1)
         grid = confidence_set(ds, m=3)
@@ -333,10 +349,10 @@ class TestConfidenceSet:
         ds = make_dataset(rng, t=150, k=k, skew=0.5, cluster=cluster)
         delta = 0.7
         grid = confidence_set(ds, m=10, delta=delta)
-        stacked = stacked_moments(ds, delta)
+        per_obs, _ = stacked_rows(ds, delta)
         assert len(grid.points) == 66
         for p in grid.points:
-            phi = np.einsum("r,trk->tk", p.weights.as_array(), stacked.per_obs)
+            phi = np.einsum("r,trk->tk", p.weights.as_array(), per_obs)
             g = phi.sum(axis=0) / np.sqrt(phi.shape[0])
             expected = float(g @ np.linalg.solve(sigma_hat(phi, ds.cluster_labels), g))
             assert p.note is None

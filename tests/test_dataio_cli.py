@@ -755,7 +755,7 @@ class TestCli:
         (["--experiment", "power", "--distortion", "bias", "--kappa", "0.3"],
          "_tests_block", 1),
         (["--experiment", "coverage", "--beta", "mean-mode", "--draws", "50"],
-         "_objective_rows", 0),
+         "_objective_rows", 1),
     ], ids=["size", "power-noise", "power-bias", "coverage"])
     def test_dataset_holds_the_scored_replication(self, tmp_path, monkeypatch, flags,
                                                   scorer, at):
@@ -945,7 +945,9 @@ class TestCli:
         (["--experiment", "size", "--sample-size", "1"],
          "sample size must be >= 2, got 1"),
         (["--experiment", "size", "--burn-in", "0"],
-         "time-series DGPs need burn_in >= 1"),
+         "burn_in must be >= 1, got 0"),
+        (["--experiment", "size", "--dgp", "homoskedastic-iid", "--burn-in", "-5"],
+         "burn_in must be >= 1, got -5"),
         (["--experiment", "coverage", "--beta", "0.5,0.5,0.5"],
          "weights must sum to 1, got sum 1.5"),
         (["--experiment", "power", "--distortion", "bias", "--kappa", "1.5"],
@@ -953,7 +955,7 @@ class TestCli:
         (["--experiment", "power", "--distortion", "noise", "--kappa", "-0.1"],
          "noise kappa must lie in [0, 1), got -0.1"),
     ], ids=["replications", "level", "alpha-level", "draws", "sample-size", "burn-in",
-            "beta", "bias-kappa", "noise-kappa"])
+            "cross-section-burn-in", "beta", "bias-kappa", "noise-kappa"])
     def test_simulate_option_out_of_range_is_a_usage_error(self, tmp_path, capsys,
                                                            flags, message):
         # the library's own check and message, before any output is written

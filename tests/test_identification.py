@@ -16,11 +16,15 @@ from centest import (
     gmm_objective,
     identification_values,
     mode_test,
-    stacked_moments,
 )
-from centest.identification import _assemble_stacked, _identification_matrix
+from centest.identification import (
+    _assemble_stacked,
+    _check_bandwidth,
+    _identification_matrix,
+    _weighted_block,
+)
 
-from conftest import make_dataset
+from conftest import make_dataset, stacked_rows
 
 
 class TestForecastDataset:
@@ -192,35 +196,34 @@ class TestIdentificationValues:
 class TestWeightingMatrices:
     def test_unit_mean_row(self):
         ds = ForecastDataset([0.0, 0.0], [1.0, -1.0], np.ones((2, 1)))
-        w = stacked_moments(ds, delta=1.0).weight_matrices
+        _, w = stacked_rows(ds, delta=1.0)
         # M_mean = (1/2)(1 + 1) = 1
         assert w[0] == pytest.approx(np.array([[1.0]]))
 
     def test_median_row_always_unit_without_zeros(self, rng):
         errors = rng.standard_normal(50) + 0.3
         ds = ForecastDataset(np.zeros(50), errors, np.ones((50, 1)))
-        w = stacked_moments(ds, delta=0.5).weight_matrices
+        _, w = stacked_rows(ds, delta=0.5)
         assert w[1] == pytest.approx(np.array([[1.0]]), abs=1e-12)
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, None])
-    def test_nonpositive_bandwidth_rejected(self, rng, delta):
+    def test_nonpositive_bandwidth_rejected(self, delta):
         import warnings
 
-        ds = make_dataset(rng, t=20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="mode values need a positive "
                                f"bandwidth, got {delta}"):
-                stacked_moments(ds, delta)
+                _check_bandwidth(delta)
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1.0])
     @pytest.mark.parametrize("call", [
-        lambda ds, d: stacked_moments(ds, d),
+        lambda ds, d: _check_bandwidth(d),
         lambda ds, d: identification_values("mode", forecast_errors(ds), d),
         lambda ds, d: mode_test(ds, delta=d),
         lambda ds, d: confidence_set(ds, m=2, delta=d),
         lambda ds, d: gmm_objective([0.0, 0.0, 1.0], ds, delta=d),
-    ], ids=["stacked_moments", "identification_values",
+    ], ids=["check_bandwidth", "identification_values",
             "mode_test", "confidence_set", "gmm_objective"])
     def test_bandwidth_must_be_positive_and_finite(self, rng, call, delta):
         import warnings
@@ -234,16 +237,17 @@ class TestWeightingMatrices:
 
     def test_zero_errors_singular_names_mean(self):
         ds = ForecastDataset([1.0, 2.0], [1.0, 2.0], np.ones((2, 1)))
-        with pytest.raises(SingularMatrixError, match="mean"):
-            stacked_moments(ds, delta=1.0)
+        *_, (failure,) = _weighted_block(
+            forecast_errors(ds)[None], ds.instruments[None], None, 1.0)
+        assert isinstance(failure, SingularMatrixError)
+        assert "mean" in str(failure)
 
     def test_normalization_trace_identity(self, rng):
         # every weighted row has average second moment exactly one
         ds = make_dataset(rng, t=300, k=3, skew=0.4)
-        delta = 0.6
-        stacked = stacked_moments(ds, delta)
+        per_obs, _ = stacked_rows(ds, delta=0.6)
         for r in range(3):
-            rows = stacked.per_obs[:, r, :]
+            rows = per_obs[:, r, :]
             second_moment = rows.T @ rows / ds.n_obs
             assert np.trace(second_moment) == pytest.approx(3.0, abs=1e-10)
 
@@ -251,9 +255,9 @@ class TestWeightingMatrices:
         # with k = 1 the scalar weight is the exact inverse square root
         errors = rng.standard_normal(200) + 0.2
         ds = ForecastDataset(np.zeros(200), errors, np.ones((200, 1)))
-        stacked = stacked_moments(ds, delta=0.5)
+        per_obs, _ = stacked_rows(ds, delta=0.5)
         for r in range(3):
-            rows = stacked.per_obs[:, r, :]
+            rows = per_obs[:, r, :]
             assert rows.T @ rows / 200 == pytest.approx(np.eye(1), abs=1e-12)
 
 
@@ -269,8 +273,8 @@ class TestStackedMoments:
 
     def test_balanced_signs_cancel_in_median_row(self):
         ds = ForecastDataset(np.zeros(4), [1.0, -1.0, 2.0, -2.0], np.ones((4, 1)))
-        stacked = stacked_moments(ds, delta=1.0)
-        assert stacked.row("median").sum() == pytest.approx(0.0, abs=1e-12)
+        per_obs, _ = stacked_rows(ds, delta=1.0)
+        assert per_obs[:, 1, :].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_error_sign_flip_flips_every_row(self, rng):
         t = 60
@@ -280,19 +284,20 @@ class TestStackedMoments:
         plus = ForecastDataset(x - noise, x, h)
         minus = ForecastDataset(x + noise, x, h)
         delta = 0.8
-        stacked_plus = stacked_moments(plus, delta)
-        stacked_minus = stacked_moments(minus, delta)
-        assert np.allclose(stacked_plus.per_obs, -stacked_minus.per_obs, atol=1e-12)
+        stacked_plus, _ = stacked_rows(plus, delta)
+        stacked_minus, _ = stacked_rows(minus, delta)
+        assert np.allclose(stacked_plus, -stacked_minus, atol=1e-12)
 
-    def test_row_accessor_and_shape(self, rng):
-        ds = make_dataset(rng, t=40, k=2)
-        stacked = stacked_moments(ds, delta=0.9)
-        assert stacked.per_obs.shape == (40, 3, 2)
-        assert stacked.n_obs == 40 and stacked.n_instruments == 2
-        assert stacked.bandwidth == 0.9
-        assert np.array_equal(stacked.row("mode"), stacked.per_obs[:, 2, :])
+    def test_nonpositive_bandwidth_rejected(self, rng, monkeypatch):
+        # the one-row calls check a given bandwidth before the S_T kernel runs
+        import centest.central_tendency as central_tendency
 
-    def test_nonpositive_bandwidth_rejected(self, rng):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("kernel reached with a bad bandwidth")
+
+        monkeypatch.setattr(central_tendency, "_objective_rows", unreachable)
         ds = make_dataset(rng, t=20)
-        with pytest.raises(ValueError):
-            stacked_moments(ds, delta=0.0)
+        with pytest.raises(ValueError, match="positive bandwidth"):
+            confidence_set(ds, m=2, delta=0.0)
+        with pytest.raises(ValueError, match="positive bandwidth"):
+            gmm_objective([0.0, 0.0, 1.0], ds, delta=0.0)

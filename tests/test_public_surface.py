@@ -9,13 +9,16 @@ import centest
 from centest import central_tendency, identification, numerics, simulation
 
 # names removed from the package: the S_T engine behind gmm_objective and
-# confidence_set replaced the pre-engine algebra, stacked_moments carries the
-# weight matrices, central_tendency._theta_array validates every theta,
-# optimal_forecasts and build_instruments take a path or a block of paths,
-# numerics.KERNELS names the kernels (get_kernel looks them up), and one
-# vector step makes the GARCH variances of a single path or a block
+# confidence_set replaced the pre-engine algebra, and they became the one-row
+# call of its block kernel, central_tendency._objective_rows, which left
+# stacked_moments and StackedMoments with no caller;
+# central_tendency._theta_array validates every theta, optimal_forecasts and
+# build_instruments take a path or a block of paths, numerics.KERNELS names
+# the kernels (get_kernel looks them up), and one vector step makes the GARCH
+# variances of a single path or a block
 REMOVED = [
     "KernelKind",
+    "StackedMoments",
     "_GARCH_ROW_LOOP_BELOW",
     "_beta_array",
     "_block_forecasts",
@@ -33,12 +36,13 @@ REMOVED = [
     "kernel_eval",
     "simulate_paths",
     "solve_spd",
+    "stacked_moments",
     "weighting_matrices",
 ]
 
 
 def test_all_is_unique_and_resolves():
-    assert len(set(centest.__all__)) == len(centest.__all__) == 55
+    assert len(set(centest.__all__)) == len(centest.__all__) == 53
     for name in centest.__all__:
         assert hasattr(centest, name), name
 
@@ -47,6 +51,13 @@ def test_removed_names_stay_removed():
     for module in (centest, central_tendency, identification, numerics, simulation):
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+
+def test_one_block_kernel_scores_s_t():
+    # the coverage experiments call the kernel behind gmm_objective and
+    # confidence_set, not a copy of their own
+    assert simulation._objective_rows is central_tendency._objective_rows
 
 
 # scipy modules that no command calls: `simulate` needs scipy.special alone,

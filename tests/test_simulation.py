@@ -28,7 +28,6 @@ from centest import (
     run_size_experiment,
     simulate_dgp,
     skew_normal_params,
-    stacked_moments,
 )
 from centest.dataio import report_to_dict
 from centest.simulation import (
@@ -38,6 +37,8 @@ from centest.simulation import (
     _ar_filter,
     _garch_sigma,
 )
+
+from conftest import stacked_rows
 
 DGPS = ["homoskedastic-iid", "heteroskedastic", "ar1", "ar-garch"]
 
@@ -248,8 +249,13 @@ class TestSimulateDgp:
         assert np.allclose(path.realizations[:-1], y_curr[1:], atol=1e-12)
 
     def test_burn_in_validation(self):
-        with pytest.raises(ValueError):
-            DgpConfig(dgp="ar1", skewness=0.0, n_obs=50, seed=1, burn_in=0)
+        # one check for every DGP, though the cross-section ones draw no
+        # burn-in: a value they would ignore is still refused, not reported
+        for dgp in DGPS:
+            for burn_in in (0, -5):
+                with pytest.raises(ValueError,
+                                   match=f"burn_in must be >= 1, got {burn_in}"):
+                    DgpConfig(dgp=dgp, skewness=0.0, n_obs=50, seed=1, burn_in=burn_in)
 
     @pytest.mark.parametrize("rows, n", [(24, 400), (128, 400), (129, 400), (128, 2)])
     def test_garch_row_subsets_match_block(self, rows, n):
@@ -576,8 +582,7 @@ class TestImpliedTheta:
         n = errors.size
         delta = bandwidth_rule_of_thumb(errors, n_obs=cfg.n_obs).delta
         values = _identification_matrix(errors, delta, None)
-        weights = stacked_moments(
-            ForecastDataset(np.zeros(n), errors, h), delta).weight_matrices
+        _, weights = stacked_rows(ForecastDataset(np.zeros(n), errors, h), delta)
         rows = np.stack([
             (values[r][:, None] * h) @ weights[r] for r in range(3)
         ])  # (3, n, k)
@@ -814,9 +819,9 @@ class TestExperiments:
     def test_grid_coverage_counts_singular_replication(self, monkeypatch):
         # one grid point of one replication turns singular: the whole
         # replication is a counted failure and stays out of the rates
-        import centest.simulation as simulation
+        import centest.central_tendency as central_tendency
 
-        real = simulation._objectives_block
+        real = central_tendency._objectives_block
         calls = []
 
         def one_singular_point(thetas, per_obs, cluster_labels=None):
@@ -828,7 +833,7 @@ class TestExperiments:
                     row_notes[2] = "eigenvalue forced below floor"
             return objectives, notes
 
-        monkeypatch.setattr(simulation, "_objectives_block", one_singular_point)
+        monkeypatch.setattr(central_tendency, "_objectives_block", one_singular_point)
         cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.0, n_obs=200, seed=3)
         report = run_grid_coverage_experiment(cfg, [0, 0, 1], 2, 100, m=2)
         assert len(calls) == 100
@@ -918,8 +923,9 @@ class TestBlockScoring:
         run_grid_coverage_experiment(cfg, [0, 1, 0], 2, 100, m=2)
         assert len(seen) == 2
         quantile = chi_square_quantile(2, 0.90)
-        for (errors, instruments, thetas, kernel), (rows, failures) in seen:
+        for (thetas, errors, instruments, kernel), (rows, notes, _, failures) in seen:
             assert failures == [None] * len(errors)
+            assert notes == [[None] * len(thetas)] * len(errors)
             for e, h, s in zip(errors, instruments, rows):
                 single = np.array([gmm_objective(th, _dataset(e, h), kernel=kernel)
                                    for th in thetas])
@@ -931,8 +937,9 @@ class TestBlockScoring:
         import warnings
 
         from centest import get_kernel, gmm_objective, mode_test
+        from centest.central_tendency import _objective_rows
         from centest.rationality import _tests_block
-        from centest.simulation import _objective_rows
+        from centest.simulation import _replication_failures
 
         k = get_kernel(kernel)
         errors, instruments = _failure_block()
@@ -940,8 +947,9 @@ class TestBlockScoring:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tests, test_failures = _tests_block(Functional.MODE, errors, instruments, k)
-            objectives, objective_failures = _objective_rows(
-                errors, instruments, thetas, k)
+            objectives, notes, _, failures = _objective_rows(
+                thetas, errors, instruments, k)
+        objective_failures = _replication_failures(notes, failures)
         for i, (e, h) in enumerate(zip(errors, instruments)):
             ds = _dataset(e, h)
             expected = _raised(lambda: mode_test(ds, kernel=k))
