@@ -20,7 +20,6 @@ from .central_tendency import (
     MEAN_VERTEX,
     MEDIAN_VERTEX,
     MODE_VERTEX,
-    SimplexWeights,
     confidence_set,
     gmm_objective,
     sigma_hat,
@@ -91,7 +90,6 @@ __all__ = [
     "MODE_VERTEX",
     "MissingColumnError",
     "RandomStream",
-    "SimplexWeights",
     "SimulatedPath",
     "SimulationReport",
     "SingularMatrixError",

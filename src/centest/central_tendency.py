@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError, raise_row_failure
+from .errors import SingularMatrixError, check_integer, raise_row_failure
 from .identification import (
     ForecastDataset,
     _assemble_stacked,
@@ -37,41 +37,25 @@ DEFAULT_ALPHA_LEVELS = (0.05, 0.10)
 DEFAULT_GRID_RESOLUTION = 50
 
 
-@dataclass(frozen=True)
-class SimplexWeights:
-    """A point on the unit simplex of identification-function weights."""
-
-    mean: float
-    median: float
-    mode: float
-
-    def __post_init__(self):
-        a, b, c = (float(v) for v in (self.mean, self.median, self.mode))
-        if a < -1e-12 or b < -1e-12 or c < -1e-12:
-            raise ValueError(f"weights must be nonnegative, got {self.as_array()}")
-        if not abs(a + b + c - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError(f"weights must sum to 1, got sum {a + b + c!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.mean, self.median, self.mode], dtype=float)
-
-    @classmethod
-    def from_array(cls, theta) -> "SimplexWeights":
-        a = np.asarray(theta, dtype=float)
-        if a.shape != (3,):
-            raise ValueError(f"expected 3 weights, got shape {a.shape}")
-        return cls(mean=float(a[0]), median=float(a[1]), mode=float(a[2]))
-
-
-MEAN_VERTEX = SimplexWeights(1.0, 0.0, 0.0)
-MEDIAN_VERTEX = SimplexWeights(0.0, 1.0, 0.0)
-MODE_VERTEX = SimplexWeights(0.0, 0.0, 1.0)
+# The simplex vertices, the weights of the mean, median and mode functionals.
+MEAN_VERTEX = (1.0, 0.0, 0.0)
+MEDIAN_VERTEX = (0.0, 1.0, 0.0)
+MODE_VERTEX = (0.0, 0.0, 1.0)
 
 
 def _theta_array(theta) -> np.ndarray:
-    if isinstance(theta, SimplexWeights):
-        return theta.as_array()
-    return SimplexWeights.from_array(theta).as_array()
+    """A point of the unit simplex of (mean, median, mode) weights as a new
+    float array of shape (3,): ValueError unless every weight is >= -1e-12
+    and their sum lies within 1e-12 of 1 (NaN fails)."""
+    a = np.array(theta, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"expected 3 weights, got shape {a.shape}")
+    mean, median, mode = a.tolist()
+    if mean < -1e-12 or median < -1e-12 or mode < -1e-12:
+        raise ValueError(f"weights must be nonnegative, got {a}")
+    if not abs(mean + median + mode - 1.0) <= 1e-12:
+        raise ValueError(f"weights must sum to 1, got sum {mean + median + mode!r}")
+    return a
 
 
 def _member_header(alpha: float) -> str:
@@ -98,25 +82,28 @@ def _check_alpha_levels(alpha_levels) -> tuple[float, ...]:
     return alpha_levels
 
 
-def _check_resolution(m: int) -> None:
+def _check_resolution(m: int) -> int:
+    """The grid resolution as a Python int, once it is checked to be an
+    integer >= 1."""
+    m = check_integer(m, "grid resolution")
     if m < 1:
         raise ValueError(f"grid resolution must be >= 1, got {m}")
+    return m
 
 
 def _lattice(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lattice's index arrays i, j >= 0, i + j <= m, in lexicographic
     (i, j) order, and its (P, 3) weight rows (i/m, j/m, (m-i-j)/m);
-    P = (m+1)(m+2)/2."""
-    _check_resolution(m)
+    P = (m+1)(m+2)/2. m is a checked resolution (see _check_resolution)."""
     i, i_plus_j = np.triu_indices(m + 1)
     j = i_plus_j - i
     return i, j, np.column_stack([i / m, j / m, (m - i_plus_j) / m])
 
 
-def simplex_grid(m: int) -> list[SimplexWeights]:
-    """Lattice (i/m, j/m, (m-i-j)/m), i, j >= 0, i+j <= m, in lexicographic
-    (i, j) order; (m+1)(m+2)/2 points."""
-    return [SimplexWeights(*row) for row in _lattice(m)[2].tolist()]
+def simplex_grid(m: int) -> np.ndarray:
+    """Lattice rows (i/m, j/m, (m-i-j)/m), i, j >= 0, i+j <= m, in
+    lexicographic (i, j) order: a ((m+1)(m+2)/2, 3) array."""
+    return _lattice(_check_resolution(m))[2]
 
 
 def _wave_sums(rows: np.ndarray, cluster_labels) -> np.ndarray:
@@ -244,7 +231,7 @@ class GridPoint:
     such points are non-members at every level and never abort the scan."""
 
     index: tuple[int, int]
-    weights: SimplexWeights
+    theta: tuple[float, float, float]
     objective: float
     p_value: float
     memberships: dict[float, bool]
@@ -288,6 +275,7 @@ def confidence_set(
     Per-point singular covariances are recorded as NaN, non-member points
     with a note.
     """
+    m = _check_resolution(m)
     i, j, thetas = _lattice(m)
     alpha_levels = _check_alpha_levels(alpha_levels)
     if delta is not None:
@@ -304,7 +292,7 @@ def confidence_set(
     points = [
         GridPoint(
             index=index,
-            weights=SimplexWeights(*theta),
+            theta=tuple(theta),
             objective=s,
             p_value=p,
             memberships={a: s <= thresholds[a] for a in alpha_levels},

@@ -19,6 +19,9 @@ from . import dataio
 from .central_tendency import (
     DEFAULT_ALPHA_LEVELS,
     DEFAULT_GRID_RESOLUTION,
+    MEAN_VERTEX,
+    MEDIAN_VERTEX,
+    MODE_VERTEX,
     _check_alpha_levels,
     _check_resolution,
     _theta_array,
@@ -47,9 +50,9 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 
 _BETA_NAMES = {
-    "mean": (1.0, 0.0, 0.0),
-    "median": (0.0, 1.0, 0.0),
-    "mode": (0.0, 0.0, 1.0),
+    "mean": MEAN_VERTEX,
+    "median": MEDIAN_VERTEX,
+    "mode": MODE_VERTEX,
     "mean-mode": (0.5, 0.0, 0.5),
     "mean-median": (0.5, 0.5, 0.0),
     "median-mode": (0.0, 0.5, 0.5),

@@ -18,12 +18,12 @@ from .central_tendency import (
     DEFAULT_ALPHA_LEVELS,
     ConfidenceSetGrid,
     GridPoint,
-    SimplexWeights,
     _check_alpha_levels,
     _lattice,
     _member_header,
+    _theta_array,
 )
-from .errors import MissingColumnError
+from .errors import MissingColumnError, check_integer
 from .identification import ForecastDataset
 from .numerics import chi_square_quantile, chi_square_sf
 from .rationality import TestResult
@@ -293,8 +293,7 @@ def grid_to_json(grid: ConfidenceSetGrid) -> str:
         point(*p.index,
               *("true" if p.memberships[a] else "false" for _, a in members),
               "null" if p.note is None else json.dumps(p.note),
-              *map(_json_number, (p.objective, p.p_value, p.weights.mean,
-                                  p.weights.median, p.weights.mode)))
+              *map(_json_number, (p.objective, p.p_value, *p.theta)))
         for p in grid.points
     )
     head = json.dumps({
@@ -338,11 +337,7 @@ def _number(mapping, key: str, where: str, null: bool = True) -> float:
 
 def _integer(mapping, key: str, where: str) -> int:
     """An integer field; a bool is not an integer."""
-    value = _field(mapping, key, where)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where} field {key!r} must be an integer, "
-                         f"got {type(value).__name__}")
-    return value
+    return check_integer(_field(mapping, key, where), f"{where} field {key!r}")
 
 
 def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
@@ -374,14 +369,14 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
             raise ValueError(f"{where} field 'theta' must hold three numbers, "
                              f"got {json.dumps(theta)}")
         try:
-            weights = SimplexWeights.from_array(theta)
+            theta = tuple(_theta_array(theta).tolist())
         except ValueError as exc:
             raise ValueError(f"{where} field 'theta': {exc}") from None
         member = _field(entry, "member", where)
         points.append(
             GridPoint(
                 index=tuple(index),
-                weights=weights,
+                theta=theta,
                 objective=_number(entry, "objective", where),
                 p_value=_number(entry, "p_value", where),
                 memberships={a: _field(member, f"{a:g}", f"{where} member", bool)
@@ -402,16 +397,24 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
 
 
 def _check_scan(grid: ConfidenceSetGrid) -> None:
-    """Raise ValueError unless the points are the resolution's lattice
-    (central_tendency._lattice), index and weights, in its order, and every
-    member flag and p-value is what confidence_set sets: member when
-    objective <= Q_df(1 - alpha), false for a NaN objective; the p-value
-    null exactly when the objective is, and else chi_square_sf(df, objective)
-    up to a relative 1e-12 * max(1, objective), the slack for another
-    build's incomplete gamma function."""
+    """Raise ValueError unless the header holds what confidence_set writes
+    (resolution and df >= 1, n_obs >= 2, a positive finite bandwidth), the
+    points are the resolution's lattice (central_tendency._lattice), index
+    and theta, in its order, and every member flag and p-value is what
+    confidence_set sets: member when objective <= Q_df(1 - alpha), false for
+    a NaN objective; the p-value null exactly when the objective is, and else
+    chi_square_sf(df, objective) up to a relative 1e-12 * max(1, objective),
+    the slack for another build's incomplete gamma function."""
     m = grid.resolution
     if m < 1:
         raise ValueError(f"document field 'resolution' must be >= 1, got {m}")
+    if grid.df < 1:
+        raise ValueError(f"document field 'df' must be >= 1, got {grid.df}")
+    if grid.n_obs < 2:
+        raise ValueError(f"document field 'n_obs' must be >= 2, got {grid.n_obs}")
+    if not 0.0 < grid.bandwidth < np.inf:  # NaN fails too
+        raise ValueError("document field 'bandwidth' must be positive and finite, "
+                         f"got {grid.bandwidth!r}")
     size = (m + 1) * (m + 2) // 2
     if len(grid.points) != size:
         raise ValueError(f"document holds {len(grid.points)} points, but the "
@@ -430,7 +433,7 @@ def _check_scan(grid: ConfidenceSetGrid) -> None:
         if p.index != index:
             raise ValueError(f"point {n} field 'index' is {json.dumps(p.index)}, but "
                              f"point {n} of the lattice is {json.dumps(index)}")
-        theta = [p.weights.mean, p.weights.median, p.weights.mode]
+        theta = list(p.theta)
         if theta != row:
             raise ValueError(f"point {n} field 'theta' is {json.dumps(theta)}, but "
                              f"point {n} of the lattice is {json.dumps(row)}")
@@ -484,9 +487,7 @@ def grid_to_csv(grid: ConfidenceSetGrid) -> str:
     lines = [",".join(header)]
     for p in grid.points:
         cells = [
-            _fmt_data(p.weights.mean),
-            _fmt_data(p.weights.median),
-            _fmt_data(p.weights.mode),
+            *map(_fmt_data, p.theta),
             _fmt_data(p.objective),
             _fmt_data(p.p_value),
             *(str(int(p.memberships[a])) for a in grid.alpha_levels),
@@ -534,17 +535,9 @@ def grid_to_svg(grid: ConfidenceSetGrid) -> str:
         'font-size="16">Mode</text>',
     ]
     for p in grid.points:
-        w = p.weights
-        px = (
-            w.mean * verts["mean"][0]
-            + w.median * verts["median"][0]
-            + w.mode * verts["mode"][0]
-        )
-        py = (
-            w.mean * verts["mean"][1]
-            + w.median * verts["median"][1]
-            + w.mode * verts["mode"][1]
-        )
+        mean, median, mode = p.theta
+        px = mean * verts["mean"][0] + median * verts["median"][0] + mode * verts["mode"][0]
+        py = mean * verts["mean"][1] + median * verts["median"][1] + mode * verts["mode"][1]
         if p.memberships[by_threshold[0]]:
             shade = _SVG_SHADES[0]
         elif any(p.memberships[a] for a in by_threshold[1:]):

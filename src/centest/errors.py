@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the checks shared across the package."""
+
+from numbers import Integral
 
 
 class SingularMatrixError(ValueError):
@@ -43,3 +45,12 @@ def first_failures(earlier: list, later: list) -> list:
     """Per row, the earlier check's failure if it has one, else the later's:
     how a block kernel keeps the one-row path's check order."""
     return [a if a is not None else b for a, b in zip(earlier, later)]
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as a Python int: ValueError naming ``name`` unless it is an
+    int or a numpy integer (a bool is not), so that a count or a seed reaches
+    neither a range nor a JSON report as a float, a bool or a numpy scalar."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)

@@ -62,8 +62,15 @@ import numpy as np
 from scipy import special
 
 from .bandwidth import bandwidth_rule_of_thumb
-from .central_tendency import SimplexWeights, _objective_rows, _theta_array, simplex_grid
-from .errors import SingularMatrixError, first_failures, raise_row_failure
+from .central_tendency import (
+    MEAN_VERTEX,
+    MODE_VERTEX,
+    _check_resolution,
+    _objective_rows,
+    _theta_array,
+    simplex_grid,
+)
+from .errors import SingularMatrixError, check_integer, first_failures, raise_row_failure
 from .identification import Functional, _check_aligned, _weighted_block
 from .numerics import (
     Kernel,
@@ -151,6 +158,9 @@ class DgpConfig:
                 f"|skewness| must be below the skew-normal bound "
                 f"{MAX_MOMENT_SKEWNESS:.4f}, got {self.skewness}"
             )
+        for name, label in (("n_obs", "sample size"), ("seed", "seed"),
+                            ("burn_in", "burn_in")):
+            object.__setattr__(self, name, check_integer(getattr(self, name), label))
         if self.n_obs < 2:
             raise ValueError(f"sample size must be >= 2, got {self.n_obs}")
         if not 0 <= self.seed < 1 << 64:
@@ -189,12 +199,6 @@ class SkewNormalSpec:
     def cdf(self, x):
         z = self.center + self.spread * np.asarray(x, dtype=float)
         return special.ndtr(z) - 2.0 * special.owens_t(z, self.shape)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n standardized variates: delta |U1| + sqrt(1-delta^2) U2,
-        shifted and scaled, with U1 and then U2 from one draw call (U2
-        alone when unskewed)."""
-        return _skew_normal_variates(self, rng.standard_normal(_normal_count(self, n)))
 
 
 def _normal_count(spec: SkewNormalSpec, n: int) -> int:
@@ -544,7 +548,7 @@ class ImpliedThetaSet:
 
     kind: ThetaSetKind
     points: np.ndarray
-    evaluation_point: SimplexWeights
+    evaluation_point: np.ndarray
     note: str | None = None
 
 
@@ -599,9 +603,11 @@ def _plane_simplex_intersection(normal: np.ndarray) -> list[np.ndarray]:
     return unique
 
 
-def _check_draws(draws: int) -> None:
+def _check_draws(draws: int) -> int:
+    draws = check_integer(draws, "draws")
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
+    return draws
 
 
 def implied_theta(
@@ -623,17 +629,17 @@ def implied_theta(
     intersected with the simplex. A segment's evaluation point is its
     midpoint.
     """
-    _check_draws(draws)
+    draws = _check_draws(draws)
     b = _theta_array(beta)
     instrument_set = InstrumentSet(instrument_set)
 
-    for vertex in ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)):
+    for vertex in (MEAN_VERTEX, MODE_VERTEX):
         if np.array_equal(b, vertex):
             return ImpliedThetaSet(ThetaSetKind.SINGLETON, np.array([vertex]),
-                                   SimplexWeights(*vertex))
+                                   _theta_array(vertex))
     if config.skewness == 0.0:
         return ImpliedThetaSet(
-            ThetaSetKind.SIMPLEX, np.eye(3), SimplexWeights.from_array(b),
+            ThetaSetKind.SIMPLEX, np.eye(3), b,
             note="unidentified: all centrality measures coincide",
         )
 
@@ -668,7 +674,7 @@ def implied_theta(
 
     if n_null >= 3:
         return ImpliedThetaSet(
-            ThetaSetKind.SIMPLEX, np.eye(3), SimplexWeights.from_array(b),
+            ThetaSetKind.SIMPLEX, np.eye(3), b,
             note="moment condition holds on the whole simplex",
         )
     if n_null == 2:
@@ -676,13 +682,12 @@ def implied_theta(
         if len(corners) == 2:
             pts = np.vstack(corners)
             return ImpliedThetaSet(
-                ThetaSetKind.SEGMENT, pts,
-                SimplexWeights.from_array(pts.mean(axis=0)),
+                ThetaSetKind.SEGMENT, pts, _theta_array(pts.mean(axis=0)),
             )
         if len(corners) == 1:
             return ImpliedThetaSet(
                 ThetaSetKind.SINGLETON, corners[0][None, :],
-                SimplexWeights.from_array(corners[0]),
+                _theta_array(corners[0]),
             )
     theta, value = _simplex_quadratic_argmin(quad)
     note = None
@@ -692,8 +697,7 @@ def implied_theta(
             f"(min quadratic {value:.3e} above tolerance {tau2:.3e})"
         )
     return ImpliedThetaSet(
-        ThetaSetKind.SINGLETON, theta[None, :],
-        SimplexWeights.from_array(theta), note=note,
+        ThetaSetKind.SINGLETON, theta[None, :], _theta_array(theta), note=note,
     )
 
 
@@ -729,9 +733,11 @@ def _report(
                             rate, se, nominal_level, failures, details)
 
 
-def _check_replications(replications: int) -> None:
+def _check_replications(replications: int) -> int:
+    replications = check_integer(replications, "replications")
     if replications < 100:
         raise ValueError(f"need at least 100 replications, got {replications}")
+    return replications
 
 
 def _check_nominal_alpha(nominal_alpha: float) -> None:
@@ -797,7 +803,7 @@ def run_size_experiment(
     the size design. Per-replication failures (degenerate errors, singular
     covariances) are counted, not fatal.
     """
-    _check_replications(replications)
+    replications = _check_replications(replications)
     _check_nominal_alpha(nominal_alpha)
     instrument_set = InstrumentSet(instrument_set)
 
@@ -811,7 +817,7 @@ def run_size_experiment(
         replications, nominal_alpha,
         {"distortion": None if distortion is None else Distortion(distortion).value,
          "kappa": kappa},
-        *_run_replications(config, replications, [0.0, 0.0, 1.0], instrument_set,
+        *_run_replications(config, replications, MODE_VERTEX, instrument_set,
                            rejects, distortion, kappa),
     )
 
@@ -843,7 +849,7 @@ def run_coverage_experiment(
     theta* is the implied singleton, the midpoint of an implied segment, or
     the beta representative under symmetry.
     """
-    _check_replications(replications)
+    replications = _check_replications(replications)
     _check_level(level)
     instrument_set = InstrumentSet(instrument_set)
     theta_set = implied_theta(config, beta, draws, instrument_set, kernel)
@@ -851,7 +857,7 @@ def run_coverage_experiment(
     # the instrument set's value is its column count k
     quantile = chi_square_quantile(int(instrument_set), level)
 
-    theta_row = theta.as_array()[None]
+    theta_row = theta[None]
 
     def covers(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
         objectives, notes, _, failures = _objective_rows(
@@ -862,8 +868,8 @@ def run_coverage_experiment(
     return _report(
         "coverage", config, instrument_set, replications, level,
         {
-            "beta": [float(v) for v in _theta_array(beta)],
-            "theta": [float(v) for v in theta.as_array()],
+            "beta": _theta_array(beta).tolist(),
+            "theta": theta.tolist(),
             "theta_set_kind": theta_set.kind.value,
         },
         *_run_replications(config, replications, beta, instrument_set, covers),
@@ -875,7 +881,7 @@ class GridCoverageReport:
     """Per-grid-point coverage rates (the triangle-figure experiment)."""
 
     resolution: int
-    thetas: list[SimplexWeights]
+    thetas: np.ndarray
     rates: np.ndarray
     replications: int
     successes: int
@@ -899,16 +905,16 @@ def run_grid_coverage_experiment(
     replication with degenerate errors or with any singular grid point is a
     failure, counted by exception name, and left out of the rates.
     """
-    _check_replications(replications)
+    replications = _check_replications(replications)
     _check_level(level)
     instrument_set = InstrumentSet(instrument_set)
+    m = _check_resolution(m)
     thetas = simplex_grid(m)
-    theta_rows = np.array([theta.as_array() for theta in thetas])
     quantile = chi_square_quantile(int(instrument_set), level)
 
     def memberships(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
         objectives, notes, _, failures = _objective_rows(
-            theta_rows, errors, instruments, kernel)
+            thetas, errors, instruments, kernel)
         return list(objectives <= quantile), _replication_failures(notes, failures)
 
     outcomes, failures = _run_replications(

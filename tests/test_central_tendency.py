@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centest import (
+    DgpConfig,
     ForecastDataset,
     MEAN_VERTEX,
     MEDIAN_VERTEX,
     MODE_VERTEX,
-    SimplexWeights,
     SingularMatrixError,
     chi_square_quantile,
     chi_square_sf,
@@ -17,12 +17,14 @@ from centest import (
     gmm_objective,
     instrument_moment_test,
     mode_test,
+    run_grid_coverage_experiment,
     sigma_hat,
     forecast_errors,
     simplex_grid,
 )
+from centest.dataio import grid_to_json
 
-from centest.central_tendency import _lattice, _objective_rows
+from centest.central_tendency import _lattice, _objective_rows, _theta_array
 
 from conftest import make_dataset, stacked_rows
 
@@ -33,16 +35,16 @@ def _per_point_rows(m):
             for i in range(m + 1) for j in range(m - i + 1)]
 
 
-class TestSimplexWeights:
+class TestThetaArray:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SimplexWeights(0.5, 0.6, 0.1)
+            _theta_array((0.5, 0.6, 0.1))
         with pytest.raises(ValueError):
-            SimplexWeights(-0.1, 0.6, 0.5)
-        with pytest.raises(ValueError):
-            SimplexWeights.from_array([0.5, 0.5])
+            _theta_array((-0.1, 0.6, 0.5))
+        with pytest.raises(ValueError, match=r"expected 3 weights, got shape \(2,\)"):
+            _theta_array([0.5, 0.5])
         with pytest.raises(ValueError, match="sum nan"):
-            SimplexWeights.from_array([float("nan"), 0.0, 1.0])
+            _theta_array([float("nan"), 0.0, 1.0])
 
     @pytest.mark.parametrize("weights, message", [
         ((-0.1, 0.6, 0.5), "weights must be nonnegative, got [-0.1  0.6  0.5]"),
@@ -60,9 +62,11 @@ class TestSimplexWeights:
         ((1, 1, 0), "weights must sum to 1, got sum 2.0"),
     ], ids=["negative", "sum", "sum-just-over-tolerance", "sum-order", "nan", "inf",
             "minus-inf", "float64-negative", "float64-sum", "int-negative", "int-sum"])
-    def test_exact_messages(self, weights, message):
+    @pytest.mark.parametrize("container", [tuple, list, np.array],
+                             ids=["tuple", "list", "array"])
+    def test_exact_messages(self, weights, message, container):
         with pytest.raises(ValueError) as exc:
-            SimplexWeights(*weights)
+            _theta_array(container(weights))
         assert type(exc.value) is ValueError
         assert str(exc.value) == message
 
@@ -71,10 +75,14 @@ class TestSimplexWeights:
         (np.float64(0.25), np.float64(0.25), np.float64(0.5)),
         (1, 0, 0),
     ], ids=["at-tolerance", "float64", "int"])
-    def test_accepted_inputs_kept_as_given(self, weights):
-        w = SimplexWeights(*weights)
-        assert [type(v) for v in (w.mean, w.median, w.mode)] == [type(v) for v in weights]
-        assert (w.mean, w.median, w.mode) == weights
+    @pytest.mark.parametrize("container", [tuple, list, np.array],
+                             ids=["tuple", "list", "array"])
+    def test_accepted_inputs_become_a_new_float_array(self, weights, container):
+        given = container(weights)
+        theta = _theta_array(given)
+        assert theta.dtype == np.float64 and theta.shape == (3,)
+        assert theta.tolist() == [float(v) for v in weights]
+        assert theta is not given and not np.shares_memory(theta, given)
 
     @given(st.floats(-3e-12, 1.0), st.floats(-3e-12, 1.0), st.floats(-3e-12, 3e-12))
     @settings(max_examples=300, deadline=None)
@@ -83,29 +91,32 @@ class TestSimplexWeights:
         arr = np.array([a, b, c])
         valid = not np.any(arr < -1e-12) and abs(arr.sum() - 1.0) <= 1e-12
         try:
-            SimplexWeights(a, b, c)
+            _theta_array((a, b, c))
             accepted = True
         except ValueError:
             accepted = False
         assert accepted == valid
 
     def test_vertices(self):
-        assert np.array_equal(MEAN_VERTEX.as_array(), [1.0, 0.0, 0.0])
-        assert np.array_equal(MEDIAN_VERTEX.as_array(), [0.0, 1.0, 0.0])
-        assert np.array_equal(MODE_VERTEX.as_array(), [0.0, 0.0, 1.0])
+        assert MEAN_VERTEX == (1.0, 0.0, 0.0)
+        assert MEDIAN_VERTEX == (0.0, 1.0, 0.0)
+        assert MODE_VERTEX == (0.0, 0.0, 1.0)
+        for vertex in (MEAN_VERTEX, MEDIAN_VERTEX, MODE_VERTEX):
+            assert all(type(v) is float for v in vertex)
+            assert _theta_array(vertex).tolist() == list(vertex)
 
 
 class TestSimplexGrid:
     def test_m1_is_vertices(self):
         grid = simplex_grid(1)
         assert len(grid) == 3
-        arrays = {tuple(p.as_array()) for p in grid}
+        arrays = {tuple(p) for p in grid.tolist()}
         assert arrays == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
     def test_m2_lattice(self):
         grid = simplex_grid(2)
         assert len(grid) == 6
-        arrays = {tuple(p.as_array()) for p in grid}
+        arrays = {tuple(p) for p in grid.tolist()}
         assert (0.5, 0.5, 0.0) in arrays
         assert (0.5, 0.0, 0.5) in arrays
 
@@ -114,12 +125,38 @@ class TestSimplexGrid:
 
     def test_deterministic_lexicographic_order(self):
         grid = simplex_grid(3)
-        indices = [(round(p.mean * 3), round(p.median * 3)) for p in grid]
+        indices = [(round(mean * 3), round(median * 3)) for mean, median, _ in grid]
         assert indices == sorted(indices)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             simplex_grid(0)
+
+    @pytest.mark.parametrize("m, message", [
+        (2.5, "grid resolution must be an integer, got float"),
+        (2.0, "grid resolution must be an integer, got float"),
+        (np.float64(2.0), "grid resolution must be an integer, got float64"),
+        (True, "grid resolution must be an integer, got bool"),
+        (0, "grid resolution must be >= 1, got 0"),
+    ], ids=["fraction", "integral-float", "float64", "bool", "zero"])
+    def test_every_resolution_is_an_integer_of_at_least_one(self, rng, m, message):
+        ds = make_dataset(rng)
+        cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.5, n_obs=50, seed=1)
+        for call in (lambda: simplex_grid(m), lambda: confidence_set(ds, m=m),
+                     lambda: run_grid_coverage_experiment(cfg, MODE_VERTEX, 2, 100, m=m)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_numpy_integer_resolution_is_stored_as_an_int(self, rng):
+        ds = make_dataset(rng)
+        grid = confidence_set(ds, m=np.int64(2))
+        assert type(grid.resolution) is int
+        assert grid_to_json(grid) == grid_to_json(confidence_set(ds, m=2))
+        cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.5, n_obs=50, seed=1)
+        report = run_grid_coverage_experiment(cfg, MODE_VERTEX, 2, 100, m=np.int64(1))
+        assert type(report.resolution) is int
+        assert report.thetas.tobytes() == simplex_grid(1).tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 7, 50])
     def test_lattice_bitwise_equal_to_per_point_construction(self, m):
@@ -129,18 +166,18 @@ class TestSimplexGrid:
         assert list(zip(i.tolist(), j.tolist())) == list(indices)
         assert thetas.tobytes() == expected
         grid = simplex_grid(m)
-        assert all(type(v) is float for w in grid for v in (w.mean, w.median, w.mode))
-        assert np.array([w.as_array() for w in grid]).tobytes() == expected
+        assert grid.dtype == np.float64 and grid.shape == (len(indices), 3)
+        assert grid.tobytes() == expected
 
     @given(st.integers(min_value=1, max_value=40))
     @settings(max_examples=25, deadline=None)
     def test_cardinality_and_simplex_membership(self, m):
         grid = simplex_grid(m)
         assert len(grid) == (m + 1) * (m + 2) // 2
-        for p in grid:
-            arr = p.as_array()
+        for arr in grid:
             assert np.all(arr >= 0.0)
             assert abs(arr.sum() - 1.0) <= 1e-12
+            assert _theta_array(arr).tobytes() == arr.tobytes()
 
 
 class TestSigmaHat:
@@ -352,7 +389,7 @@ class TestConfidenceSet:
         per_obs, _ = stacked_rows(ds, delta)
         assert len(grid.points) == 66
         for p in grid.points:
-            phi = np.einsum("r,trk->tk", p.weights.as_array(), per_obs)
+            phi = np.einsum("r,trk->tk", np.array(p.theta), per_obs)
             g = phi.sum(axis=0) / np.sqrt(phi.shape[0])
             expected = float(g @ np.linalg.solve(sigma_hat(phi, ds.cluster_labels), g))
             assert p.note is None
@@ -378,5 +415,5 @@ class TestConfidenceSet:
             scalar = chi_square_sf(2, p.objective)
             assert type(p.p_value) is float
             assert p.p_value == scalar or (np.isnan(p.p_value) and np.isnan(scalar))
-        assert [(p.index, p.weights) for p in grid.points] == [
-            (index, SimplexWeights(*row)) for index, row in _per_point_rows(4)]
+        assert [(p.index, p.theta) for p in grid.points] == _per_point_rows(4)
+        assert all(type(v) is float for p in grid.points for v in p.theta)

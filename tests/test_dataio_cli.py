@@ -459,7 +459,7 @@ class TestJsonWriter:
         assert list(doc["points"][0]["member"]) == sorted(f"{a:g}" for a in alphas)
         for p, entry in zip(grid.points, doc["points"]):
             assert entry["index"] == list(p.index)
-            assert entry["theta"] == [p.weights.mean, p.weights.median, p.weights.mode]
+            assert entry["theta"] == list(p.theta)
             assert entry["objective"] == p.objective
             assert entry["p_value"] == p.p_value
             assert entry["member"] == {f"{a:g}": p.memberships[a] for a in alphas}
@@ -472,12 +472,12 @@ class TestJsonWriter:
         i, j, _ = _lattice(2)
         tail = chi_square_sf(2, 1.5)
         points = [
-            GridPoint(index=index, weights=weights,
+            GridPoint(index=index, theta=tuple(theta),
                       objective=1.5 if note is None else float("nan"),
                       p_value=tail if note is None else float("nan"),
                       memberships={0.1: note is None, 0.05: note is None}, note=note)
-            for index, weights, note in zip(zip(i.tolist(), j.tolist()), simplex_grid(2),
-                                            notes)
+            for index, theta, note in zip(zip(i.tolist(), j.tolist()),
+                                          simplex_grid(2).tolist(), notes)
         ]
         grid = ConfidenceSetGrid(resolution=2, points=points, alpha_levels=(0.1, 0.05),
                                  bandwidth=0.5, df=2, n_obs=10)
@@ -1077,6 +1077,15 @@ class TestCli:
          "document field 'bandwidth' must be a number, got str"),
         (_one_point_scan(bandwidth=None),
          "document field 'bandwidth' must be a number, got NoneType"),
+        (_one_point_scan(bandwidth=-1.0),
+         "document field 'bandwidth' must be positive and finite, got -1.0"),
+        (_one_point_scan(bandwidth=0.0),
+         "document field 'bandwidth' must be positive and finite, got 0.0"),
+        (_one_point_scan(bandwidth=float("nan")),
+         "document field 'bandwidth' must be positive and finite, got nan"),
+        (_one_point_scan(df=0), "document field 'df' must be >= 1, got 0"),
+        (_one_point_scan(n_obs=0), "document field 'n_obs' must be >= 2, got 0"),
+        (_one_point_scan(n_obs=-5), "document field 'n_obs' must be >= 2, got -5"),
         (_one_point_scan(point={"index": ["a", None]}),
          "point 0 field 'index' must hold two integers, got [\"a\", null]"),
         (_one_point_scan(point={"index": [0, True]}),
@@ -1108,7 +1117,9 @@ class TestCli:
     ], ids=["no-alpha-levels", "top-level-list", "point-without-member",
             "member-not-a-bool", "objective-not-a-number", "p-value-a-bool",
             "resolution-not-an-integer", "df-a-bool", "n-obs-not-an-integer",
-            "bandwidth-not-a-number", "bandwidth-null", "index-not-integers",
+            "bandwidth-not-a-number", "bandwidth-null", "bandwidth-negative",
+            "bandwidth-zero", "bandwidth-nan", "df-zero", "n-obs-zero", "n-obs-negative",
+            "index-not-integers",
             "index-a-bool", "index-of-three", "note-not-a-string",
             "theta-of-two", "theta-not-numbers", "theta-a-bool", "theta-negative",
             "alpha-levels-strings", "alpha-levels-a-bool", "alpha-level-above-one",

@@ -14,10 +14,12 @@ from centest import central_tendency, identification, numerics, simulation
 # stacked_moments and StackedMoments with no caller;
 # central_tendency._theta_array validates every theta, optimal_forecasts and
 # build_instruments take a path or a block of paths, numerics.KERNELS names
-# the kernels (get_kernel looks them up), and one vector step makes the GARCH
-# variances of a single path or a block
+# the kernels (get_kernel looks them up), one vector step makes the GARCH
+# variances of a single path or a block; a simplex point is a float triple that
+# _theta_array checks, which left SimplexWeights as a wrapper
 REMOVED = [
     "KernelKind",
+    "SimplexWeights",
     "StackedMoments",
     "_GARCH_ROW_LOOP_BELOW",
     "_beta_array",
@@ -42,7 +44,7 @@ REMOVED = [
 
 
 def test_all_is_unique_and_resolves():
-    assert len(set(centest.__all__)) == len(centest.__all__) == 53
+    assert len(set(centest.__all__)) == len(centest.__all__) == 52
     for name in centest.__all__:
         assert hasattr(centest, name), name
 

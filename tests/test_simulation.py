@@ -43,6 +43,18 @@ from conftest import stacked_rows
 DGPS = ["homoskedastic-iid", "heteroskedastic", "ar1", "ar-garch"]
 
 
+def _skew_normal_draws(spec, rng, n):
+    """n standardized skew-normal variates drawn by hand, in the simulators'
+    layout: delta |U1| + sqrt(1 - delta^2) U2, shifted and scaled, with U1
+    and then U2 from one draw call (U2 alone when unskewed)."""
+    if spec.shape == 0.0:
+        return rng.standard_normal(n)
+    u = rng.standard_normal(2 * n)
+    d = spec.shape / math.sqrt(1.0 + spec.shape ** 2)
+    raw = d * np.abs(u[:n]) + math.sqrt(1.0 - d * d) * u[n:]
+    return (raw - spec.center) / spec.spread
+
+
 def raw_sn_pdf(shape):
     def pdf(x):
         phi = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
@@ -155,7 +167,7 @@ class TestSkewNormalParams:
     def test_sampling_standardization(self):
         spec = skew_normal_params(0.5)
         rng = RandomStream(915, 0).generator()
-        draws = spec.sample(rng, 1_000_000)
+        draws = _skew_normal_draws(spec, rng, 1_000_000)
         assert abs(draws.mean()) < 0.005
         assert abs(draws.var() - 1.0) < 0.01
 
@@ -217,7 +229,7 @@ class TestSimulateDgp:
         path = simulate_dgp(cfg)
         spec = skew_normal_params(0.0)
         rng = RandomStream(9, 0).generator()
-        xi = spec.sample(rng, 3 + 10 + 2)
+        xi = _skew_normal_draws(spec, rng, 3 + 10 + 2)
         y = np.zeros(xi.size)
         prev = 0.0
         for i, e in enumerate(xi):
@@ -293,7 +305,7 @@ class TestSimulateDgp:
         cfg = DgpConfig(dgp="ar-garch", skewness=0.5, n_obs=10, seed=9, burn_in=3)
         path = simulate_dgp(cfg)
         rng = RandomStream(9, 0).generator()
-        xi = skew_normal_params(0.5).sample(rng, 3 + 10 + 2)
+        xi = _skew_normal_draws(skew_normal_params(0.5), rng, 3 + 10 + 2)
         y = np.zeros(xi.size)
         sig = np.zeros(xi.size)
         s2, prev = 1.0, 0.0
@@ -316,6 +328,39 @@ class TestSimulateDgp:
     def test_seed_range_endpoints_accepted(self):
         for seed in (0, (1 << 64) - 1):
             assert DgpConfig(dgp="ar1", skewness=0.0, n_obs=50, seed=seed).seed == seed
+
+    @pytest.mark.parametrize("name, label", [
+        ("n_obs", "sample size"), ("seed", "seed"), ("burn_in", "burn_in")])
+    @pytest.mark.parametrize("value, kind", [
+        (100.0, "float"), (10.5, "float"), (np.float64(100.0), "float64"),
+        (True, "bool")], ids=["integral-float", "fraction", "float64", "bool"])
+    def test_integer_fields_refuse_other_types(self, name, label, value, kind):
+        fields = {"n_obs": 100, "seed": 1, "burn_in": 10, name: value}
+        with pytest.raises(ValueError) as exc:
+            DgpConfig(dgp="ar1", skewness=0.0, **fields)
+        assert str(exc.value) == f"{label} must be an integer, got {kind}"
+
+    def test_numpy_integer_fields_are_stored_as_ints(self):
+        cfg = DgpConfig(dgp="ar1", skewness=0.0, n_obs=np.int64(50), seed=np.uint64(1),
+                        burn_in=np.int32(10))
+        assert [type(v) for v in (cfg.n_obs, cfg.seed, cfg.burn_in)] == [int, int, int]
+        report = run_size_experiment(cfg, 2, np.int64(100))
+        assert type(report.replications) is int
+        plain = run_size_experiment(DgpConfig("ar1", 0.0, 50, 1, 10), 2, 100)
+        assert json.dumps(report_to_dict(report)) == json.dumps(report_to_dict(plain))
+
+    @pytest.mark.parametrize("value, kind", [(100.0, "float"), (True, "bool")])
+    def test_replications_and_draws_refuse_other_types(self, value, kind):
+        cfg = DgpConfig(dgp="ar1", skewness=0.5, n_obs=50, seed=1)
+        for run in (lambda: run_size_experiment(cfg, 2, value),
+                    lambda: run_coverage_experiment(cfg, [0, 1, 0], 2, value),
+                    lambda: run_grid_coverage_experiment(cfg, [0, 1, 0], 2, value)):
+            with pytest.raises(ValueError) as exc:
+                run()
+            assert str(exc.value) == f"replications must be an integer, got {kind}"
+        with pytest.raises(ValueError) as exc:
+            implied_theta(cfg, [0, 1, 0], draws=value)
+        assert str(exc.value) == f"draws must be an integer, got {kind}"
 
 
 FIELDS = ("realizations", "cond_loc", "sigma_next", "innovations",
@@ -544,7 +589,7 @@ class TestImpliedTheta:
         cfg = DgpConfig(dgp="ar1", skewness=0.0, n_obs=200, seed=19)
         out = implied_theta(cfg, [0, 1, 0], draws=10)
         assert out.kind is ThetaSetKind.SIMPLEX
-        assert np.array_equal(out.evaluation_point.as_array(), [0.0, 1.0, 0.0])
+        assert np.array_equal(out.evaluation_point, [0.0, 1.0, 0.0])
 
     def test_median_forecast_yields_segment_through_median_vertex(self):
         cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.5, n_obs=2000, seed=20)
