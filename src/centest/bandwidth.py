@@ -5,6 +5,9 @@
 with k1 = 2.4 * MAD(errors) and k2 = exp(-3 * |pearson second skewness|).
 The exponent is deliberately the literal 0.143 (almost 1/7, the rate that
 maximizes the convergence speed of the mode test with a first-order kernel).
+
+Every median here is numpy's (the mean of the two middle order statistics
+for an even length), found by one single-rank selection (``_row_median``).
 """
 
 from __future__ import annotations
@@ -38,27 +41,54 @@ class BandwidthReport:
 def median_abs_deviation(errors) -> float:
     """Median absolute deviation around the median.
 
-    The median of an even-length vector is the average of the two middle
-    order statistics (numpy's convention).
+    The median is numpy's: the average of the two middle order statistics
+    of an even-length vector, found by one single-rank selection. Raises
+    ValueError on an empty vector or a non-finite error.
     """
-    e = np.asarray(errors, dtype=float).ravel()
+    e = _finite_errors(errors)
     if e.size == 0:
         raise ValueError("median_abs_deviation needs a nonempty vector")
-    return float(_mad_about(e, np.median(e)))
+    return float(_mad_about(e, _row_median(e.copy())))
+
+
+def _finite_errors(errors) -> np.ndarray:
+    """The errors as a float vector; ValueError if one is NaN or infinite."""
+    e = np.asarray(errors, dtype=float).ravel()
+    if not np.isfinite(e).all():
+        raise ValueError("errors contain non-finite values")
+    return e
+
+
+def _row_median(part: np.ndarray) -> np.ndarray:
+    """numpy's median of each row of a finite (..., T) array, T >= 1, whose
+    rows it reorders in place: one single-kth partition, which numpy's fast
+    selection serves (its own median asks for two or three ranks), gives
+    the middle order statistic for odd T; for even T the lower middle one
+    is the largest of the lower half, and the median their mean. Only the
+    sign of a zero median can differ from numpy's."""
+    half = part.shape[-1] // 2
+    part.partition(half, axis=-1)
+    if part.shape[-1] % 2:
+        return part[..., half].copy()
+    return (part[..., :half].max(axis=-1) + part[..., half]) / 2
 
 
 def _mad_about(e: np.ndarray, median) -> np.ndarray:
     """MAD of each row of ``e`` (..., T) about its median (...)."""
-    return np.median(np.abs(e - np.expand_dims(median, -1)), axis=-1)
+    deviations = e - np.expand_dims(median, -1)
+    return _row_median(np.abs(deviations, out=deviations))
 
 
 def pearson_second_skewness(errors) -> float:
     """3 * (mean - median) / sd, with the population (1/T) sd divisor.
 
-    Raises DegenerateErrors when the standard deviation is zero.
+    Raises ValueError on an empty vector or a non-finite error, and
+    DegenerateErrors when the standard deviation is zero.
     """
-    e = np.asarray(errors, dtype=float).ravel()
-    skew, zero_sd = _skewness_about(e, np.median(e))
+    e = _finite_errors(errors)
+    if e.size == 0:
+        raise ValueError("pearson_second_skewness needs a nonempty vector")
+    skew, zero_sd = _skewness_about(e, _row_median(e.copy()))
     if zero_sd:
         raise DegenerateErrors(_ZERO_SD)
     return float(skew)
@@ -85,10 +115,11 @@ def bandwidth_rule_of_thumb(errors, n_obs: int | None = None) -> BandwidthReport
         population at a different evaluation sample size.
 
     Raises DegenerateErrors when the MAD is zero: a degenerate error
-    distribution admits no meaningful test, so there is no silent floor.
-    This is the one-row case of ``_bandwidth_block``.
+    distribution admits no meaningful test, so there is no silent floor,
+    and ValueError on a non-finite error. This is the one-row case of
+    ``_bandwidth_block``.
     """
-    e = np.asarray(errors, dtype=float).ravel()
+    e = _finite_errors(errors)
     if e.size < 2:
         raise ValueError("bandwidth rule needs at least 2 observations")
     n = int(n_obs) if n_obs is not None else int(e.size)
@@ -111,9 +142,10 @@ def _bandwidth_block(errors: np.ndarray, n: int) -> tuple[BandwidthReport, list]
 
     Returns a report whose fields (n_obs aside) are (B,) arrays and, per row,
     None or the DegenerateErrors the one-row rule raises: zero MAD first,
-    then zero sd. A failed row gets the placeholder bandwidth 1.
+    then zero sd. A failed row gets the placeholder bandwidth 1. The errors
+    must be finite.
     """
-    median = np.median(errors, axis=1)  # shared by the MAD and the skewness
+    median = _row_median(errors.copy())  # shared by the MAD and the skewness
     mad = _mad_about(errors, median)
     skew, zero_sd = _skewness_about(errors, median)
     failures = [

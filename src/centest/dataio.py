@@ -332,7 +332,10 @@ def _number(mapping, key: str, where: str, null: bool = True) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"{where} field {key!r} must be a number"
                          f"{' or null' if null else ''}, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{where} field {key!r}: {exc}") from None
 
 
 def _integer(mapping, key: str, where: str) -> int:
@@ -370,7 +373,7 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
                              f"got {json.dumps(theta)}")
         try:
             theta = tuple(_theta_array(theta).tolist())
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where} field 'theta': {exc}") from None
         member = _field(entry, "member", where)
         points.append(
@@ -398,18 +401,23 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
 
 def _check_scan(grid: ConfidenceSetGrid) -> None:
     """Raise ValueError unless the header holds what confidence_set writes
-    (resolution and df >= 1, n_obs >= 2, a positive finite bandwidth), the
-    points are the resolution's lattice (central_tendency._lattice), index
-    and theta, in its order, and every member flag and p-value is what
-    confidence_set sets: member when objective <= Q_df(1 - alpha), false for
-    a NaN objective; the p-value null exactly when the objective is, and else
-    chi_square_sf(df, objective) up to a relative 1e-12 * max(1, objective),
-    the slack for another build's incomplete gamma function."""
+    (resolution and df >= 1, df within the float range, n_obs >= 2, a
+    positive finite bandwidth), the points are the resolution's lattice
+    (central_tendency._lattice), index and theta, in its order, and every
+    member flag and p-value is what confidence_set sets: member when
+    objective <= Q_df(1 - alpha), false for a NaN objective; the p-value null
+    exactly when the objective is, and else chi_square_sf(df, objective) up
+    to a relative 1e-12 * max(1, objective), the slack for another build's
+    incomplete gamma function."""
     m = grid.resolution
     if m < 1:
         raise ValueError(f"document field 'resolution' must be >= 1, got {m}")
     if grid.df < 1:
         raise ValueError(f"document field 'df' must be >= 1, got {grid.df}")
+    try:
+        float(grid.df)  # the chi-square functions take df / 2 as a float
+    except OverflowError as exc:
+        raise ValueError(f"document field 'df': {exc}") from None
     if grid.n_obs < 2:
         raise ValueError(f"document field 'n_obs' must be >= 2, got {grid.n_obs}")
     if not 0.0 < grid.bandwidth < np.inf:  # NaN fails too

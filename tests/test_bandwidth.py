@@ -13,6 +13,7 @@ from centest import (
     median_abs_deviation,
     pearson_second_skewness,
 )
+from centest.bandwidth import _bandwidth_block, _row_median
 
 
 class TestMedianAbsDeviation:
@@ -126,3 +127,47 @@ class TestBandwidthRule:
             bandwidth_rule_of_thumb([1.0])
         with pytest.raises(ValueError):
             bandwidth_rule_of_thumb([1.0, 2.0], n_obs=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fn", [bandwidth_rule_of_thumb, median_abs_deviation,
+                                pearson_second_skewness])
+def test_non_finite_errors_rejected(fn, bad):
+    with pytest.raises(ValueError, match="^errors contain non-finite values$"):
+        fn([bad, 1.0, 2.0, 3.0])
+
+
+class TestSelectionMedian:
+    """_row_median is numpy's median from one single-rank selection, and the
+    rule built on it gives np.median's bandwidths bit for bit."""
+
+    @pytest.mark.parametrize("rows, t", [
+        (rows, t) for t in (1, 2, 3, 4, 499, 500, 20000, 500000)
+        for rows in (1, 104, 128) if rows == 1 or t <= 20000])
+    def test_equals_numpy_median_with_ties(self, rows, t):
+        # the 500,000-error length is the pooled implied-theta sample: one row
+        rng = np.random.default_rng(rows * 1_000_003 + t)
+        e = np.round(rng.standard_normal((rows, t)), 1)  # ties at every size
+        median = _row_median(e.copy())
+        assert median.shape == (rows,)
+        assert np.all(median == np.median(e, axis=1))
+
+    @pytest.mark.parametrize("t", [41, 40, 500])
+    def test_bandwidth_block_matches_numpy_median_reference(self, t):
+        rng = np.random.default_rng(t)
+        e = rng.standard_normal((104, t)) + 0.4 * rng.standard_normal((104, t)) ** 2
+        e[0] = np.round(e[0], 1)
+        median = np.median(e, axis=1)
+        mad = np.median(np.abs(e - median[:, None]), axis=1)
+        skew = 3.0 * (e.mean(axis=1) - median) / e.std(axis=1)
+        k1 = 2.4 * mad
+        k2 = np.exp(-3.0 * np.abs(skew))
+        delta = k1 * k2 * t ** (-0.143)
+        before = e.copy()
+        report, failures = _bandwidth_block(e, t)
+        assert np.array_equal(e, before)  # the selection works on copies
+        assert failures == [None] * 104
+        for got, want in ((report.delta, delta), (report.k1, k1), (report.k2, k2),
+                          (report.skewness_hat, skew), (report.mad, mad)):
+            assert got.tobytes() == want.tobytes()

@@ -1114,6 +1114,16 @@ class TestCli:
          "alpha levels 0.05 and 0.050000001 share the output label '0.05'"),
         (_one_point_scan(alpha_levels=[0.05, 0.054]),
          "alpha levels 0.05 and 0.054 share the output label 'member_95'"),
+        (_one_point_scan(point={"objective": 10 ** 400}),
+         "point 0 field 'objective': int too large to convert to float"),
+        (_one_point_scan(point={"p_value": -10 ** 400}),
+         "point 0 field 'p_value': int too large to convert to float"),
+        (_one_point_scan(bandwidth=10 ** 400),
+         "document field 'bandwidth': int too large to convert to float"),
+        (_one_point_scan(point={"theta": [0, 0, 10 ** 400]}),
+         "point 0 field 'theta': int too large to convert to float"),
+        (_one_point_scan(df=10 ** 400),
+         "document field 'df': int too large to convert to float"),
     ], ids=["no-alpha-levels", "top-level-list", "point-without-member",
             "member-not-a-bool", "objective-not-a-number", "p-value-a-bool",
             "resolution-not-an-integer", "df-a-bool", "n-obs-not-an-integer",
@@ -1123,7 +1133,9 @@ class TestCli:
             "index-a-bool", "index-of-three", "note-not-a-string",
             "theta-of-two", "theta-not-numbers", "theta-a-bool", "theta-negative",
             "alpha-levels-strings", "alpha-levels-a-bool", "alpha-level-above-one",
-            "alpha-levels-empty", "alpha-labels-collide", "alpha-headers-collide"])
+            "alpha-levels-empty", "alpha-labels-collide", "alpha-headers-collide",
+            "objective-overflows", "p-value-overflows", "bandwidth-overflows",
+            "theta-overflows", "df-overflows"])
     def test_malformed_plot_json_exits_2_without_traceback(self, tmp_path, capsys,
                                                            payload, message):
         js = tmp_path / "bad.json"
