@@ -273,18 +273,23 @@ def confidence_set(
     call of _objective_rows), under the dataset's cluster labels if it has
     any.
     Per-point singular covariances are recorded as NaN, non-member points
-    with a note.
+    with a note. The instrument count k must be below n_obs: at k = n_obs,
+    S_T equals k wherever Sigma(theta) is nonsingular, and above it
+    Sigma(theta) is singular everywhere.
     """
     m = _check_resolution(m)
     i, j, thetas = _lattice(m)
     alpha_levels = _check_alpha_levels(alpha_levels)
     if delta is not None:
         _check_bandwidth(delta)
+    k = dataset.n_instruments
+    if k >= dataset.n_obs:
+        raise ValueError(f"a confidence set needs fewer instruments than observations, "
+                         f"got k = {k} and n_obs = {dataset.n_obs}")
     (objectives,), (notes,), (bandwidth,), failures = _objective_rows(
         thetas, forecast_errors(dataset)[None], dataset.instruments[None], kernel,
         delta, dataset.cluster_labels)
     raise_row_failure(failures)
-    k = dataset.n_instruments
     thresholds = {a: chi_square_quantile(k, 1.0 - a) for a in alpha_levels}
     # a singular point has a NaN objective, so a NaN p-value, and fails
     # every threshold

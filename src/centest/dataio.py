@@ -401,14 +401,17 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
 
 def _check_scan(grid: ConfidenceSetGrid) -> None:
     """Raise ValueError unless the header holds what confidence_set writes
-    (resolution and df >= 1, df within the float range, n_obs >= 2, a
-    positive finite bandwidth), the points are the resolution's lattice
-    (central_tendency._lattice), index and theta, in its order, and every
-    member flag and p-value is what confidence_set sets: member when
+    (resolution and df >= 1, df within the float range, n_obs >= 2, df below
+    n_obs, a positive finite bandwidth), the points are the resolution's
+    lattice (central_tendency._lattice), index and theta, in its order, and
+    every member flag and p-value is what confidence_set sets: member when
     objective <= Q_df(1 - alpha), false for a NaN objective; the p-value null
     exactly when the objective is, and else chi_square_sf(df, objective) up
-    to a relative 1e-12 * max(1, objective), the slack for another build's
-    incomplete gamma function."""
+    to a relative 1e-12 * max(1, objective), the slack for another platform's
+    libm and for scans from earlier versions, whose tail was scipy's
+    gammaincc. df is the
+    instrument count k, which confidence_set keeps below n_obs; the bound
+    also caps the O(df) cost of the tail."""
     m = grid.resolution
     if m < 1:
         raise ValueError(f"document field 'resolution' must be >= 1, got {m}")
@@ -420,6 +423,9 @@ def _check_scan(grid: ConfidenceSetGrid) -> None:
         raise ValueError(f"document field 'df': {exc}") from None
     if grid.n_obs < 2:
         raise ValueError(f"document field 'n_obs' must be >= 2, got {grid.n_obs}")
+    if grid.df >= grid.n_obs:
+        raise ValueError(f"document field 'df' must be below n_obs = {grid.n_obs}, "
+                         f"got {grid.df}")
     if not 0.0 < grid.bandwidth < np.inf:  # NaN fails too
         raise ValueError("document field 'bandwidth' must be positive and finite, "
                          f"got {grid.bandwidth!r}")

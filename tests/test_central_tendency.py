@@ -293,6 +293,14 @@ class TestConfidenceSet:
         assert grid.n_obs == 80
         assert grid.bandwidth > 0
 
+    def test_instruments_must_be_fewer_than_observations(self, rng):
+        # at k = n_obs, S_T is k wherever Sigma(theta) is nonsingular
+        with pytest.raises(ValueError, match=r"^a confidence set needs fewer instruments "
+                                             r"than observations, got k = 3 and n_obs = 3$"):
+            confidence_set(make_dataset(rng, t=3, k=3), m=2, delta=1.0)
+        grid = confidence_set(make_dataset(rng, t=4, k=3), m=2, delta=1.0)
+        assert (grid.df, grid.n_obs) == (3, 4)
+
     def test_membership_flags_match_thresholds(self, rng):
         ds = make_dataset(rng, t=80, k=2, skew=0.3)
         grid = confidence_set(ds, m=6, alpha_levels=(0.05, 0.10))

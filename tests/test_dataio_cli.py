@@ -27,6 +27,7 @@ from centest import (
     MissingColumnError,
     RandomStream,
     build_instruments,
+    chi_square_quantile,
     chi_square_sf,
     confidence_set,
     emit_confidence_set,
@@ -619,12 +620,34 @@ class TestStoredScanConsistency:
         assert not svg.exists()
 
     def test_p_value_within_tolerance_loads(self, rng):
-        # 1e-13 relative, inside the 1e-12 slack for another build's
-        # incomplete gamma function
+        # 1e-13 relative, inside the 1e-12 slack for another platform's libm
+        # or an earlier version's tail
         _, text = self.scan(rng)
         doc = json.loads(text)
         _scale_p_value(1.0 + 1e-13)(doc)
         assert grid_from_dict(doc).points[0].p_value == doc["points"][0]["p_value"]
+
+    def test_df_below_n_obs_loads_and_df_at_n_obs_exits_2(self, rng, tmp_path, capsys):
+        # the scan with df = n_obs - 1 = 59, its p-values and member flags
+        # those of that df, loads; the same scan at df = n_obs is refused
+        # before its 59-term tails are summed
+        _, text = self.scan(rng)
+        doc = json.loads(text)
+        df = doc["df"] = doc["n_obs"] - 1
+        quantiles = {f"{a:g}": chi_square_quantile(df, 1.0 - a) for a in doc["alpha_levels"]}
+        for point in doc["points"]:
+            point["p_value"] = chi_square_sf(df, point["objective"])
+            point["member"] = {a: point["objective"] <= q for a, q in quantiles.items()}
+        grid = grid_from_dict(doc)
+        assert (grid.df, grid.n_obs) == (59, 60)
+        doc["df"] = doc["n_obs"]
+        js = tmp_path / "bad.json"
+        js.write_text(json.dumps(doc))
+        svg = tmp_path / "out.svg"
+        assert main(["plot", "--in-json", str(js), "--out-svg", str(svg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "centest: error: document field 'df' must be below n_obs = 60, got 60\n"
+        assert not svg.exists()
 
     def test_contradictory_one_point_scan_exits_2(self, tmp_path, capsys):
         js = tmp_path / "bad.json"
@@ -1086,6 +1109,7 @@ class TestCli:
         (_one_point_scan(df=0), "document field 'df' must be >= 1, got 0"),
         (_one_point_scan(n_obs=0), "document field 'n_obs' must be >= 2, got 0"),
         (_one_point_scan(n_obs=-5), "document field 'n_obs' must be >= 2, got -5"),
+        (_one_point_scan(df=5), "document field 'df' must be below n_obs = 5, got 5"),
         (_one_point_scan(point={"index": ["a", None]}),
          "point 0 field 'index' must hold two integers, got [\"a\", null]"),
         (_one_point_scan(point={"index": [0, True]}),
@@ -1129,6 +1153,7 @@ class TestCli:
             "resolution-not-an-integer", "df-a-bool", "n-obs-not-an-integer",
             "bandwidth-not-a-number", "bandwidth-null", "bandwidth-negative",
             "bandwidth-zero", "bandwidth-nan", "df-zero", "n-obs-zero", "n-obs-negative",
+            "df-at-n-obs",
             "index-not-integers",
             "index-a-bool", "index-of-three", "note-not-a-string",
             "theta-of-two", "theta-not-numbers", "theta-a-bool", "theta-negative",

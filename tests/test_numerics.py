@@ -19,6 +19,8 @@ from centest.numerics import (
     RELATIVE_EIG_FLOOR,
     _brentq,
     _golden,
+    _ndtr,
+    _owens_t,
     floored_eigh,
     standard_normal_rows,
 )
@@ -196,9 +198,11 @@ class TestChiSquare:
         assert isinstance(p, np.ndarray) and p.shape == x.shape
         scalar = np.array([chi_square_sf(df, v) for v in x.tolist()])
         assert p.tobytes() == scalar.tobytes()
-        # the float formula, one Python float at a time
+        # scipy's regularized upper incomplete gamma function, one Python
+        # float at a time: the same zeros and NaN, and 1e-12 relative
         direct = np.array([float(special.gammaincc(df / 2.0, v / 2.0)) for v in x.tolist()])
-        assert p.tobytes() == direct.tobytes()
+        assert np.array_equal(p == 0.0, direct == 0.0)
+        assert np.allclose(p, direct, rtol=1e-12, atol=0.0, equal_nan=True)
         assert np.isnan(p[1])
         assert chi_square_sf(df, x.reshape(5, 41)).tobytes() == p.tobytes()
         assert type(chi_square_sf(df, 2.0)) is float
@@ -218,6 +222,87 @@ class TestChiSquare:
             chi_square_quantile(2, 0.0)
         with pytest.raises(ValueError):
             chi_square_quantile(2, 1.0)
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _tail_points(df):
+    """Statistics from 0 up past the zero cut of gammaincc, with twenty
+    points within 1e-9 relative of the cut on either side."""
+    rng = np.random.default_rng(df)
+    cut = 2.0 * optimize.brentq(
+        lambda h: (df / 2) * math.log(h) - h - math.lgamma(df / 2) + 709.782712893384,
+        10.0, 2000.0)
+    return np.concatenate([
+        [0.0, 1e-300, 1e-10, 1e-3, 1.0, 3.841459, 1400.0],
+        cut + np.linspace(-1e-9, 1e-9, 20) * cut,
+        rng.exponential(5.0, 2000), rng.uniform(0.0, 1600.0, 4000),
+        np.exp(rng.uniform(-690.0, 7.3, 2000)),
+    ])
+
+
+class TestClosedFormTail:
+    """The closed-form tail and its quantile against scipy's gammaincc and
+    gammainccinv, now a test-only oracle."""
+
+    @pytest.mark.parametrize("df", range(1, 13))
+    def test_tail_equals_gammaincc(self, df):
+        x = _tail_points(df)
+        p = chi_square_sf(df, x)
+        oracle = special.gammaincc(df / 2.0, x / 2.0)
+        # the same exact zeros, the cut's included, and 1e-12 relative;
+        # below the smallest normal double relative accuracy ends, and the
+        # bound is 1e-12 of that
+        assert np.array_equal(p == 0.0, oracle == 0.0)
+        assert np.all(np.abs(p - oracle) <= 1e-12 * np.maximum(oracle, _TINY))
+        assert chi_square_sf(df, 0.0) == 1.0 and chi_square_sf(df, 1e-300) == 1.0
+        assert math.isnan(chi_square_sf(df, math.nan))
+        assert chi_square_sf(df, math.inf) == 0.0
+
+    def test_zero_where_a_stored_p_value_is(self):
+        # a 3-df statistic that a stored reference scores at p = 0.0; the
+        # series alone would leave a subnormal there
+        assert special.gammaincc(1.5, 1487.89 / 2.0) == 0.0
+        assert chi_square_sf(3, 1487.89) == 0.0
+
+    @pytest.mark.parametrize("df", [59, 100, 101])
+    def test_tail_equals_gammaincc_at_larger_df(self, df):
+        # both summation paths: e^-h times the sum up to h = 700, and the
+        # sum from its largest term in logs beyond
+        x = np.linspace(0.0, 3000.0, 3001)
+        p = chi_square_sf(df, x)
+        oracle = special.gammaincc(df / 2.0, x / 2.0)
+        assert np.array_equal(p == 0.0, oracle == 0.0)
+        assert np.all(np.abs(p - oracle) <= 1e-12 * np.maximum(oracle, _TINY))
+
+    @pytest.mark.parametrize("df", range(1, 13))
+    def test_quantile_equals_gammainccinv(self, df):
+        for p in [*np.linspace(0.001, 0.999, 97).tolist(), 0.9, 0.95, 0.99]:
+            oracle = 2.0 * special.gammainccinv(df / 2.0, 1.0 - p)
+            assert chi_square_quantile(df, p) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+class TestNormalCdfAndOwensT:
+    def test_ndtr_equals_scipy_bit_for_bit(self):
+        # 120,000 points over [-40, 40], the branch points of cephes' ndtr,
+        # erf and erfc (|a| = 1, 8 sqrt 2, the exp underflow) and signed zeros
+        rng = np.random.default_rng(7)
+        edges = np.array([1.0, 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384),
+                          1.0 / math.sqrt(2.0), 38.0, 1e-300, 0.0])
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 50.0)])
+        a = np.concatenate([rng.uniform(-40.0, 40.0, 100_000), rng.normal(0.0, 3.0, 20_000),
+                            edges, -edges, [math.inf, -math.inf]])
+        mine = np.array([_ndtr(v) for v in a.tolist()])
+        assert mine.tobytes() == special.ndtr(a).tobytes()
+        assert math.isnan(_ndtr(math.nan))
+
+    def test_owens_t_against_scipy(self):
+        h = np.linspace(-8.0, 8.0, 161)
+        for a in [*np.exp(np.linspace(-5.0, 5.0, 41)).tolist(), 1.0, 0.0]:
+            for signed in (a, -a):
+                mine = np.array([_owens_t(v, signed) for v in h.tolist()])
+                assert np.allclose(mine, special.owens_t(h, signed), rtol=0.0, atol=2e-16)
 
 
 def inverse_sqrt_from_eigh(m):

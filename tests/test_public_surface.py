@@ -62,19 +62,15 @@ def test_one_block_kernel_scores_s_t():
     assert simulation._objective_rows is central_tendency._objective_rows
 
 
-# scipy modules that no command calls: `simulate` needs scipy.special alone,
-# and generalized_modal_midpoint imports scipy.integrate when called, so a
-# one-shot command starts up without them
-DEFERRED_SCIPY = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.stats")
-
+# the runtime needs numpy alone: neither the import nor any command loads a
+# scipy module, so a one-shot command starts up without it
 _IMPORT_BOUNDARY_SCRIPT = """
 import contextlib, io, sys
-deferred = sys.argv[1].split(",")
 def loaded():
-    return [name for name in deferred if name in sys.modules]
+    return [name for name in sys.modules if name.split(".")[0] == "scipy"]
 import centest.cli
 print("import", *loaded())
-data = sys.argv[2]
+data = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     code = centest.cli.main(["test", "--input", data, "--functional", "mode",
                              "--instruments", "z", "--with-const"])
@@ -106,8 +102,7 @@ def test_commands_import_only_the_scipy_they_call(tmp_path):
                comments="")
     src = Path(centest.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_BOUNDARY_SCRIPT, ",".join(DEFERRED_SCIPY),
-         str(data)],
+        [sys.executable, "-c", _IMPORT_BOUNDARY_SCRIPT, str(data)],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
