@@ -7,9 +7,12 @@ unidentified, which rules out point estimation; the confidence set inverts
 the objective against chi-square critical values instead, which stays valid
 in all four identification regimes.
 
-S_T has one block kernel, _objective_rows: gmm_objective and confidence_set
-are its one-row call, and simulation's coverage experiments score blocks of
-replications with it.
+S_T has one block kernel, _objective_rows: it scores every theta from the
+one Gram of a dataset's whitened mean, median and mode rows and their row
+scales c, as the quadratic form of (g c, Gram c c') (see identification).
+gmm_objective and confidence_set are its one-row call, simulation's coverage
+experiments score blocks of replications with it, and the single-functional
+tests (rationality) read the same Gram at a vertex.
 """
 
 from __future__ import annotations
@@ -18,12 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError, check_integer, raise_row_failure
+from .bandwidth import _block_bandwidths
+from .errors import SingularMatrixError, check_integer, first_failures, raise_row_failure
 from .identification import (
     ForecastDataset,
-    _assemble_stacked,
     _check_bandwidth,
-    _weighted_block,
+    _check_instrument_count,
+    _identification_matrix,
+    _moment_gram,
+    _row_scales,
+    _wave_sums,
+    _whiten,
     forecast_errors,
 )
 from .numerics import (
@@ -106,24 +114,6 @@ def simplex_grid(m: int) -> np.ndarray:
     return _lattice(_check_resolution(m))[2]
 
 
-def _wave_sums(rows: np.ndarray, cluster_labels) -> np.ndarray:
-    """Sum ``rows`` over observations (the leading axis) within each wave.
-
-    Waves are processed in order of first appearance, keeping the reduction
-    order fixed regardless of label encoding.
-    """
-    labels = np.asarray(cluster_labels)
-    if labels.size != rows.shape[0]:
-        raise ValueError("cluster labels must cover every observation")
-    _, first_pos, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(first_pos, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    sums = np.zeros((order.size, *rows.shape[1:]))
-    np.add.at(sums, rank[inverse], rows)
-    return sums
-
-
 def sigma_hat(phi: np.ndarray, cluster_labels=None) -> np.ndarray:
     """Uncentered covariance of the combined moment.
 
@@ -136,35 +126,23 @@ def sigma_hat(phi: np.ndarray, cluster_labels=None) -> np.ndarray:
     return rows.T @ rows / phi.shape[0]
 
 
-def _objectives_block(
-    thetas: np.ndarray, per_obs: np.ndarray, cluster_labels=None
-) -> tuple[np.ndarray, list[list[str | None]]]:
-    """S_T at every theta (P, 3) for every dataset of a block of stacked rows
-    (B, T, 3, k); cluster labels apply to a one-dataset block.
+def _objectives_block(thetas, g, gram) -> tuple[np.ndarray, list[list[str | None]]]:
+    """S_T at every theta (P, n) for every dataset of a block, from its moment
+    sums g (B, n, k) and Gram (B, n, k, n, k) (see _moment_gram).
 
-    The combined moment is linear in theta, so with g_r = T^{-1/2} sum_t
-    psi_{t,r} and the k x k blocks M_rs of (1/T) R'R, where R holds a
-    dataset's stacked rows (wave sums under clusters) flattened to 3k
-    columns,
+    The combined moment is linear in theta; with M_rs the Gram's k x k blocks,
 
         g(theta) = sum_r theta_r g_r,  Sigma(theta) = sum_{r,s} theta_r theta_s M_rs.
 
-    The blocks are built once per dataset; every Sigma(theta) then goes
-    through one batched eigendecomposition and S = sum_i (q_i' g)^2 /
-    lambda_i. Returns the (B, P) objectives and, per dataset, the P notes:
-    None or the eigenvalue-floor note of a singular Sigma(theta), whose
-    objective is NaN.
+    Every Sigma(theta) goes through one batched eigendecomposition and
+    S = sum_i (q_i' g)^2 / lambda_i. Returns the (B, P) objectives and, per
+    dataset, the P notes: None or the eigenvalue-floor note of a singular
+    Sigma(theta), whose objective is NaN.
     """
-    b, t, n_rows, k = per_obs.shape
+    b, n, k = g.shape
     p = thetas.shape[0]
-    rows = per_obs.reshape(b, t, n_rows * k)
-    g = (np.ones(t) @ rows).reshape(b, n_rows, k) / np.sqrt(t)
-    if cluster_labels is not None:
-        rows = _wave_sums(rows[0], cluster_labels)[None]
-    blocks = (np.swapaxes(rows, 1, 2) @ rows / t).reshape(b, n_rows, k, n_rows, k)
-    blocks = blocks.transpose(0, 1, 3, 2, 4).reshape(b, n_rows * n_rows, k * k)
-
-    pairs = (thetas[:, :, None] * thetas[:, None, :]).reshape(p, n_rows * n_rows)
+    blocks = gram.transpose(0, 1, 3, 2, 4).reshape(b, n * n, k * k)
+    pairs = (thetas[:, :, None] * thetas[:, None, :]).reshape(p, n * n)
     lam, q, notes = floored_eigh((pairs @ blocks).reshape(b, p, k, k))
     ok = np.array([note is None for note in notes]).reshape(b, p)
     proj = ((thetas @ g)[:, :, None, :] @ q)[:, :, 0, :]
@@ -184,16 +162,21 @@ def _objective_rows(
     """S_T at every theta (P, 3) for each dataset of a block: errors (B, T),
     instruments (B, T, k); cluster labels apply to a one-dataset block.
 
-    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth.
-    Returns the (B, P) objectives and their notes (see _objectives_block),
-    the (B,) bandwidths and, per dataset, None or the bandwidth's or the
-    weights' failure (see _weighted_block).
+    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth. The
+    row scales c enter as (g c, Gram c c'). Returns the (B, P) objectives and
+    their notes (see _objectives_block), the (B,) bandwidths and, per
+    dataset, None or the exception scoring it alone raises, in that order:
+    the bandwidth's DegenerateErrors (zero MAD, then zero sd), then the
+    SingularMatrixError of the instrument whitener, then of a row scale.
     """
-    values, weights, delta, failures = _weighted_block(
-        errors, instruments, kernel, delta)
-    objectives, notes = _objectives_block(
-        thetas, _assemble_stacked(values, instruments, weights), cluster_labels)
-    return objectives, notes, delta, failures
+    delta, failures = _block_bandwidths(errors, delta)
+    values = _identification_matrix(errors, delta, kernel)
+    whitened, _, singular = _whiten(instruments)
+    scales, unscaled = _row_scales(values, instruments, whitened)
+    g, gram = _moment_gram(values, whitened, cluster_labels)
+    outer = scales[:, :, None, None, None] * scales[:, None, None, :, None]
+    objectives, notes = _objectives_block(thetas, g * scales[..., None], gram * outer)
+    return objectives, notes, delta, first_failures(failures, singular, unscaled)
 
 
 def gmm_objective(
@@ -273,19 +256,15 @@ def confidence_set(
     call of _objective_rows), under the dataset's cluster labels if it has
     any.
     Per-point singular covariances are recorded as NaN, non-member points
-    with a note. The instrument count k must be below n_obs: at k = n_obs,
-    S_T equals k wherever Sigma(theta) is nonsingular, and above it
-    Sigma(theta) is singular everywhere.
+    with a note. The instrument count k must be below n_obs.
     """
     m = _check_resolution(m)
     i, j, thetas = _lattice(m)
     alpha_levels = _check_alpha_levels(alpha_levels)
     if delta is not None:
         _check_bandwidth(delta)
+    _check_instrument_count(dataset, "a confidence set")
     k = dataset.n_instruments
-    if k >= dataset.n_obs:
-        raise ValueError(f"a confidence set needs fewer instruments than observations, "
-                         f"got k = {k} and n_obs = {dataset.n_obs}")
     (objectives,), (notes,), (bandwidth,), failures = _objective_rows(
         thetas, forecast_errors(dataset)[None], dataset.instruments[None], kernel,
         delta, dataset.cluster_labels)

@@ -41,10 +41,10 @@ def raise_row_failure(failures: list) -> None:
         raise failure
 
 
-def first_failures(earlier: list, later: list) -> list:
-    """Per row, the earlier check's failure if it has one, else the later's:
-    how a block kernel keeps the one-row path's check order."""
-    return [a if a is not None else b for a, b in zip(earlier, later)]
+def first_failures(*stages: list) -> list:
+    """Per row, the failure of the earliest check (stage) that has one: how a
+    block kernel keeps the one-row path's check order."""
+    return [next((f for f in row if f is not None), None) for row in zip(*stages)]
 
 
 def check_integer(value, name: str) -> int:

@@ -1,9 +1,16 @@
 """Per-observation identification values for mean, median and mode, and the
-stacked, weight-normalized 3 x k moment rows they form.
+one Gram per dataset that every statistic reads.
 
 The error convention is eps = forecast - realization throughout. All three
 identification values are odd in eps (the smoothed mode value via the odd
 symmetry of K'), so the moment rows flip sign with the errors.
+
+A dataset's instruments are whitened once, by G = [(1/T) sum h h']^{-1/2}.
+Its rows R = [v_r h G] give the moment sums g and one Gram R'R/T, and row r
+gets the scale c_r = (k / tr_r)^{1/2}, tr_r the unclustered trace of its
+second moment. S_T(theta) is the quadratic form of (g, Gram) at theta * c; a
+single-functional test is its value at a vertex, where c_r cancels. G
+cancels from every such form and sets the basis of the eigenvalue floors.
 """
 
 from __future__ import annotations
@@ -13,8 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bandwidth import _block_bandwidths
-from .errors import SingularMatrixError, first_failures
+from .errors import SingularMatrixError
 from .numerics import KERNELS, RELATIVE_EIG_FLOOR, Kernel, floored_eigh
 
 
@@ -168,6 +174,14 @@ def _check_bandwidth(delta) -> None:
         raise ValueError(f"mode values need a positive bandwidth, got {delta}{note}")
 
 
+def _check_instrument_count(dataset: ForecastDataset, what: str) -> None:
+    """ValueError unless k < n_obs: at k = n_obs a statistic equals k wherever
+    its covariance is nonsingular, and above it the covariance is singular."""
+    if dataset.n_instruments >= dataset.n_obs:
+        raise ValueError(f"{what} needs fewer instruments than observations, got "
+                         f"k = {dataset.n_instruments} and n_obs = {dataset.n_obs}")
+
+
 def _values(kind: Functional, e: np.ndarray, delta, kernel: Kernel | None) -> np.ndarray:
     """One functional's values; here alone the mode kernel defaults to the Gaussian."""
     if kind is Functional.MEAN:
@@ -186,28 +200,14 @@ def _identification_matrix(errors, delta, kernel) -> np.ndarray:
     return np.stack([_values(f, e, d, kernel) for f in FUNCTIONALS], axis=-2)
 
 
-def _weight_matrices_from_arrays(
-    values: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, list]:
-    """Weight matrices for a block of identification values (B, 3, T) and
-    instruments (B, T, k).
-
-    Every row shares the whitener G = [(1/T) sum h h']^{-1/2} and gets its own
-    scalar c_r = sqrt(k / tr(G M_r G)), M_r the row's uncentered second-moment
-    matrix, so each whitened row has average second moment one. A common
-    whitener keeps every quadratic form downstream exactly invariant under
-    invertible remaps of the instruments (a per-row whitener would rotate
-    each row differently and break that); when a row's values are
-    uncorrelated with the instruments, c_r G is the row's exact inverse
-    square root, so the two constructions agree there and for k = 1 always.
-
-    Returns the (B, 3, k, k) weights and, per dataset, None or the
-    SingularMatrixError that makes it unusable: a whitener below the
-    eigenvalue floor first, then the mean, median and mode row scales in
-    that order. A failed dataset gets finite placeholder weights.
-    """
-    b, t, k = h.shape
-    lam, q, notes = floored_eigh(np.swapaxes(h, 1, 2) @ h / t)
+def _whiten(instruments: np.ndarray) -> tuple[np.ndarray, tuple, list]:
+    """G h_t as the columns of a (B, k, T) array for instruments (B, T, k), G =
+    [(1/T) sum h h']^{-1/2}; the eigenpairs (lam, q) of (1/T) sum h h'; and per
+    dataset None or the SingularMatrixError of one below the floor (lam = 1)."""
+    h_columns = np.ascontiguousarray(np.swapaxes(instruments, 1, 2))
+    # einsum, not matmul: threaded OpenBLAS products here slow the Monte Carlo threads
+    moments = np.einsum("bkt,blt->bkl", h_columns, h_columns) / instruments.shape[1]
+    lam, q, notes = floored_eigh(moments)
     failures = [
         None if note is None else SingularMatrixError(
             f"instrument second-moment matrix is singular "
@@ -217,55 +217,56 @@ def _weight_matrices_from_arrays(
     ]
     lam[[failure is not None for failure in failures]] = 1.0
     whitener = (q * lam[:, None, :] ** -0.5) @ np.swapaxes(q, 1, 2)
-    scales = np.empty((b, 3))
-    floors = np.empty((b, 3))
-    for r in range(3):
-        vh = values[:, r, :, None] * h
-        moment = np.swapaxes(vh, 1, 2) @ vh / t
-        scales[:, r] = np.trace(whitener @ moment @ whitener, axis1=1, axis2=2) / k
-        floors[:, r] = RELATIVE_EIG_FLOOR * np.maximum(
-            1.0, np.trace(moment, axis1=1, axis2=2))
-    bad = ~(scales > floors)
-    row_failures = [None] * b
+    return np.einsum("bkl,blt->bkt", whitener, h_columns), (lam, q), failures
+
+
+def _row_scales(values, instruments, whitened) -> tuple[np.ndarray, list]:
+    """The (B, 3) scales c_r = (k / tr_r)^{1/2} of a block's values (B, 3, T),
+    instruments (B, T, k) and whitened instruments, tr_r = (1/T) sum_t v_rt^2
+    |G h_t|^2, so each rescaled row has average second moment one; and per
+    dataset None or the SingularMatrixError of its first row with tr_r / k <=
+    RELATIVE_EIG_FLOOR * max(1, (1/T) sum_t v_rt^2 |h_t|^2), scaled by one."""
+    b, t, k = instruments.shape
+    scales = np.einsum("bnt,bnt,bt->bn", values, values,
+                       np.einsum("bkt,bkt->bt", whitened, whitened)) / (t * k)
+    traces = np.einsum("bnt,bnt,bt->bn", values, values,
+                       np.einsum("btk,btk->bt", instruments, instruments)) / t
+    bad = ~(scales > RELATIVE_EIG_FLOOR * np.maximum(1.0, traces))
+    failures = [None] * b
     for i in np.flatnonzero(bad.any(axis=1)).tolist():
         r = int(np.argmax(bad[i]))
-        row_failures[i] = SingularMatrixError(
+        failures[i] = SingularMatrixError(
             f"second-moment matrix for the {FUNCTIONALS[r].value} row is "
             f"singular (whitened trace {scales[i, r]:.6e})"
         )
     scales[bad] = 1.0
-    weights = whitener[:, None] / np.sqrt(scales)[:, :, None, None]
-    return weights, first_failures(failures, row_failures)
+    return scales ** -0.5, failures
 
 
-def _weighted_block(
-    errors: np.ndarray,
-    instruments: np.ndarray,
-    kernel: Kernel | None,
-    delta=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Identification values and weight matrices of a block of datasets:
-    errors (B, T), instruments (B, T, k).
-
-    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth.
-    Returns the (B, 3, T) values, the (B, 3, k, k) weights, the (B,)
-    bandwidths and, per dataset, None or the exception scoring it alone
-    raises, in that path's order: the bandwidth's DegenerateErrors (zero
-    MAD, then zero sd), then the weights' SingularMatrixError (instrument
-    whitener, then row scale).
-    """
-    delta, failures = _block_bandwidths(errors, delta)
-    values = _identification_matrix(errors, delta, kernel)
-    weights, weight_failures = _weight_matrices_from_arrays(values, instruments)
-    return values, weights, delta, first_failures(failures, weight_failures)
+def _moment_gram(values, whitened, cluster_labels=None) -> tuple[np.ndarray, np.ndarray]:
+    """R's column sums over sqrt(T), g (B, n, k), and its Gram R'R/T (B, n, k,
+    n, k), for the rows R = [v_r (G h)'] of a block's identification values
+    (B, n, T) and whitened instruments (B, k, T); under cluster labels (a
+    one-dataset block) the Gram sums R's rows within each wave first."""
+    b, n, t = values.shape
+    k = whitened.shape[1]
+    columns = (values[:, :, None, :] * whitened[:, None]).reshape(b, n * k, t)
+    g = (columns @ np.ones(t)).reshape(b, n, k) / np.sqrt(t)
+    if cluster_labels is not None:
+        columns = _wave_sums(columns[0].T, cluster_labels).T[None]
+    return g, (columns @ np.swapaxes(columns, 1, 2) / t).reshape(b, n, k, n, k)
 
 
-def _assemble_stacked(values, instruments, weights) -> np.ndarray:
-    """per_obs[t, r, :] = values[r, t] * (weights[r] @ instruments[t]), for
-    one dataset or for each of a block with a leading axis on every array."""
-    *lead, n_rows, k, _ = weights.shape
-    # column r k + i of this (k, 3k) matrix is row i of weights[r]
-    columns = np.ascontiguousarray(np.moveaxis(weights, -1, -3))
-    weighted_h = instruments @ columns.reshape(*lead, k, n_rows * k)
-    shape = weighted_h.shape[:-1] + (n_rows, k)
-    return np.swapaxes(values, -1, -2)[..., None] * weighted_h.reshape(shape)
+def _wave_sums(rows: np.ndarray, cluster_labels) -> np.ndarray:
+    """Sum ``rows`` over observations (the leading axis) within each wave, in
+    order of first appearance, so the reduction order ignores label encoding."""
+    labels = np.asarray(cluster_labels)
+    if labels.size != rows.shape[0]:
+        raise ValueError("cluster labels must cover every observation")
+    _, first_pos, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(first_pos, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    sums = np.zeros((order.size, *rows.shape[1:]))
+    np.add.at(sums, rank[inverse], rows)
+    return sums

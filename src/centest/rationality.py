@@ -12,10 +12,11 @@ martingale difference sequence, so the uncentered outer product is the right
 covariance estimator and no HAC correction is applied.
 
 J is the GMM objective S_T at a vertex of the simplex that confidence_set
-scans, where the weight matrix W_r cancels, so the tests score the
-unweighted rows v_t h_t through the same engine (_objectives_block). The
-block kernel _tests_block scores one functional on many datasets of equal
-length at once (the Monte Carlo harness passes a block of replications);
+scans, where the row scale c_r cancels, so a test scores the whitened moment
+sums and Gram of its own row (identification._moment_gram) as S_T does, and
+Omega = G^{-1} Gram G^{-1} in the caller's coordinates. The block kernel
+_tests_block scores one functional on many datasets of equal length at once
+(the Monte Carlo harness passes a block of replications);
 instrument_moment_test and mode_test are its one-row case.
 """
 
@@ -32,7 +33,10 @@ from .identification import (
     ForecastDataset,
     Functional,
     _check_bandwidth,
+    _check_instrument_count,
+    _moment_gram,
     _values,
+    _whiten,
     forecast_errors,
 )
 from .numerics import Kernel, chi_square_sf
@@ -58,8 +62,9 @@ def instrument_moment_test(
 ) -> TestResult:
     """Wald test of mean or median forecast rationality.
 
-    Raises SingularMatrixError when the moment covariance fails the
-    eigenvalue floor (for example, identically zero errors).
+    Raises ValueError unless k < n_obs, and SingularMatrixError when the
+    instruments are collinear or the moment covariance fails the eigenvalue
+    floor (for example, identically zero errors).
     """
     kind = Functional(kind)
     if kind is Functional.MODE:
@@ -75,8 +80,9 @@ def mode_test(
     """Nonparametric test of mode forecast rationality.
 
     ``delta`` defaults to the rule-of-thumb bandwidth computed from the
-    forecast errors. Raises DegenerateErrors if the errors carry no
-    dispersion and SingularMatrixError if the covariance is singular.
+    forecast errors. Raises ValueError unless k < n_obs, DegenerateErrors if
+    the errors carry no dispersion and SingularMatrixError if the
+    instruments are collinear or the covariance is singular.
     """
     if delta is not None:
         _check_bandwidth(delta)
@@ -85,6 +91,7 @@ def mode_test(
 
 def _one_row(kind: Functional, dataset: ForecastDataset, kernel,
              delta=None) -> TestResult:
+    _check_instrument_count(dataset, "a test")
     (result,), failures = _tests_block(
         kind, forecast_errors(dataset)[None], dataset.instruments[None], kernel, delta)
     raise_row_failure(failures)
@@ -106,19 +113,22 @@ def _tests_block(
     ``kernel``. Returns the TestResults and, per dataset, None or the
     exception the one-row test raises on it, in that test's order: the mode
     bandwidth's DegenerateErrors (zero MAD, then zero sd), then the
-    covariance's eigenvalue floor (SingularMatrixError). A failed dataset's
-    result is None and leaves the others unchanged.
+    SingularMatrixError of the instrument whitener, then of the covariance's
+    eigenvalue floor in the whitened basis. A failed dataset's result is None
+    and leaves the others unchanged.
     """
-    b, t, k = instruments.shape
+    b, _, k = instruments.shape
     bandwidths, failures = [None] * b, [None] * b
     if kind is Functional.MODE:
         delta, failures = _block_bandwidths(errors, delta)
         bandwidths, delta = delta.tolist(), delta[:, None]
-    rows = _values(kind, errors, delta, kernel)[:, :, None] * instruments
-    statistics, notes = _objectives_block(np.ones((1, 1)), rows[:, :, None])
-    singular = [None if note is None else SingularMatrixError(note) for (note,) in notes]
-    failures = first_failures(failures, singular)
-    covariances = np.swapaxes(rows, 1, 2) @ rows / t
+    whitened, (lam, q), singular = _whiten(instruments)
+    g, gram = _moment_gram(_values(kind, errors, delta, kernel)[:, None], whitened)
+    statistics, notes = _objectives_block(np.ones((1, 1)), g, gram)
+    floored = [None if note is None else SingularMatrixError(note) for (note,) in notes]
+    failures = first_failures(failures, singular, floored)
+    root = (q * np.sqrt(lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
+    covariances = root @ gram[:, 0, :, 0, :] @ root
     p_values = chi_square_sf(k, statistics[:, 0])
     tests = [
         None if failure is not None else TestResult(

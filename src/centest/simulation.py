@@ -40,7 +40,9 @@ on the threads. On one core the caller runs every block.
 
 Each block is also scored in one pass, by the block kernels of the mode
 test (rationality._tests_block) and of S_T (central_tendency._objective_rows),
-whose one-row case are the single-dataset functions. A block kernel returns
+whose one-row case are the single-dataset functions. Both read one Gram
+of each replication's whitened rows (identification._moment_gram): S_T of
+all three, the mode test of its own row alone. A block kernel returns
 its results and, per replication, None or the exception the single-dataset
 function would raise on it, found by the same checks in the same order; a
 failed replication gets finite placeholder values, so it neither warns nor
@@ -70,7 +72,13 @@ from .central_tendency import (
     simplex_grid,
 )
 from .errors import SingularMatrixError, check_integer, first_failures, raise_row_failure
-from .identification import Functional, _check_aligned, _weighted_block
+from .identification import (
+    Functional,
+    _check_aligned,
+    _identification_matrix,
+    _row_scales,
+    _whiten,
+)
 from .numerics import (
     Kernel,
     RandomStream,
@@ -672,11 +680,12 @@ def implied_theta(
     n = errors.size
 
     delta = bandwidth_rule_of_thumb(errors, n_obs=config.n_obs).delta
-    (values,), (weights,), _, failures = _weighted_block(
-        errors[None], instruments[None], kernel, delta)
-    raise_row_failure(failures)
-    # row r: the mean over observations of v_r h' W_r
-    moment_rows = ((values @ instruments / n)[:, None, :] @ weights)[:, 0, :]
+    values = _identification_matrix(errors, delta, kernel)
+    whitened, _, singular = _whiten(instruments[None])
+    scales, unscaled = _row_scales(values[None], instruments[None], whitened)
+    raise_row_failure(first_failures(singular, unscaled))
+    # row r: the mean over observations of the weighted row c_r v_r h' G
+    moment_rows = scales[0][:, None] * np.einsum("rt,kt->rk", values, whitened[0]) / n
 
     quad = moment_rows @ moment_rows.T
     lam, vecs = np.linalg.eigh(quad)

@@ -394,7 +394,7 @@ class TestConfidenceSet:
         ds = make_dataset(rng, t=150, k=k, skew=0.5, cluster=cluster)
         delta = 0.7
         grid = confidence_set(ds, m=10, delta=delta)
-        per_obs, _ = stacked_rows(ds, delta)
+        per_obs = stacked_rows(ds, delta)
         assert len(grid.points) == 66
         for p in grid.points:
             phi = np.einsum("r,trk->tk", np.array(p.theta), per_obs)

@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 import centest
 
 from centest import (
+    MEAN_VERTEX,
+    MEDIAN_VERTEX,
+    MODE_VERTEX,
     ConfidenceSetGrid,
     Dgp,
     DgpConfig,
@@ -1027,6 +1030,37 @@ class TestCli:
         assert (f"centest: error: {option} applies to --functional mode only"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("functional", ["mean", "median", "mode"])
+    def test_test_with_k_at_n_obs_exits_2(self, tmp_path, capsys, functional):
+        rng = np.random.default_rng(13)
+        ds = make_dataset(rng, t=3, k=3)
+        f = tmp_path / "tiny.csv"
+        write_dataset_csv(ds, f, instrument_names=["const", "xinst", "extra"])
+        out = tmp_path / "test.json"
+        assert main(["test", "--input", str(f), "--instruments", "const,xinst,extra",
+                     "--functional", functional, "--out-json", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "centest: error: a test needs fewer instruments than observations, "
+            "got k = 3 and n_obs = 3\n")
+        assert not out.exists()
+
+    def test_test_and_cset_give_one_vertex_statistic(self, tmp_path, capsys):
+        # unclustered, the m = 1 scan's vertices are the three tests' J
+        data = write_sim_csv(tmp_path)
+        flags = ["--input", str(data), "--instruments", "const,xinst"]
+        scan = tmp_path / "cset.json"
+        assert main(["cset", *flags, "--grid-m", "1", "--out-json", str(scan)]) == 0
+        vertices = {tuple(p["theta"]): p["objective"]
+                    for p in json.loads(scan.read_text())["points"]}
+        for functional, vertex in (("mean", MEAN_VERTEX), ("median", MEDIAN_VERTEX),
+                                   ("mode", MODE_VERTEX)):
+            out = tmp_path / f"{functional}.json"
+            assert main(["test", *flags, "--functional", functional,
+                         "--out-json", str(out)]) == 0
+            statistic = json.loads(out.read_text())["statistic"]
+            assert statistic == pytest.approx(vertices[vertex], rel=1e-12, abs=0.0)
+        capsys.readouterr()
 
     def test_test_cluster_notes_the_unclustered_covariance(self, tmp_path, capsys):
         rng = np.random.default_rng(12)

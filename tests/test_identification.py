@@ -17,14 +17,28 @@ from centest import (
     identification_values,
     mode_test,
 )
+from centest.central_tendency import _objective_rows
 from centest.identification import (
-    _assemble_stacked,
     _check_bandwidth,
     _identification_matrix,
-    _weighted_block,
+    _moment_gram,
+    _row_scales,
+    _whiten,
 )
 
-from conftest import make_dataset, stacked_rows
+from conftest import make_dataset
+
+
+def kernel_rows(ds, delta, kernel=None):
+    """One dataset's (T, 3, k) weighted rows c_r v_rt h_t G and its (3,) row
+    scales c_r, from the kernel's whitener and row scales on a block of one;
+    the dataset must not fail."""
+    values = _identification_matrix(forecast_errors(ds), delta, kernel)[None]
+    whitened, _, singular = _whiten(ds.instruments[None])
+    scales, unscaled = _row_scales(values, ds.instruments[None], whitened)
+    assert singular == unscaled == [None]
+    rows = scales[0][:, None, None] * values[0][:, :, None] * whitened[0].T
+    return np.swapaxes(rows, 0, 1), scales[0]
 
 
 class TestForecastDataset:
@@ -195,16 +209,17 @@ class TestIdentificationValues:
 
 class TestWeightingMatrices:
     def test_unit_mean_row(self):
+        # h = 1, so G = 1 and the weight c_r G is the row scale
         ds = ForecastDataset([0.0, 0.0], [1.0, -1.0], np.ones((2, 1)))
-        _, w = stacked_rows(ds, delta=1.0)
+        _, scales = kernel_rows(ds, delta=1.0)
         # M_mean = (1/2)(1 + 1) = 1
-        assert w[0] == pytest.approx(np.array([[1.0]]))
+        assert scales[0] == pytest.approx(1.0)
 
     def test_median_row_always_unit_without_zeros(self, rng):
         errors = rng.standard_normal(50) + 0.3
         ds = ForecastDataset(np.zeros(50), errors, np.ones((50, 1)))
-        _, w = stacked_rows(ds, delta=0.5)
-        assert w[1] == pytest.approx(np.array([[1.0]]), abs=1e-12)
+        _, scales = kernel_rows(ds, delta=0.5)
+        assert scales[1] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, None])
     def test_nonpositive_bandwidth_rejected(self, delta):
@@ -237,15 +252,15 @@ class TestWeightingMatrices:
 
     def test_zero_errors_singular_names_mean(self):
         ds = ForecastDataset([1.0, 2.0], [1.0, 2.0], np.ones((2, 1)))
-        *_, (failure,) = _weighted_block(
-            forecast_errors(ds)[None], ds.instruments[None], None, 1.0)
+        *_, (failure,) = _objective_rows(
+            np.eye(3), forecast_errors(ds)[None], ds.instruments[None], None, 1.0)
         assert isinstance(failure, SingularMatrixError)
         assert "mean" in str(failure)
 
     def test_normalization_trace_identity(self, rng):
         # every weighted row has average second moment exactly one
         ds = make_dataset(rng, t=300, k=3, skew=0.4)
-        per_obs, _ = stacked_rows(ds, delta=0.6)
+        per_obs, _ = kernel_rows(ds, delta=0.6)
         for r in range(3):
             rows = per_obs[:, r, :]
             second_moment = rows.T @ rows / ds.n_obs
@@ -255,7 +270,7 @@ class TestWeightingMatrices:
         # with k = 1 the scalar weight is the exact inverse square root
         errors = rng.standard_normal(200) + 0.2
         ds = ForecastDataset(np.zeros(200), errors, np.ones((200, 1)))
-        per_obs, _ = stacked_rows(ds, delta=0.5)
+        per_obs, _ = kernel_rows(ds, delta=0.5)
         for r in range(3):
             rows = per_obs[:, r, :]
             assert rows.T @ rows / 200 == pytest.approx(np.eye(1), abs=1e-12)
@@ -263,17 +278,19 @@ class TestWeightingMatrices:
 
 class TestStackedMoments:
     def test_single_observation_rows_identity_weights(self):
-        # eps = 1, h = 1, delta = 1: rows (1, 1, K'(-1))
+        # eps = 1, h = 1, delta = 1: rows (1, 1, K'(-1)), which g and the
+        # Gram of one observation hold as they are
         values = _identification_matrix(np.array([1.0]), 1.0, get_kernel("gaussian"))
-        per_obs = _assemble_stacked(values, np.ones((1, 1)), np.eye(1)[None].repeat(3, 0))
-        assert per_obs.shape == (1, 3, 1)
-        assert per_obs[0, 0, 0] == 1.0
-        assert per_obs[0, 1, 0] == 1.0
-        assert per_obs[0, 2, 0] == pytest.approx(0.2419707, abs=5e-8)
+        g, gram = _moment_gram(values[None], np.ones((1, 1, 1)))
+        assert g.shape == (1, 3, 1) and gram.shape == (1, 3, 1, 3, 1)
+        assert g[0, 0, 0] == 1.0
+        assert g[0, 1, 0] == 1.0
+        assert g[0, 2, 0] == pytest.approx(0.2419707, abs=5e-8)
+        assert np.array_equal(gram[0, :, 0, :, 0], np.outer(g[0, :, 0], g[0, :, 0]))
 
     def test_balanced_signs_cancel_in_median_row(self):
         ds = ForecastDataset(np.zeros(4), [1.0, -1.0, 2.0, -2.0], np.ones((4, 1)))
-        per_obs, _ = stacked_rows(ds, delta=1.0)
+        per_obs, _ = kernel_rows(ds, delta=1.0)
         assert per_obs[:, 1, :].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_error_sign_flip_flips_every_row(self, rng):
@@ -284,8 +301,8 @@ class TestStackedMoments:
         plus = ForecastDataset(x - noise, x, h)
         minus = ForecastDataset(x + noise, x, h)
         delta = 0.8
-        stacked_plus, _ = stacked_rows(plus, delta)
-        stacked_minus, _ = stacked_rows(minus, delta)
+        stacked_plus, _ = kernel_rows(plus, delta)
+        stacked_minus, _ = kernel_rows(minus, delta)
         assert np.allclose(stacked_plus, -stacked_minus, atol=1e-12)
 
     def test_nonpositive_bandwidth_rejected(self, rng, monkeypatch):

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from centest import (
+    MEAN_VERTEX,
+    MEDIAN_VERTEX,
+    MODE_VERTEX,
     DegenerateErrors,
     ForecastDataset,
     Functional,
     SingularMatrixError,
     bandwidth_rule_of_thumb,
     chi_square_sf,
+    confidence_set,
     get_kernel,
+    gmm_objective,
     instrument_moment_test,
     mode_test,
 )
@@ -196,6 +201,120 @@ class TestInvariances:
             j0 = mode_test(base).statistic
             j1 = mode_test(scaled).statistic
             assert j1 == pytest.approx(j0, rel=1e-8)
+
+
+TESTS = {
+    "mean": lambda ds: instrument_moment_test("mean", ds),
+    "median": lambda ds: instrument_moment_test("median", ds),
+    "mode": lambda ds: mode_test(ds),
+    "mode-delta": lambda ds: mode_test(ds, delta=0.6),
+}
+
+
+class TestInstrumentCount:
+    @pytest.mark.parametrize("name", sorted(TESTS))
+    @pytest.mark.parametrize("t, k", [(3, 3), (2, 3)])
+    def test_k_at_or_above_n_obs_raises_before_any_work(self, rng, monkeypatch,
+                                                         name, t, k):
+        # at k = n_obs, J would equal k whatever the data
+        import centest.rationality as rationality
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("test kernel reached with k >= n_obs")
+
+        monkeypatch.setattr(rationality, "_tests_block", unreachable)
+        ds = ForecastDataset(rng.standard_normal(t), rng.standard_normal(t),
+                             rng.standard_normal((t, k)))
+        with pytest.raises(ValueError) as test_error:
+            TESTS[name](ds)
+        with pytest.raises(ValueError) as cset_error:
+            confidence_set(ds, m=1)
+        assert str(test_error.value) == (
+            f"a test needs fewer instruments than observations, got k = {k} and "
+            f"n_obs = {t}")
+        assert str(test_error.value) == str(cset_error.value).replace(
+            "a confidence set", "a test")
+
+    def test_k_below_n_obs_runs(self, rng):
+        ds = ForecastDataset(rng.standard_normal(4), rng.standard_normal(4),
+                             rng.standard_normal((4, 3)))
+        assert instrument_moment_test("mean", ds).df == 3
+
+
+class TestOneAnswerAtEveryVertex:
+    """A single-functional test is S_T at its vertex: the test, gmm_objective
+    and the m = 1 scan read one Gram and give one statistic."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tests_equal_the_vertex_objectives(self, rng, k):
+        ds = make_dataset(rng, t=150, k=k, skew=0.4)
+        for delta in (None, 0.6):
+            scan = {p.theta: p.objective for p in confidence_set(ds, m=1, delta=delta).points}
+            pairs = [(mode_test(ds, delta=delta), MODE_VERTEX)]
+            if delta is None:
+                pairs += [(instrument_moment_test("mean", ds), MEAN_VERTEX),
+                          (instrument_moment_test("median", ds), MEDIAN_VERTEX)]
+            for result, vertex in pairs:
+                objective = gmm_objective(vertex, ds, delta=delta)
+                assert result.statistic == pytest.approx(objective, rel=1e-12, abs=0.0)
+                assert result.statistic == pytest.approx(scan[vertex], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1e4, 4e4, 4.7e4, 5e4, 1e6])
+    def test_badly_scaled_nearly_collinear_instruments_fail_or_pass_together(
+            self, scale):
+        # (1, s (x + z / 100)): the whitener's floor decides for the test and
+        # for gmm_objective at once, so both raise or both return the same J.
+        # At s = 4.7e4 an unwhitened covariance floor would pass the mode test
+        # while the vertex objective failed.
+        ds = scaled_collinear_dataset(scale)
+        for name, vertex in (("mean", MEAN_VERTEX), ("median", MEDIAN_VERTEX),
+                             ("mode-delta", MODE_VERTEX)):
+            try:
+                statistic = TESTS[name](ds).statistic
+            except SingularMatrixError as exc:
+                assert "instrument second-moment matrix is singular" in str(exc)
+                with pytest.raises(SingularMatrixError, match="instrument second-moment"):
+                    gmm_objective(vertex, ds, delta=0.6)
+            else:
+                assert statistic == pytest.approx(gmm_objective(vertex, ds, delta=0.6),
+                                                  rel=1e-12, abs=0.0)
+
+    def test_scaled_family_covers_both_outcomes(self):
+        def raises(scale):
+            try:
+                instrument_moment_test("mean", scaled_collinear_dataset(scale))
+            except SingularMatrixError:
+                return True
+            return False
+
+        assert not raises(1e4) and raises(1e6)
+
+    def test_degenerate_mode_bandwidth_still_gets_a_mean_test(self):
+        # most errors are exactly zero, so the errors' MAD is zero: the mode's
+        # rule-of-thumb bandwidth fails, and the mean and median tests never
+        # compute it
+        t = 60
+        errors = np.zeros(t)
+        errors[::4] = np.linspace(-2.0, 3.0, 15)
+        h = np.column_stack([np.ones(t), np.cos(0.7 * np.arange(t))])
+        ds = dataset_from_errors(errors, h)
+        with pytest.raises(DegenerateErrors):
+            mode_test(ds)
+        for kind, vertex in (("mean", MEAN_VERTEX), ("median", MEDIAN_VERTEX)):
+            result = instrument_moment_test(kind, ds)
+            assert np.isfinite(result.statistic) and result.bandwidth is None
+            assert result.statistic == pytest.approx(
+                gmm_objective(vertex, ds, delta=1.0), rel=1e-12, abs=0.0)
+
+
+def scaled_collinear_dataset(scale):
+    """240 rows from closed-form arithmetic with instruments (1, scale * (x +
+    z / 100)): badly scaled, and nearly collinear with the constant."""
+    t = np.arange(240, dtype=float)
+    x = 1.0 + np.sin(0.37 * t)
+    z = np.cos(1.3 * t + 0.2)
+    y = x + np.sin(1.7 * t + 0.3) + 0.4 * np.sin(2.9 * t) ** 2
+    return ForecastDataset(y, x, np.column_stack([np.ones(t.size), scale * (x + z / 100)]))
 
 
 def golden_dataset(k):

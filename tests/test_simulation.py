@@ -39,7 +39,7 @@ from centest.simulation import (
     _garch_sigma,
 )
 
-from conftest import stacked_rows
+from conftest import weight_matrices
 
 DGPS = ["homoskedastic-iid", "heteroskedastic", "ar1", "ar-garch"]
 
@@ -648,7 +648,7 @@ class TestImpliedTheta:
         n = errors.size
         delta = bandwidth_rule_of_thumb(errors, n_obs=cfg.n_obs).delta
         values = _identification_matrix(errors, delta, None)
-        _, weights = stacked_rows(ForecastDataset(np.zeros(n), errors, h), delta)
+        weights = weight_matrices(ForecastDataset(np.zeros(n), errors, h), delta)
         rows = np.stack([
             (values[r][:, None] * h) @ weights[r] for r in range(3)
         ])  # (3, n, k)
@@ -890,8 +890,8 @@ class TestExperiments:
         real = central_tendency._objectives_block
         calls = []
 
-        def one_singular_point(thetas, per_obs, cluster_labels=None):
-            objectives, notes = real(thetas, per_obs, cluster_labels)
+        def one_singular_point(thetas, g, gram):
+            objectives, notes = real(thetas, g, gram)
             for row_objectives, row_notes in zip(objectives, notes):
                 calls.append(None)
                 if len(calls) == 7:
