@@ -172,7 +172,7 @@ def _objective_rows(
     delta, failures = _block_bandwidths(errors, delta)
     values = _identification_matrix(errors, delta, kernel)
     whitened, _, singular = _whiten(instruments)
-    scales, unscaled = _row_scales(values, instruments, whitened)
+    scales, unscaled = _row_scales(values, whitened)
     g, gram = _moment_gram(values, whitened, cluster_labels)
     outer = scales[:, :, None, None, None] * scales[:, None, None, :, None]
     objectives, notes = _objectives_block(thetas, g * scales[..., None], gram * outer)

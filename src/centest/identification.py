@@ -11,6 +11,12 @@ gets the scale c_r = (k / tr_r)^{1/2}, tr_r the unclustered trace of its
 second moment. S_T(theta) is the quadratic form of (g, Gram) at theta * c; a
 single-functional test is its value at a vertex, where c_r cancels. G
 cancels from every such form and sets the basis of the eigenvalue floors.
+
+Two floors guard G and c: _whitener fails a second-moment matrix whose
+eigenvalues fail the relative floor, and _scales a row whose tr_r / k is at
+or below RELATIVE_EIG_FLOOR times its mean square (1/T) sum v_r^2, so that
+neither depends on the units of the errors or the instruments. The block
+kernels and implied theta's pooled sums go through the same two helpers.
 """
 
 from __future__ import annotations
@@ -207,6 +213,14 @@ def _whiten(instruments: np.ndarray) -> tuple[np.ndarray, tuple, list]:
     h_columns = np.ascontiguousarray(np.swapaxes(instruments, 1, 2))
     # einsum, not matmul: threaded OpenBLAS products here slow the Monte Carlo threads
     moments = np.einsum("bkt,blt->bkl", h_columns, h_columns) / instruments.shape[1]
+    whitener, eigenpairs, failures = _whitener(moments)
+    return np.einsum("bkl,blt->bkt", whitener, h_columns), eigenpairs, failures
+
+
+def _whitener(moments: np.ndarray) -> tuple[np.ndarray, tuple, list]:
+    """G = M^{-1/2} for each second-moment matrix M of a stack (B, k, k); the
+    eigenpairs (lam, q) of M; and per matrix None or the SingularMatrixError
+    of one below the eigenvalue floor, whose lam is set to one."""
     lam, q, notes = floored_eigh(moments)
     failures = [
         None if note is None else SingularMatrixError(
@@ -216,30 +230,37 @@ def _whiten(instruments: np.ndarray) -> tuple[np.ndarray, tuple, list]:
         for note in notes
     ]
     lam[[failure is not None for failure in failures]] = 1.0
-    whitener = (q * lam[:, None, :] ** -0.5) @ np.swapaxes(q, 1, 2)
-    return np.einsum("bkl,blt->bkt", whitener, h_columns), (lam, q), failures
+    return (q * lam[:, None, :] ** -0.5) @ np.swapaxes(q, 1, 2), (lam, q), failures
 
 
-def _row_scales(values, instruments, whitened) -> tuple[np.ndarray, list]:
-    """The (B, 3) scales c_r = (k / tr_r)^{1/2} of a block's values (B, 3, T),
-    instruments (B, T, k) and whitened instruments, tr_r = (1/T) sum_t v_rt^2
-    |G h_t|^2, so each rescaled row has average second moment one; and per
-    dataset None or the SingularMatrixError of its first row with tr_r / k <=
-    RELATIVE_EIG_FLOOR * max(1, (1/T) sum_t v_rt^2 |h_t|^2), scaled by one."""
-    b, t, k = instruments.shape
+def _row_scales(values, whitened) -> tuple[np.ndarray, list]:
+    """The (B, 3) scales c_r = (k / tr_r)^{1/2} of a block's values (B, 3, T)
+    and whitened instruments (B, k, T), tr_r = (1/T) sum_t v_rt^2 |G h_t|^2,
+    so each rescaled row has average second moment one; the floor and the
+    failures are _scales'."""
+    t = values.shape[-1]
+    k = whitened.shape[1]
     scales = np.einsum("bnt,bnt,bt->bn", values, values,
                        np.einsum("bkt,bkt->bt", whitened, whitened)) / (t * k)
-    traces = np.einsum("bnt,bnt,bt->bn", values, values,
-                       np.einsum("btk,btk->bt", instruments, instruments)) / t
-    bad = ~(scales > RELATIVE_EIG_FLOOR * np.maximum(1.0, traces))
-    failures = [None] * b
+    return _scales(scales, np.einsum("bnt,bnt->bn", values, values) / t, k)
+
+
+def _scales(scales: np.ndarray, squares: np.ndarray, k: int) -> tuple[np.ndarray, list]:
+    """c_r = scales^{-1/2} from the (B, 3) average whitened second moments
+    tr_r / k and the rows' mean squares (1/T) sum_t v_rt^2; and per dataset
+    None or the SingularMatrixError of its first row with tr_r / k <=
+    RELATIVE_EIG_FLOOR * (1/T) sum_t v_rt^2 (zero and non-finite rows
+    included), whose scale is one. The floor is relative in both the values'
+    and the instruments' units."""
+    bad = ~(scales > RELATIVE_EIG_FLOOR * squares)
+    failures = [None] * scales.shape[0]
     for i in np.flatnonzero(bad.any(axis=1)).tolist():
         r = int(np.argmax(bad[i]))
         failures[i] = SingularMatrixError(
             f"second-moment matrix for the {FUNCTIONALS[r].value} row is "
-            f"singular (whitened trace {scales[i, r]:.6e})"
+            f"singular (whitened trace {k * scales[i, r]:.6e})"
         )
-    scales[bad] = 1.0
+    scales = np.where(bad, 1.0, scales)
     return scales ** -0.5, failures
 
 
@@ -247,7 +268,9 @@ def _moment_gram(values, whitened, cluster_labels=None) -> tuple[np.ndarray, np.
     """R's column sums over sqrt(T), g (B, n, k), and its Gram R'R/T (B, n, k,
     n, k), for the rows R = [v_r (G h)'] of a block's identification values
     (B, n, T) and whitened instruments (B, k, T); under cluster labels (a
-    one-dataset block) the Gram sums R's rows within each wave first."""
+    one-dataset block) the Gram sums R's rows within each wave first. Given
+    raw instruments h (B, k, T) it forms the same sums of R = [v_r h'], as
+    implied theta's per-replication pass does."""
     b, n, t = values.shape
     k = whitened.shape[1]
     columns = (values[:, :, None, :] * whitened[:, None]).reshape(b, n * k, t)

@@ -30,13 +30,15 @@ about seven (B, T) arrays' worth for the cross-section ones (four
 covariate columns among them), and its draws while it is made: at B = 128,
 T = 500 and burn_in = 1000 that is 3.6 to 5.1 MB, peaking below 8 MB.
 
-With two or more usable cores the experiments and the implied-theta pooling
-run their blocks on two threads (see _map_blocks): the caller takes the even
-blocks, the helper the odd ones, each straight through, joined once; either
-exception stops the other after its current block. Two blocks are live at
-once, whatever the replication count. Results come back in block order and a
-block is the range of its replication indices, so the reports do not depend
-on the threads. On one core the caller runs every block.
+With two or more usable cores the experiments and both passes of implied
+theta run their blocks on two threads (see _map_blocks): the caller takes
+the even blocks, the helper the odd ones, each straight through, joined
+once; either exception stops the other after its current block. Two blocks
+are live at once, whatever the replication count; implied theta also keeps
+its pooled errors and instruments, (k + 1) draws T floats, and a few small
+sums per replication. Results come back in block order and a block is the
+range of its replication indices, so the reports do not depend on the
+threads. On one core the caller runs every block.
 
 Each block is also scored in one pass, by the block kernels of the mode
 test (rationality._tests_block) and of S_T (central_tendency._objective_rows),
@@ -76,8 +78,9 @@ from .identification import (
     Functional,
     _check_aligned,
     _identification_matrix,
-    _row_scales,
-    _whiten,
+    _moment_gram,
+    _scales,
+    _whitener,
 )
 from .numerics import (
     Kernel,
@@ -643,11 +646,26 @@ def implied_theta(
     Mean and mode forecasts map to their own vertices; under zero skewness
     every theta satisfies the moment condition and the whole simplex is
     returned (with beta as the representative evaluation point). Any other
-    case is resolved numerically: ``draws`` replications of size
-    config.n_obs are pooled, the expected stacked moment matrix is estimated
-    (bandwidth evaluated at the config sample size), and its null space is
-    intersected with the simplex. A segment's evaluation point is its
-    midpoint.
+    case is resolved numerically from ``draws`` replications of size
+    config.n_obs, in two passes over blocks of them (_map_blocks):
+
+    - the first simulates each block and keeps its forecast errors (draws,
+      T) and instruments (draws, k, T), the only pooled arrays: (k + 1)
+      draws T floats, 12 MB at draws = 1000, T = 500 and k = 2. The
+      rule-of-thumb bandwidth of the pooled errors, evaluated at the config
+      sample size, then fixes delta;
+    - the second takes each block's identification values at delta and
+      keeps per replication sum v_r h and the means of v_r^2 h h', h h' and
+      v_r^2. The values and their products exist one block at a time.
+
+    The per-replication sums, reduced once in replication order, give the
+    pooled whitener G = M^{-1/2}, the row scales c_r (with tr_r = <M^{-1},
+    (1/n) sum v_r^2 h h'>) and the expected stacked moment rows c_r (1/n)
+    sum v_r h' G, whose null space is intersected with the simplex; so theta
+    does not depend on the block size or the threads. A segment's
+    evaluation point is its midpoint. Pooled instruments or rows that fail
+    the floors of identification._whitener or ._scales raise
+    SingularMatrixError.
     """
     draws = _check_draws(draws)
     b = _theta_array(beta)
@@ -665,37 +683,55 @@ def implied_theta(
 
     make = _replication_maker(config, b, instrument_set,
                               path_stream=lambda r: _IMPLIED_THETA_BASE + r)
-    k = int(instrument_set)
-    errors = np.empty((draws, config.n_obs))
-    instruments = np.empty((draws, config.n_obs, k))
+    k, t = int(instrument_set), config.n_obs
+    errors = np.empty((draws, t))
+    instruments = np.empty((draws, k, t))
 
     def pool(rows: range) -> None:
         block = slice(rows.start, rows.stop)
-        y, x, instruments[block] = make(rows)
-        errors[block] = x - y
+        y, x, h = make(rows)
+        np.subtract(x, y, out=errors[block])
+        instruments[block] = np.swapaxes(h, 1, 2)
 
     _map_blocks(pool, draws)
-    errors = errors.reshape(-1)
-    instruments = instruments.reshape(-1, k)
-    n = errors.size
+    delta = bandwidth_rule_of_thumb(errors.reshape(-1), n_obs=t).delta
 
-    delta = bandwidth_rule_of_thumb(errors, n_obs=config.n_obs).delta
-    values = _identification_matrix(errors, delta, kernel)
-    whitened, _, singular = _whiten(instruments[None])
-    scales, unscaled = _row_scales(values[None], instruments[None], whitened)
+    def sums(rows: range) -> tuple[np.ndarray, ...]:
+        """Per replication, over its T observations: sum v_r h / sqrt(T), and
+        the means of v_r^2 h h', h h' and v_r^2."""
+        block = slice(rows.start, rows.stop)
+        values = _identification_matrix(errors[block], delta, kernel)
+        h = instruments[block]
+        g, gram = _moment_gram(values, h)
+        return (g, np.einsum("brkrl->brkl", gram),
+                np.einsum("bkt,blt->bkl", h, h) / t,
+                np.einsum("bnt,bnt->bn", values, values) / t)
+
+    # reduced once, in replication order, whatever the blocks and threads
+    g, second, moments, squares = (np.concatenate(parts).mean(axis=0)
+                                   for parts in zip(*_map_blocks(sums, draws)))
+    (whitener,), _, singular = _whitener(moments[None])
+    # tr_r = (1/n) sum v_r^2 |G h|^2 = <M^{-1}, (1/n) sum v_r^2 h h'>
+    traces = np.einsum("kl,rkl->r", whitener @ whitener, second)
+    scales, unscaled = _scales(traces[None] / k, squares[None], k)
     raise_row_failure(first_failures(singular, unscaled))
-    # row r: the mean over observations of the weighted row c_r v_r h' G
-    moment_rows = scales[0][:, None] * np.einsum("rt,kt->rk", values, whitened[0]) / n
+    # row r: the pooled mean c_r (1/n) sum v_r h' G
+    return _implied_set(scales[0][:, None] * (g @ whitener) / np.sqrt(t), b,
+                        9.0 * k / (draws * t))
 
+
+def _implied_set(moment_rows: np.ndarray, beta: np.ndarray, tau2: float) -> ImpliedThetaSet:
+    """The simplex points where the (3, k) pooled moment rows combine to zero:
+    the null space of their Gram, up to ``tau2``, intersected with the
+    simplex. Pooled means carry variance about 1/n per coordinate, hence the
+    caller's tau2 = 9 k / n."""
     quad = moment_rows @ moment_rows.T
     lam, vecs = np.linalg.eigh(quad)
-    # null-space tolerance: pooled means carry variance ~ 1/n per coordinate
-    tau2 = 9.0 * k / n
     n_null = int(np.sum(lam < tau2))
 
     if n_null >= 3:
         return ImpliedThetaSet(
-            ThetaSetKind.SIMPLEX, np.eye(3), b,
+            ThetaSetKind.SIMPLEX, np.eye(3), beta,
             note="moment condition holds on the whole simplex",
         )
     if n_null == 2:

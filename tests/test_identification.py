@@ -15,6 +15,7 @@ from centest import (
     get_kernel,
     gmm_objective,
     identification_values,
+    instrument_moment_test,
     mode_test,
 )
 from centest.central_tendency import _objective_rows
@@ -23,6 +24,7 @@ from centest.identification import (
     _identification_matrix,
     _moment_gram,
     _row_scales,
+    _scales,
     _whiten,
 )
 
@@ -35,7 +37,7 @@ def kernel_rows(ds, delta, kernel=None):
     the dataset must not fail."""
     values = _identification_matrix(forecast_errors(ds), delta, kernel)[None]
     whitened, _, singular = _whiten(ds.instruments[None])
-    scales, unscaled = _row_scales(values, ds.instruments[None], whitened)
+    scales, unscaled = _row_scales(values, whitened)
     assert singular == unscaled == [None]
     rows = scales[0][:, None, None] * values[0][:, :, None] * whitened[0].T
     return np.swapaxes(rows, 0, 1), scales[0]
@@ -274,6 +276,72 @@ class TestWeightingMatrices:
         for r in range(3):
             rows = per_obs[:, r, :]
             assert rows.T @ rows / 200 == pytest.approx(np.eye(1), abs=1e-12)
+
+
+class TestRowScaleFloor:
+    """The row-scale floor is relative to the row's own mean square, so a
+    test and S_T at its vertex pass or fail it together in any error unit."""
+
+    @staticmethod
+    def dataset(unit):
+        # T = 200, k = 2, skewed errors of order ``unit``
+        rng = np.random.default_rng(5)
+        t = 200
+        y = rng.standard_normal(t)
+        errors = rng.standard_normal(t) + 0.3 * rng.standard_normal(t) ** 2
+        return ForecastDataset(y, y + unit * errors, np.column_stack([np.ones(t), y]))
+
+    @staticmethod
+    def outcomes(ds, functional):
+        """The single test's J, gmm_objective at the vertex and the m = 1
+        scan's vertex objective, or each call's exception."""
+        vertex = tuple(float(f is functional) for f in Functional)
+        calls = (
+            lambda: (mode_test(ds) if functional is Functional.MODE
+                     else instrument_moment_test(functional, ds)).statistic,
+            lambda: gmm_objective(vertex, ds),
+            lambda: next(p.objective for p in confidence_set(ds, m=1).points
+                         if p.theta == vertex),
+        )
+        results = []
+        for call in calls:
+            try:
+                results.append(call())
+            except SingularMatrixError as exc:
+                results.append(exc)
+        return results
+
+    def test_small_units_agree_at_the_mean_vertex(self):
+        j, s, vertex = self.outcomes(self.dataset(1e-6), Functional.MEAN)
+        assert abs(s - j) <= 1e-12 * j
+        assert abs(vertex - j) <= 1e-12 * j
+
+    @pytest.mark.parametrize("functional", list(Functional))
+    def test_every_unit_passes_or_fails_on_both_paths(self, functional):
+        for unit in 10.0 ** np.arange(-8, 9):
+            j, *objectives = self.outcomes(self.dataset(unit), functional)
+            for s in objectives:
+                if isinstance(j, Exception) or isinstance(s, Exception):
+                    assert type(j) is type(s), (unit, j, s)
+                else:
+                    assert abs(s - j) <= 1e-12 * j, (unit, j, s)
+
+    def test_zero_and_non_finite_rows_fail(self):
+        # tr_r / k against RELATIVE_EIG_FLOOR (1e-10) times the mean square
+        scales = np.array([[1e-13, 1.0, 1.0], [1.0, 1e-22, 1.0], [1.0, 1.0, 0.0],
+                           [np.nan, 1.0, 1.0], [1.0, np.inf, 1.0]])
+        squares = np.array([[1e-12, 1.0, 1.0], [1.0, 1e-11, 1.0], [1.0, 1.0, 0.0],
+                            [1.0, 1.0, 1.0], [1.0, np.inf, 1.0]])
+        c, failures = _scales(scales, squares, 2)
+        assert failures[0] is None
+        assert c[0] == pytest.approx([10 ** 6.5, 1.0, 1.0])
+        rows = ["median", "mode", "mean", "median"]
+        traces = ["2.000000e-22", "0.000000e+00", "nan", "inf"]
+        for failure, row, trace in zip(failures[1:], rows, traces):
+            assert isinstance(failure, SingularMatrixError)
+            assert str(failure) == (f"second-moment matrix for the {row} row is "
+                                    f"singular (whitened trace {trace})")
+        assert np.all(c[1:][~np.isfinite(scales[1:])] == 1.0)
 
 
 class TestStackedMoments:
