@@ -263,7 +263,7 @@ def confidence_set(
     alpha_levels = _check_alpha_levels(alpha_levels)
     if delta is not None:
         _check_bandwidth(delta)
-    _check_instrument_count(dataset, "a confidence set")
+    _check_instrument_count(dataset.n_instruments, dataset.n_obs, "a confidence set")
     k = dataset.n_instruments
     (objectives,), (notes,), (bandwidth,), failures = _objective_rows(
         thetas, forecast_errors(dataset)[None], dataset.instruments[None], kernel,

@@ -37,6 +37,7 @@ from .simulation import (
     Distortion,
     InstrumentSet,
     _check_draws,
+    _check_instrument_set,
     _check_kappa,
     _check_level,
     _check_nominal_alpha,
@@ -243,7 +244,8 @@ def _cmd_simulate(args) -> int:
                 check(value)
         if args.kappa is not None:
             _check_kappa(args.distortion, args.kappa)
-    instrument_set = InstrumentSet(args.instrument_set)
+        instrument_set = _check_instrument_set(
+            args.instrument_set, config, f"a {args.experiment} experiment")
     if args.out_dataset:  # replication 0, as the experiment scores it
         (y,), (x,), (h,) = _replication_maker(
             config, beta, instrument_set, **distortion)(range(1))

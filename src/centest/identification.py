@@ -180,12 +180,12 @@ def _check_bandwidth(delta) -> None:
         raise ValueError(f"mode values need a positive bandwidth, got {delta}{note}")
 
 
-def _check_instrument_count(dataset: ForecastDataset, what: str) -> None:
+def _check_instrument_count(k: int, n_obs: int, what: str) -> None:
     """ValueError unless k < n_obs: at k = n_obs a statistic equals k wherever
     its covariance is nonsingular, and above it the covariance is singular."""
-    if dataset.n_instruments >= dataset.n_obs:
+    if k >= n_obs:
         raise ValueError(f"{what} needs fewer instruments than observations, got "
-                         f"k = {dataset.n_instruments} and n_obs = {dataset.n_obs}")
+                         f"k = {k} and n_obs = {n_obs}")
 
 
 def _values(kind: Functional, e: np.ndarray, delta, kernel: Kernel | None) -> np.ndarray:

@@ -91,7 +91,7 @@ def mode_test(
 
 def _one_row(kind: Functional, dataset: ForecastDataset, kernel,
              delta=None) -> TestResult:
-    _check_instrument_count(dataset, "a test")
+    _check_instrument_count(dataset.n_instruments, dataset.n_obs, "a test")
     (result,), failures = _tests_block(
         kind, forecast_errors(dataset)[None], dataset.instruments[None], kernel, delta)
     raise_row_failure(failures)

@@ -21,10 +21,11 @@ under skewness). One call gives the same numbers as consecutive calls, so
 a path is bitwise the same whatever block it was made in, and a single
 path is the one-row case of the same kernel. The cross-section covariates
 are filled a column at a time from every third normal of a row. The GARCH
-recursion takes one vector step per time step across the block, five ufunc
-calls into preallocated rows, and the AR recursion one scaled cumulative sum
-per span of 512 steps (see _ar_filter). Forecasts and instruments are formed
-for the whole block from its arrays. A block holds
+variance recursion is solved in closed form per span of 128 steps, from
+cumulative products and sums across the block (see _garch_sigma), and the AR
+recursion by one scaled cumulative sum per span of 512 steps (see
+_ar_filter): neither takes a Python step per time step. Forecasts and
+instruments are formed for the whole block from its arrays. A block holds
 two or three (B, burn_in + T + 2) arrays for the time-series DGPs and
 about seven (B, T) arrays' worth for the cross-section ones (four
 covariate columns among them), and its draws while it is made: at B = 128,
@@ -77,6 +78,7 @@ from .errors import SingularMatrixError, check_integer, first_failures, raise_ro
 from .identification import (
     Functional,
     _check_aligned,
+    _check_instrument_count,
     _identification_matrix,
     _moment_gram,
     _scales,
@@ -137,6 +139,9 @@ _GARCH_CONST, _GARCH_PERSIST, _GARCH_ARCH = 0.1, 0.8, 0.1
 _AR_SPAN = 512
 _AR_UP = np.ldexp(1.0, np.arange(_AR_SPAN))
 _AR_DOWN = np.ldexp(1.0, -np.arange(_AR_SPAN))
+# _garch_sigma solves at most _GARCH_SPAN variance steps per span: the span's
+# cumulative products of q stay finite for any draws (see there).
+_GARCH_SPAN = 128
 
 
 class InstrumentSet(IntEnum):
@@ -444,29 +449,43 @@ def _ar_filter(x: np.ndarray) -> np.ndarray:
 
 def _garch_sigma(xi: np.ndarray) -> np.ndarray:
     """Conditional standard deviations of the GARCH(1,1) recursion
-    s2' = c + p s2 + a s2 xi^2 for each row of innovations, starting from the
-    unconditional variance of 1.
+    s2' = c + q s2, q = p + a xi^2, for each row of innovations (B, n),
+    starting from the unconditional variance of 1.
 
-    Each time step is one vector step across the rows: five ufunc calls
-    writing into preallocated rows (c, p and a held as rows too), with no
-    temporaries. A row's values do not depend on the other rows, so a single
-    path is the one-row case.
+    The recursion runs in spans of up to _GARCH_SPAN steps, each in
+    whole-block calls. From step s, with P_j the cumulative product of q
+    over the span's first j + 1 steps,
+
+        s2_{s+j+1} = P_j (s2_s + c sum_{m<=j} 1 / P_m).
+
+    Every q lies in [0.8, 113] for any draw numpy can make (the ziggurat's
+    normals stay within 13.7, so |xi| <= 33.5), so a span's products stay
+    between 0.8**128 > 1e-12 and 113**128 < 1.8e308, and every term is
+    finite and normal. The values agree with the step-by-step recursion to
+    rounding (1e-14 relative); beyond that they can differ only where a
+    variance comes within a factor of 10 of overflow. Cumulative products
+    and sums run along each row on their own, so a row's values do not
+    depend on the other rows and a single path is the one-row case.
     """
     rows, n = xi.shape
-    # time-major, so that each step reads and writes contiguous rows
-    squares = np.multiply(xi.T, xi.T, out=np.empty((n, rows)))
-    s2 = np.empty((n, rows))
-    s2[0] = 1.0
-    c, p, a = (np.full(rows, v) for v in (_GARCH_CONST, _GARCH_PERSIST, _GARCH_ARCH))
-    level, arch = np.empty(rows), np.empty(rows)
-    multiply, add = np.multiply, np.add
-    for s, sq, following in zip(s2[:-1], squares[:-1], s2[1:]):
-        multiply(p, s, level)
-        add(c, level, level)
-        multiply(a, s, arch)
-        multiply(arch, sq, arch)
-        add(level, arch, following)
-    return np.sqrt(s2, out=s2).T
+    s2 = np.empty((rows, n))
+    s2[:, 0] = 1.0
+    prods, sums = np.empty((rows, _GARCH_SPAN)), np.empty((rows, _GARCH_SPAN))
+    for s in range(0, n - 1, _GARCH_SPAN):
+        w = min(_GARCH_SPAN, n - 1 - s)
+        prod, total, following = prods[:, :w], sums[:, :w], s2[:, s + 1:s + 1 + w]
+        x = xi[:, s:s + w]
+        np.multiply(x, x, out=total)
+        total *= _GARCH_ARCH
+        total += _GARCH_PERSIST
+        np.cumprod(total, axis=1, out=prod)
+        # the span's next variances serve as scratch for 1 / P until the end
+        np.reciprocal(prod, out=following)
+        np.cumsum(following, axis=1, out=total)
+        total *= _GARCH_CONST
+        total += s2[:, s:s + 1]
+        np.multiply(prod, total, out=following)
+    return np.sqrt(s2, out=s2)
 
 
 def optimal_forecasts(path: SimulatedPath, config: DgpConfig, beta) -> np.ndarray:
@@ -807,6 +826,16 @@ def _check_level(level: float) -> None:
         raise ValueError(f"coverage level must lie in (0, 1), got {level}")
 
 
+def _check_instrument_set(instrument_set: InstrumentSet | int, config: DgpConfig,
+                          what: str) -> InstrumentSet:
+    """The instrument set, once its column count k is checked to lie below
+    the sample size: the test and the confidence set refuse k >= n_obs, so
+    an experiment scoring them would mean nothing."""
+    instrument_set = InstrumentSet(instrument_set)
+    _check_instrument_count(int(instrument_set), config.n_obs, what)
+    return instrument_set
+
+
 def _run_replications(
     config: DgpConfig,
     replications: int,
@@ -858,11 +887,14 @@ def run_size_experiment(
 
     With ``distortion`` set this is a power experiment; kappa = 0 recovers
     the size design. Per-replication failures (degenerate errors, singular
-    covariances) are counted, not fatal.
+    covariances) are counted, not fatal. The instrument count k must be
+    below n_obs.
     """
     replications = _check_replications(replications)
     _check_nominal_alpha(nominal_alpha)
-    instrument_set = InstrumentSet(instrument_set)
+    instrument_set = _check_instrument_set(
+        instrument_set, config, "a size experiment" if distortion is None
+        else "a power experiment")
 
     def rejects(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
         tests, failures = _tests_block(Functional.MODE, errors, instruments, kernel)
@@ -904,11 +936,12 @@ def run_coverage_experiment(
     confidence set, i.e. S_T(theta*) <= Q_k(level).
 
     theta* is the implied singleton, the midpoint of an implied segment, or
-    the beta representative under symmetry.
+    the beta representative under symmetry. The instrument count k must be
+    below n_obs.
     """
     replications = _check_replications(replications)
     _check_level(level)
-    instrument_set = InstrumentSet(instrument_set)
+    instrument_set = _check_instrument_set(instrument_set, config, "a coverage experiment")
     theta_set = implied_theta(config, beta, draws, instrument_set, kernel)
     theta = theta_set.evaluation_point
     # the instrument set's value is its column count k
@@ -960,11 +993,12 @@ def run_grid_coverage_experiment(
 
     All grid points of a replication are scored in one batched pass. A
     replication with degenerate errors or with any singular grid point is a
-    failure, counted by exception name, and left out of the rates.
+    failure, counted by exception name, and left out of the rates. The
+    instrument count k must be below n_obs.
     """
     replications = _check_replications(replications)
     _check_level(level)
-    instrument_set = InstrumentSet(instrument_set)
+    instrument_set = _check_instrument_set(instrument_set, config, "a coverage experiment")
     m = _check_resolution(m)
     thetas = simplex_grid(m)
     quantile = chi_square_quantile(int(instrument_set), level)

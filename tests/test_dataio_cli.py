@@ -993,6 +993,26 @@ class TestCli:
         assert capsys.readouterr().err == f"centest: error: {message}\n"
         assert not out.exists() and not data.exists()
 
+    @pytest.mark.parametrize("flags, what, k", [
+        (["--experiment", "size", "--instrument-set", "2"], "a size experiment", 2),
+        (["--experiment", "power", "--distortion", "noise", "--kappa", "0.5",
+          "--instrument-set", "3"], "a power experiment", 3),
+        (["--experiment", "coverage", "--beta", "mean-mode", "--draws", "5",
+          "--instrument-set", "2"], "a coverage experiment", 2),
+    ], ids=["size", "power", "coverage"])
+    def test_simulate_with_k_at_or_above_n_obs_is_a_usage_error(self, tmp_path, capsys,
+                                                                flags, what, k):
+        # the experiments' own check, before replication 0 is written
+        out, data = tmp_path / "sim.json", tmp_path / "rep0.csv"
+        code = main(["simulate", "--dgp", "ar1", "--gamma", "0.5", "--sample-size", "2",
+                     "--replications", "100", *flags, "--out-json", str(out),
+                     "--out-dataset", str(data)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"centest: error: {what} needs fewer instruments than observations, "
+            f"got k = {k} and n_obs = 2\n")
+        assert not out.exists() and not data.exists()
+
     def test_cset_grid_resolution_is_checked_before_the_input(self, tmp_path, capsys):
         # the file does not exist: the option is a usage error before it is read
         code = main(["cset", "--input", str(tmp_path / "absent.csv"), "--with-const",

@@ -14,7 +14,7 @@ from centest import central_tendency, identification, numerics, simulation
 # stacked_moments and StackedMoments with no caller;
 # central_tendency._theta_array validates every theta, optimal_forecasts and
 # build_instruments take a path or a block of paths, numerics.KERNELS names
-# the kernels (get_kernel looks them up), one vector step makes the GARCH
+# the kernels (get_kernel looks them up), one span kernel makes the GARCH
 # variances of a single path or a block; a simplex point is a float triple that
 # _theta_array checks, which left SimplexWeights as a wrapper
 REMOVED = [

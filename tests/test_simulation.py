@@ -38,6 +38,7 @@ from centest.dataio import report_to_dict
 from centest.identification import _identification_matrix, _row_scales, _whiten
 from centest.simulation import (
     _AR_SPAN,
+    _GARCH_SPAN,
     _IMPLIED_THETA_BASE,
     MAX_MOMENT_SKEWNESS,
     SkewNormalSpec,
@@ -62,6 +63,25 @@ def _skew_normal_draws(spec, rng, n):
     d = spec.shape / math.sqrt(1.0 + spec.shape ** 2)
     raw = d * np.abs(u[:n]) + math.sqrt(1.0 - d * d) * u[n:]
     return (raw - spec.center) / spec.spread
+
+
+def garch_step_loop(xi):
+    """GARCH(1,1) standard deviations of each row of xi (B, n), one vector
+    step per time step in five ufunc calls from s2 = 1: the reference for
+    _garch_sigma's spans."""
+    rows, n = xi.shape
+    squares = np.multiply(xi.T, xi.T, out=np.empty((n, rows)))
+    s2 = np.empty((n, rows))
+    s2[0] = 1.0
+    c, p, a = (np.full(rows, v) for v in (0.1, 0.8, 0.1))
+    level, arch = np.empty(rows), np.empty(rows)
+    for s, sq, following in zip(s2[:-1], squares[:-1], s2[1:]):
+        np.multiply(p, s, level)
+        np.add(c, level, level)
+        np.multiply(a, s, arch)
+        np.multiply(arch, sq, arch)
+        np.add(level, arch, following)
+    return np.sqrt(s2, out=s2).T
 
 
 def raw_sn_pdf(shape):
@@ -298,6 +318,18 @@ class TestSimulateDgp:
                                    match=f"burn_in must be >= 1, got {burn_in}"):
                     DgpConfig(dgp=dgp, skewness=0.0, n_obs=50, seed=1, burn_in=burn_in)
 
+    @pytest.mark.parametrize("n", [1, 2, _GARCH_SPAN, _GARCH_SPAN + 1, _GARCH_SPAN + 2,
+                                   2 * _GARCH_SPAN + 1, 1502])
+    @pytest.mark.parametrize("skewness", [0.0, 0.5, -0.9])
+    def test_garch_spans_match_the_step_loop(self, skewness, n):
+        # the spans' closed form against one vector step per time step, over
+        # one and several spans and each boundary (n values make n - 1 steps)
+        rng = RandomStream(17, n).generator()
+        spec = skew_normal_params(skewness)
+        xi = np.stack([_skew_normal_draws(spec, rng, n) for _ in range(128)])
+        expected = garch_step_loop(xi)
+        assert np.max(np.abs(_garch_sigma(xi) - expected) / expected) <= 1e-14
+
     @pytest.mark.parametrize("rows, n", [(24, 400), (128, 400), (129, 400), (128, 2)])
     def test_garch_row_subsets_match_block(self, rows, n):
         # a row's variances do not depend on the other rows of its block: the
@@ -399,7 +431,10 @@ FIELDS = ("realizations", "cond_loc", "sigma_next", "innovations",
 # sha256 of each field's bytes for DgpConfig(dgp, skewness, n_obs=40,
 # seed=2024, burn_in=10) and stream 7, recorded while every stream still made
 # one draw call per normal vector (covariates, U1, U2) and one Philox per
-# path; a change that reorders or re-keys the draws changes them
+# path; a change that reorders or re-keys the draws changes them. The
+# ar-garch entries were recorded again when _garch_sigma moved from one step
+# at a time to spans, which moves its variances by rounding: all but their
+# innovations, which share the ar1 draws
 GOLDEN_PATHS = {
     ("homoskedastic-iid", 0.0): (
         "a972207d7d9c82eb648bad030bccd5c2abf03ff14c10faf8c3f91f17ffea2372",
@@ -450,20 +485,20 @@ GOLDEN_PATHS = {
         "1024c46f4b30b8943ad076072fff779777aea1edcf5f6956c92cbf3974339964",
     ),
     ("ar-garch", 0.0): (
-        "1fd44c0f2a4eefbe21290abb74103f5741a5617aff63af8a2d6e1612a948d5e8",
-        "f1711c0e09052d818329d56fad827e9569e7baeee5e49329bc0bbe62fd2668b7",
-        "3cca0973449651db62b466d5095a8a452eb45737ff9ab6a711ec07d33ba54f87",
+        "8a771a7c53fd747190a466f95c155b5924ad99ca5f155600a0a0ca022c4d43d7",
+        "129b6a5df4c73018793c4889133eb40ac32e57544e55a85ab6296beb5d9f28f9",
+        "89517614f215f91109f9ef362614d6915ef004862e394851c541a1d1542092cd",
         "a1362e7af8076f604179c78fa3c3047314ba5f4c75c04264ffe665b0dddbaa07",
-        "bf767733d40370f8ee33b273f3e64d3e7393d5b5f83a31deefc6dd1f177abfc0",
-        "e0998a7d1ac843dac82c492680de80e767b0fa9315756093793764be93f3e2d2",
+        "97cbcdf11465b21d09f99e2dd37d9ca66db5531b36f5445ec9045c8be769ca0b",
+        "d00aeaacc015eba788029b790f6ea5d230e96ef4a0a7af9d21227a5caa444f05",
     ),
     ("ar-garch", 0.5): (
-        "2fa8c6c9c488d02333ff2b2ffc723de70329810e0dc21312b743d3722bb96a6a",
-        "a32191b60c386f0162f01491ca5ec9b00d4785d5854d44434da73433729d975e",
-        "208de4a76a6a9ae7ea0850ba0c87baeedc521233605bba445ae31184ab34670e",
+        "b3dd027525de322b925ddde41f5279fbc0126aac9188b32d2b8c3ef633413b8c",
+        "0ecd9242dcb019b0afa1a1cfb85aefb4b95a4d5e749d80393bf85a6eb7f862d4",
+        "7fb233425a445d8ac5f928d00dfbd4115ef5134d28ac5042409afac5675b0354",
         "57ea881ac435fbe18d944e863676226ad73fbbc6d02b5a9cacd48430bfc030ad",
-        "fa6f0faf4eea0b5807cafd2d56b914e83b598a389f106d587289d030cc508aec",
-        "773e590492dd8df2ec04372d20a5b5faed94aaa220602c30b6a0e75728217459",
+        "e39ed3d269549d3b73595f7c6a144cbc430414a97b3da23bd6e436edc0e587fd",
+        "3d675bc4e0e6bb01a4cd3b98ec2e6332fb8671e7a8df41c144c24a5b08286440",
     ),
 }
 
@@ -504,6 +539,12 @@ class TestSimulatePaths:
         digests = tuple(hashlib.sha256(getattr(path, name).tobytes()).hexdigest()
                         for name in FIELDS)
         assert digests == GOLDEN_PATHS[dgp, skewness]
+
+    @pytest.mark.parametrize("skewness", [0.0, 0.5])
+    def test_garch_innovations_are_the_ar1_draws(self, skewness):
+        innovations = FIELDS.index("innovations")
+        assert (GOLDEN_PATHS["ar-garch", skewness][innovations]
+                == GOLDEN_PATHS["ar1", skewness][innovations])
 
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("dgp, skewness", [
@@ -738,6 +779,31 @@ class TestImpliedTheta:
 
 
 class TestExperiments:
+    @pytest.mark.parametrize("what, run, k, n_obs", [
+        ("a size experiment", lambda cfg, k: run_size_experiment(cfg, k, 100), 2, 2),
+        ("a power experiment", lambda cfg, k: run_size_experiment(
+            cfg, k, 100, distortion="noise", kappa=0.5), 3, 2),
+        ("a coverage experiment", lambda cfg, k: run_coverage_experiment(
+            cfg, (0.5, 0, 0.5), k, 100, draws=5), 3, 3),
+        ("a coverage experiment", lambda cfg, k: run_grid_coverage_experiment(
+            cfg, (0.5, 0, 0.5), k, 100, m=2), 2, 2),
+    ], ids=["size", "power", "coverage", "grid-coverage"])
+    @pytest.mark.parametrize("dgp", ["homoskedastic-iid", "ar1"])
+    def test_k_at_or_above_n_obs_refused_before_any_draw(self, monkeypatch, dgp, what,
+                                                          run, k, n_obs):
+        # S_T is k at every nonsingular replication there, so a rate means nothing
+        import centest.simulation as simulation
+
+        def no_draws(*args):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(simulation, "standard_normal_rows", no_draws)
+        cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=n_obs, seed=1)
+        with pytest.raises(ValueError) as exc:
+            run(cfg, k)
+        assert str(exc.value) == (f"{what} needs fewer instruments than observations, "
+                                  f"got k = {k} and n_obs = {n_obs}")
+
     def test_size_report_reproducible(self):
         cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.0, n_obs=100, seed=22)
         a = run_size_experiment(cfg, 2, 100)
