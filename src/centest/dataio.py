@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,13 @@ SCHEMA_VERSION = 1
 REALIZATION_COLUMN = "y"
 FORECAST_COLUMN = "x"
 PRICE_COLUMN = "price"
+
+# Input CSVs are UTF-8; "-sig" drops a leading byte-order mark, as Excel
+# writes one. The line count reads the file in chunks of this many characters.
+_ENCODING = "utf-8-sig"
+_CHUNK_CHARS = 1 << 16
+# np.loadtxt opens a file whose name ends in one of these as compressed.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 # Figure shading: member of the tightest (largest-alpha) set, member of some
 # set only, outside every set.
@@ -105,26 +114,51 @@ def _find_fault(rows, header, index, label_column) -> int:
     return row_number - 1
 
 
+def _scan_lines(stream) -> tuple[int, bool]:
+    """The number of lines left in a text stream, a last one without a line
+    break included, and whether any of them holds more than whitespace; the
+    stream is read in fixed-size chunks."""
+    n_lines, data, last = 0, False, "\n"
+    while chunk := stream.read(_CHUNK_CHARS):
+        n_lines += chunk.count("\n")
+        data = data or not chunk.isspace()
+        last = chunk[-1]
+    return n_lines + (last != "\n"), data
+
+
 def _read_columns(path, names, label_column: str | None = None) -> dict:
     """Parse the named numeric columns of a headered CSV into float arrays.
 
-    The header is read with ``csv``; the needed columns of every data line
-    are parsed in one ``np.loadtxt`` pass. Cells may be quoted with ``"``
-    and padded with whitespace, and must be ASCII decimal numbers. A
+    The file is decoded as UTF-8, past a byte-order mark if it starts with
+    one. The header is read with ``csv`` and one streamed pass counts the
+    data lines; ``np.loadtxt`` then reads the file by name, in chunks, and
+    parses the needed columns of every data line, so the load holds about
+    its returned arrays, not the file's text. A pipe, or a file named like a
+    compressed one, is held as text once instead. Cells may be quoted with
+    ``"`` and padded with whitespace, and must be ASCII decimal numbers. A
     ``label_column``, if given, is parsed too and must hold integers below
     2**53 in magnitude, which float64 holds exactly. An empty file, a
     missing column, a needed column that the header names twice, a short or
     blank row, a non-numeric cell or a label that is not such an integer
     raises ``MissingColumnError`` or a ``ValueError`` naming the row and
-    column.
+    column, found by a walk over the rows that reads the file again only
+    when loadtxt fails, its row count is not the line count, or a label is
+    not such an integer.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding=_ENCODING) as handle:
+        rows = csv.reader(handle)
         try:
-            header = [name.strip() for name in next(csv.reader(handle))]
+            header = [name.strip() for name in next(rows)]
         except StopIteration:
             raise ValueError(f"{path} is empty") from None
-        body = handle.read()
+        # loadtxt and the walk open the file again by name. That reads the
+        # same text only from a regular file that numpy's opener does not
+        # take for a compressed one by its suffix; other input is held here.
+        reopen = (stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+                  and os.path.splitext(path)[1] not in _COMPRESSED_SUFFIXES)
+        body = None if reopen else handle.read()
+        n_lines, data = _scan_lines(handle if body is None else io.StringIO(body))
     wanted = [*names] if label_column is None else [*names, label_column]
     for name in wanted:
         if name not in header:
@@ -133,15 +167,14 @@ def _read_columns(path, names, label_column: str | None = None) -> dict:
             raise ValueError(f"{path}: the header names column {name!r} "
                              f"{header.count(name)} times")
     index = {name: header.index(name) for name in wanted}
-    n_lines = body.count("\n")
-    if body and not body.endswith("\n"):
-        n_lines += 1
 
     table = np.empty((0, len(index)))
-    if body and not body.isspace():  # loadtxt warns when it finds no data
+    if data:  # loadtxt warns when it finds no data
         try:
             table = np.loadtxt(
-                io.StringIO(body), delimiter=",", quotechar='"', comments=None,
+                path if body is None else io.StringIO(body),
+                skiprows=rows.line_num if body is None else 0,
+                encoding=_ENCODING, delimiter=",", quotechar='"', comments=None,
                 usecols=list(index.values()), ndmin=2,
             )
         except ValueError:
@@ -154,8 +187,14 @@ def _read_columns(path, names, label_column: str | None = None) -> dict:
         or (label_column is not None
             and not _integral(table[:, list(index).index(label_column)]).all())
     ):
-        n_rows = _find_fault(csv.reader(io.StringIO(body)), header, index,
-                             label_column)
+        if body is None:
+            with path.open(encoding=_ENCODING) as handle:
+                rows = csv.reader(handle)
+                next(rows)
+                n_rows = _find_fault(rows, header, index, label_column)
+        else:
+            n_rows = _find_fault(csv.reader(io.StringIO(body)), header, index,
+                                 label_column)
         if table is None or len(table) != n_rows:
             raise ValueError(f"{path}: the data rows could not be parsed")
     return dict(zip(index, np.ascontiguousarray(table.T)))

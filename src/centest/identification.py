@@ -282,7 +282,8 @@ def _moment_gram(values, whitened, cluster_labels=None) -> tuple[np.ndarray, np.
 
 def _wave_sums(rows: np.ndarray, cluster_labels) -> np.ndarray:
     """Sum ``rows`` over observations (the leading axis) within each wave, in
-    order of first appearance, so the reduction order ignores label encoding."""
+    order of first appearance, so the reduction order ignores label encoding.
+    Each wave's sum adds its rows in observation order from 0.0."""
     labels = np.asarray(cluster_labels)
     if labels.size != rows.shape[0]:
         raise ValueError("cluster labels must cover every observation")
@@ -290,6 +291,9 @@ def _wave_sums(rows: np.ndarray, cluster_labels) -> np.ndarray:
     order = np.argsort(first_pos, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    sums = np.zeros((order.size, *rows.shape[1:]))
-    np.add.at(sums, rank[inverse], rows)
-    return sums
+    waves = rank[inverse]
+    columns = rows.reshape(rows.shape[0], -1)
+    sums = np.empty((order.size, columns.shape[1]))
+    for j in range(columns.shape[1]):
+        sums[:, j] = np.bincount(waves, weights=columns[:, j], minlength=order.size)
+    return sums.reshape(order.size, *rows.shape[1:])

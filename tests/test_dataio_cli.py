@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +221,169 @@ class TestLoadCsv:
         ds = load_csv(f, [], with_const=True)
         assert np.array_equal(ds.realizations, [1.0, 3.0, 5.0])
         assert np.array_equal(ds.forecasts, [2.0, 4.0, 6.0])
+
+
+def _survey_text(n=40, seed=5):
+    """A small LF-terminated survey CSV: y, x, one instrument h, a wave
+    label, a price column and an unread text column."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(2.0, 1.0, n)
+    y = x + rng.normal(0.0, 1.0, n) + 0.3 * rng.standard_normal(n) ** 2
+    h = rng.normal(0.0, 1.0, n)
+    price = 100.0 + np.cumsum(rng.normal(0.0, 1.0, n))
+    lines = ["y,x,h,wave,price,note"] + [
+        f"{a!r},{b!r},{c!r},{t // 5},{p!r},plain"
+        for t, (a, b, c, p) in enumerate(zip(y.tolist(), x.tolist(), h.tolist(),
+                                            price.tolist()))
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _insert_line(text, row, line):
+    """``text`` with ``line`` inserted as its line number ``row``."""
+    lines = text.split("\n")
+    lines.insert(row - 1, line)
+    return "\n".join(lines)
+
+
+def _read_through_cli(tmp_path, data: bytes, name="d.csv"):
+    """Exit code, stdout, stderr and JSON bytes of a clustered mode test and
+    a random-walk mean test of one input file."""
+    f = tmp_path / name
+    f.write_bytes(data)
+    results = []
+    for flags in (["--functional", "mode", "--instruments", "h", "--with-const",
+                   "--cluster", "wave"],
+                  ["--functional", "mean", "--random-walk"]):
+        js = tmp_path / "out.json"
+        js.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["test", "--input", str(f), *flags, "--out-json", str(js)])
+        results.append((code, out.getvalue(), err.getvalue(),
+                        js.read_bytes() if js.exists() else None))
+    return results
+
+
+class TestReaderInputs:
+    """What the reader accepts and rejects, through the command line: the
+    line endings, byte-order mark, quoted line breaks and faults of a real
+    file, and the file's memory."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n").encode(),
+        lambda text: text.replace("\n", "\r").encode(),
+        lambda text: text[:-1].encode(),
+        lambda text: b"\xef\xbb\xbf" + text.encode(),
+        lambda text: b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode(),
+        lambda text: text.replace(",note\n", ',"no\nte"\n', 1).encode(),
+        lambda text: text.replace(",plain\n", ',"two\nlines"\n', 7).encode(),
+        lambda text: text.replace(",plain\n", ',"two\r\nlines"\n', 3)
+                         .replace("\n", "\r\n").encode(),
+    ], ids=["crlf", "lone-cr", "no-final-newline", "byte-order-mark",
+            "byte-order-mark-crlf", "quoted-break-in-header",
+            "quoted-break-in-unread-cells", "quoted-crlf-in-unread-cells-crlf"])
+    def test_same_json_as_the_lf_file(self, tmp_path, edit):
+        text = _survey_text()
+        want = _read_through_cli(tmp_path, text.encode())
+        assert [code for code, *_ in want] == [0, 0]
+        assert all(js is not None for *_, js in want)
+        assert _read_through_cli(tmp_path, edit(text)) == want
+
+    def test_file_named_like_a_compressed_one_is_read_as_text(self, tmp_path):
+        # np.loadtxt would open a path ending in .gz as gzip data
+        text = _survey_text().encode()
+        want = _read_through_cli(tmp_path, text)
+        assert _read_through_cli(tmp_path, text, name="d.csv.gz") == want
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_is_read_once(self, tmp_path):
+        # a pipe cannot be opened again, so its text is held and parsed once
+        text = _survey_text().encode()
+        (tmp_path / "d.csv").write_bytes(text)
+        ds = load_csv(tmp_path / "d.csv", ["h"], cluster_column="wave",
+                      with_const=True)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        piped = {}
+
+        def feed():
+            with open(fifo, "wb") as handle:
+                handle.write(text)
+
+        def read():
+            piped["dataset"] = load_csv(fifo, ["h"], cluster_column="wave",
+                                        with_const=True)
+
+        # daemon threads: a reader that opened the pipe a second time would
+        # wait for a writer for ever
+        threads = [threading.Thread(target=f, daemon=True) for f in (feed, read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert piped["dataset"] == ds
+
+    @pytest.mark.parametrize("edit, messages", [
+        (lambda text: _insert_line(text, 5, ""),
+         ["row 5 has 0 of 6 fields; column 'y' is missing",
+          "row 5 has 0 of 6 fields; column 'price' is missing"]),
+        (lambda text: text + "\n",
+         ["row 42 has 0 of 6 fields; column 'y' is missing",
+          "row 42 has 0 of 6 fields; column 'price' is missing"]),
+        (lambda text: _insert_line(text, 6, " \t "),
+         ["non-numeric value '' at row 6, column 'y'",
+          "row 6 has 1 of 6 fields; column 'price' is missing"]),
+        (lambda text: text.split("\n", 1)[0] + "\n",
+         ["{path} has 0 data rows; need at least 2",
+          "need at least 3 prices, got 0"]),
+        (lambda text: text.split("\n", 1)[0] + "\n \n\n",
+         ["non-numeric value '' at row 2, column 'y'",
+          "row 2 has 1 of 6 fields; column 'price' is missing"]),
+    ], ids=["blank-line", "blank-last-line", "whitespace-line", "header-only",
+            "whitespace-body"])
+    def test_fault_is_located_and_exits_2(self, tmp_path, edit, messages):
+        results = _read_through_cli(tmp_path, edit(_survey_text()).encode())
+        for (code, out, err, js), message in zip(results, messages):
+            message = message.format(path=tmp_path / "d.csv")
+            assert (code, out, err, js) == (2, "", f"centest: error: {message}\n",
+                                            None)
+
+    @pytest.mark.parametrize("rows", [40, 4000], ids=["first-block", "later-block"])
+    def test_invalid_utf8_exits_2(self, tmp_path, rows):
+        data = _survey_text(rows).encode()
+        at = len(data) - 50
+        for code, out, err, js in _read_through_cli(
+                tmp_path, data[:at] + b"\xff" + data[at:]):
+            assert (code, out, js) == (2, "", None)
+            assert err.startswith("centest: error: 'utf-8' codec can't decode "
+                                  "byte 0xff in position ")
+            assert "Traceback" not in err
+
+    def test_load_memory_is_about_its_arrays(self, tmp_path):
+        # The reader keeps the parsed table and its column copies, never the
+        # file's text, so at 50,000 rows the load peaks under 2.5 times the
+        # arrays it returns.
+        n = 50_000
+        rng = np.random.default_rng(3)
+        ds = ForecastDataset(rng.normal(size=n), rng.normal(size=n),
+                             rng.normal(size=(n, 2)),
+                             cluster_labels=np.repeat(np.arange(n // 500), 500))
+        f = tmp_path / "large.csv"
+        write_dataset_csv(ds, f, instrument_names=["xinst", "extra"])
+        load_csv(f, ["xinst"], with_const=True)  # imports and first-call set-up
+        tracemalloc.start()
+        try:
+            back = load_csv(f, ["xinst", "extra"], cluster_column="cluster",
+                            with_const=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = sum(a.nbytes for a in (back.realizations, back.forecasts,
+                                        back.instruments, back.cluster_labels))
+        assert arrays == 8 * n * 6
+        assert peak < 2.5 * arrays
 
 
 class TestStricterCells:

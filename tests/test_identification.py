@@ -18,13 +18,14 @@ from centest import (
     instrument_moment_test,
     mode_test,
 )
-from centest.central_tendency import _objective_rows
+from centest.central_tendency import _objective_rows, sigma_hat
 from centest.identification import (
     _check_bandwidth,
     _identification_matrix,
     _moment_gram,
     _row_scales,
     _scales,
+    _wave_sums,
     _whiten,
 )
 
@@ -386,3 +387,52 @@ class TestStackedMoments:
             confidence_set(ds, m=2, delta=0.0)
         with pytest.raises(ValueError, match="positive bandwidth"):
             gmm_objective([0.0, 0.0, 1.0], ds, delta=0.0)
+
+
+def add_at_wave_sums(rows, cluster_labels):
+    """The reference wave sums: np.add.at adds every observation, in order,
+    into its wave's row, the waves numbered by first appearance."""
+    waves = {}
+    index = [waves.setdefault(label, len(waves))
+             for label in np.asarray(cluster_labels).tolist()]
+    sums = np.zeros((len(waves), *rows.shape[1:]))
+    np.add.at(sums, np.array(index, dtype=np.intp), rows)
+    return sums
+
+
+class TestWaveSums:
+    """np.bincount adds each wave's rows in observation order from 0.0, as
+    np.add.at does, so the sums and both callers' results are bitwise the
+    reference's."""
+
+    LABELS = np.array([-7, 2 ** 33 + 1, 0, -(2 ** 40), 12, 3, 2 ** 32, -1])
+
+    def labels(self, rng, t):
+        return rng.choice(self.LABELS, t)
+
+    @pytest.mark.parametrize("shape, order", [((257, 6), "C"), ((257, 6), "F"),
+                                              ((257, 3, 2), "C"), ((257,), "C")])
+    def test_sums_are_bitwise_the_reference(self, rng, shape, order):
+        scales = 10.0 ** rng.integers(-8, 9, shape)
+        rows = np.asarray(rng.standard_normal(shape) * scales, order=order)
+        labels = self.labels(rng, shape[0])
+        got, want = _wave_sums(rows, labels), add_at_wave_sums(rows, labels)
+        assert got.shape == want.shape == (len(set(labels.tolist())), *shape[1:])
+        assert got.tobytes() == want.tobytes()
+
+    def test_callers_are_bitwise_the_reference(self, rng, monkeypatch):
+        import centest.central_tendency as central_tendency
+        import centest.identification as identification
+
+        t, k = 301, 3
+        labels = self.labels(rng, t)
+        phi = rng.standard_normal((t, 3 * k))
+        values = rng.standard_normal((1, 3, t))
+        whitened = rng.standard_normal((1, k, t))
+        got = (sigma_hat(phi, labels), *_moment_gram(values, whitened, labels))
+        monkeypatch.setattr(identification, "_wave_sums", add_at_wave_sums)
+        monkeypatch.setattr(central_tendency, "_wave_sums", add_at_wave_sums)
+        want = (sigma_hat(phi, labels), *_moment_gram(values, whitened, labels))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
