@@ -18,6 +18,7 @@ tests (rationality) read the same Gram at a vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -221,24 +222,65 @@ class GridPoint:
     note: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfidenceSetGrid:
-    """Simplex scan of the GMM objective with membership flags per level."""
+    """Simplex scan of the GMM objective with membership flags per level,
+    held as columns over its P points: the lattice ``index`` (P, 2) and
+    ``theta`` (P, 3), the ``objective`` and ``p_value`` (P,), NaN at a
+    singular point, the ``member`` flags (levels, P), one row per alpha
+    level in ``alpha_levels`` order, and the ``notes`` of the singular
+    points, keyed by point number. Equality is NaN-aware."""
 
     resolution: int
-    points: list[GridPoint]
     alpha_levels: tuple[float, ...]
     bandwidth: float
     df: int
     n_obs: int
+    index: np.ndarray
+    theta: np.ndarray
+    objective: np.ndarray
+    p_value: np.ndarray
+    member: np.ndarray
+    notes: dict[int, str]
 
-    def members(self, alpha: float) -> list[GridPoint]:
-        return [p for p in self.points if p.memberships[alpha]]
+    def __eq__(self, other):
+        if not isinstance(other, ConfidenceSetGrid):
+            return NotImplemented
+        return (
+            (self.resolution, self.alpha_levels, self.bandwidth, self.df, self.n_obs,
+             self.notes)
+            == (other.resolution, other.alpha_levels, other.bandwidth, other.df,
+                other.n_obs, other.notes)
+            and np.array_equal(self.index, other.index)
+            and np.array_equal(self.member, other.member)
+            and all(np.array_equal(a, b, equal_nan=True) for a, b in (
+                (self.theta, other.theta), (self.objective, other.objective),
+                (self.p_value, other.p_value)))
+        )
+
+    @cached_property
+    def points(self) -> tuple[GridPoint, ...]:
+        """The scan point by point, as GridPoints: a read-only view of the
+        columns, built on first access."""
+        return tuple(
+            GridPoint(index=tuple(index), theta=tuple(theta), objective=s, p_value=p,
+                      memberships=dict(zip(self.alpha_levels, flags)),
+                      note=self.notes.get(n))
+            for n, (index, theta, s, p, flags) in enumerate(zip(
+                self.index.tolist(), self.theta.tolist(), self.objective.tolist(),
+                self.p_value.tolist(), self.member.T.tolist()))
+        )
+
+    def members(self, alpha: float) -> np.ndarray:
+        """The (n, 3) weights of the points inside the 1 - alpha set."""
+        return self.theta[self.member[self.alpha_levels.index(alpha)]]
 
     def is_empty(self, alpha: float) -> bool:
-        """Empty membership rejects rationality for the entire class of
-        centrality measures at that level."""
-        return not any(p.memberships[alpha] for p in self.points)
+        """Whether no lattice point lies inside the 1 - alpha set. An empty
+        set rejects rationality for the entire class of centrality measures
+        at that level. Emptiness is read on the lattice: a set thinner than
+        its spacing 1/m can hold no lattice point and read empty."""
+        return not self.member[self.alpha_levels.index(alpha)].any()
 
 
 def confidence_set(
@@ -269,28 +311,20 @@ def confidence_set(
         thetas, forecast_errors(dataset)[None], dataset.instruments[None], kernel,
         delta, dataset.cluster_labels)
     raise_row_failure(failures)
-    thresholds = {a: chi_square_quantile(k, 1.0 - a) for a in alpha_levels}
+    thresholds = np.array([chi_square_quantile(k, 1.0 - a) for a in alpha_levels])
     # a singular point has a NaN objective, so a NaN p-value, and fails
     # every threshold
     p_values = chi_square_sf(k, objectives)
-    points = [
-        GridPoint(
-            index=index,
-            theta=tuple(theta),
-            objective=s,
-            p_value=p,
-            memberships={a: s <= thresholds[a] for a in alpha_levels},
-            note=note,
-        )
-        for index, theta, s, p, note in zip(
-            zip(i.tolist(), j.tolist()), thetas.tolist(), objectives.tolist(),
-            p_values.tolist(), notes)
-    ]
     return ConfidenceSetGrid(
         resolution=m,
-        points=points,
         alpha_levels=alpha_levels,
         bandwidth=float(bandwidth),
         df=k,
         n_obs=dataset.n_obs,
+        index=np.column_stack([i, j]),
+        theta=thetas,
+        objective=objectives,
+        p_value=p_values,
+        member=objectives <= thresholds[:, None],
+        notes={n: note for n, note in enumerate(notes) if note is not None},
     )

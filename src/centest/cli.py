@@ -190,15 +190,14 @@ def _cmd_cset(args) -> int:
     dataio.emit_confidence_set(
         grid, json_path=args.out_json, csv_path=args.out_csv, svg_path=args.out_svg
     )
-    for a in grid.alpha_levels:
-        members = len(grid.members(a))
+    for a, flags in zip(grid.alpha_levels, grid.member):
+        members = int(flags.sum())
         label = f"{(1 - a) * 100:g}%"
         if members == 0:
             print(f"{label} confidence set: empty (rationality rejected for "
                   "the entire class)")
         else:
-            print(f"{label} confidence set: {members} of {len(grid.points)} "
-                  "grid points")
+            print(f"{label} confidence set: {members} of {flags.size} grid points")
     return 0
 
 

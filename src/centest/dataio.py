@@ -19,7 +19,6 @@ import numpy as np
 from .central_tendency import (
     DEFAULT_ALPHA_LEVELS,
     ConfidenceSetGrid,
-    GridPoint,
     _check_alpha_levels,
     _lattice,
     _member_header,
@@ -39,6 +38,7 @@ PRICE_COLUMN = "price"
 # Input CSVs are UTF-8; "-sig" drops a leading byte-order mark, as Excel
 # writes one. The line count reads the file in chunks of this many characters.
 _ENCODING = "utf-8-sig"
+_BOM = b"\xef\xbb\xbf"
 _CHUNK_CHARS = 1 << 16
 # np.loadtxt opens a file whose name ends in one of these as compressed.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -78,13 +78,43 @@ def _strict_float(cell: str) -> float | None:
         return None
 
 
+def _records(rows, start: int):
+    """The csv records of ``rows``, numbered from ``start``. A record that
+    csv cannot read (a field above its size limit, say) raises a ValueError
+    naming its row."""
+    number = start - 1
+    try:
+        for number, row in enumerate(rows, start):
+            yield number, row
+    except csv.Error as exc:
+        raise ValueError(f"row {number + 1} is not valid CSV: {exc}") from None
+
+
+def _undecodable(path, data: bytes) -> ValueError:
+    """The fault of a file that is not UTF-8: its first undecodable byte,
+    by its row and its offset in the file."""
+    start = len(_BOM) if data.startswith(_BOM) else 0
+    try:
+        data[start:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = start + exc.start
+        # the record count of the text before the byte, with a stand-in for
+        # it, so that a byte at the start of a line opens its row
+        text = io.StringIO(data[start:offset].decode("utf-8") + "?", newline=None)
+        row = max(n for n, _ in _records(csv.reader(text), 1))
+        return ValueError(f"{path}: row {row} is not UTF-8: byte 0x{data[offset]:02x} "
+                          f"at offset {offset} of the file ({exc.reason})")
+    return ValueError(f"{path} changed while it was read")
+
+
 def _find_fault(rows, header, index, label_column) -> int:
     """Walk the data rows and raise the first fault, naming its row and
-    column: a short or blank row, a non-numeric cell, then a non-integer
-    label. Return the number of rows when there is none."""
+    column: a row csv cannot read, a short or blank row, a non-numeric cell,
+    then a non-integer label. Return the number of rows when there is
+    none."""
     labels, label_cells = [], []
     row_number = 1
-    for row_number, row in enumerate(rows, start=2):
+    for row_number, row in _records(rows, 2):
         for name, j in index.items():
             if j >= len(row):
                 raise ValueError(
@@ -143,22 +173,32 @@ def _read_columns(path, names, label_column: str | None = None) -> dict:
     raises ``MissingColumnError`` or a ``ValueError`` naming the row and
     column, found by a walk over the rows that reads the file again only
     when loadtxt fails, its row count is not the line count, or a label is
-    not such an integer.
+    not such an integer. Bytes that are not UTF-8, and a record that ``csv``
+    cannot read, raise a ValueError naming the row, and for the bytes their
+    offset in the file.
     """
     path = Path(path)
-    with path.open(encoding=_ENCODING) as handle:
-        rows = csv.reader(handle)
-        try:
-            header = [name.strip() for name in next(rows)]
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        # loadtxt and the walk open the file again by name. That reads the
-        # same text only from a regular file that numpy's opener does not
-        # take for a compressed one by its suffix; other input is held here.
-        reopen = (stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-                  and os.path.splitext(path)[1] not in _COMPRESSED_SUFFIXES)
-        body = None if reopen else handle.read()
-        n_lines, data = _scan_lines(handle if body is None else io.StringIO(body))
+    # loadtxt and the walk open the file again by name. That reads the same
+    # text only from a regular file that numpy's opener does not take for a
+    # compressed one by its suffix; other input is read here once and held.
+    reopen = (stat.S_ISREG(path.stat().st_mode)
+              and os.path.splitext(path)[1] not in _COMPRESSED_SUFFIXES)
+    held = None if reopen else path.read_bytes()
+    try:
+        with (path.open(encoding=_ENCODING) if reopen
+              else io.StringIO(held.decode(_ENCODING), newline=None)) as handle:
+            rows = csv.reader(handle)
+            try:
+                header = [name.strip() for name in next(rows)]
+            except StopIteration:
+                raise ValueError(f"{path} is empty") from None
+            except csv.Error as exc:
+                raise ValueError(f"row 1 is not valid CSV: {exc}") from None
+            body = None if reopen else handle.read()
+            n_lines, data = _scan_lines(handle if body is None else io.StringIO(body))
+    except UnicodeDecodeError:
+        raise _undecodable(path, path.read_bytes() if reopen else held) from None
+    del held  # a held input lives on as its text, body
     wanted = [*names] if label_column is None else [*names, label_column]
     for name in wanted:
         if name not in header:
@@ -313,14 +353,40 @@ def _json_number(x) -> str:
     return float.__repr__(x) if type(x) is float and -_INF < x < _INF else json.dumps(x)
 
 
+def _json_numbers(column: np.ndarray) -> list[str]:
+    """A float column's numbers as json.dumps writes them, NaN as null."""
+    text = list(map(float.__repr__, column.tolist()))
+    for n in np.flatnonzero(~np.isfinite(column)).tolist():
+        text[n] = _json_number(column[n].item())
+    return text
+
+
+def _distinct_text(values: np.ndarray, fmt) -> list[str]:
+    """``fmt`` of every entry of a float array, in C order, each distinct
+    value (bit for bit, so -0.0 apart from 0.0) formatted once: a lattice's
+    coordinates are the m + 1 values k/m."""
+    bits, inverse = np.unique(np.ascontiguousarray(values).view(np.int64).ravel(),
+                              return_inverse=True)
+    text = list(map(fmt, bits.view(np.float64).tolist()))
+    return list(map(text.__getitem__, inverse.tolist()))
+
+
+def _notes_text(grid: ConfidenceSetGrid, fmt, blank: str) -> list[str]:
+    """One cell per point: ``fmt`` of its note, or ``blank``."""
+    cells = [blank] * len(grid.objective)
+    for n, note in grid.notes.items():
+        cells[n] = fmt(note)
+    return cells
+
+
 def grid_to_json(grid: ConfidenceSetGrid) -> str:
     """The scan as a JSON document, laid out as json.dumps(..., indent=2,
     sort_keys=True) lays it out, with NaN objectives and p-values as null.
 
-    The points are written through one fixed template, filled per point;
-    the top-level fields go through json.dumps.
+    The points are written through one fixed template, filled from the
+    grid's columns; the top-level fields go through json.dumps.
     """
-    members = sorted({f"{a:g}": a for a in grid.alpha_levels}.items())
+    members = sorted((f"{a:g}", n) for n, a in enumerate(grid.alpha_levels))
     slots = ",\n".join(f"        {json.dumps(key)}: {{}}" for key, _ in members)
     point = (
         '    {{\n      "index": [\n        {},\n        {}\n      ],\n'
@@ -328,13 +394,14 @@ def grid_to_json(grid: ConfidenceSetGrid) -> str:
         '      "note": {},\n      "objective": {},\n      "p_value": {},\n'
         '      "theta": [\n        {},\n        {},\n        {}\n      ]\n    }}'
     ).format
-    body = ",\n".join(
-        point(*p.index,
-              *("true" if p.memberships[a] else "false" for _, a in members),
-              "null" if p.note is None else json.dumps(p.note),
-              *map(_json_number, (p.objective, p.p_value, *p.theta)))
-        for p in grid.points
-    )
+    flags = grid.member[[n for _, n in members]].tolist()
+    theta = _distinct_text(grid.theta, float.__repr__)
+    body = ",\n".join(map(
+        point, grid.index[:, 0].tolist(), grid.index[:, 1].tolist(),
+        *(map(("false", "true").__getitem__, row) for row in flags),
+        _notes_text(grid, json.dumps, "null"),
+        _json_numbers(grid.objective), _json_numbers(grid.p_value),
+        theta[0::3], theta[1::3], theta[2::3]))
     head = json.dumps({
         "schema": SCHEMA_VERSION,
         "kind": "confidence_set",
@@ -345,7 +412,7 @@ def grid_to_json(grid: ConfidenceSetGrid) -> str:
         "n_obs": grid.n_obs,
         "points": [],
     }, indent=2, sort_keys=True)
-    points = "[\n" + body + "\n  ]" if grid.points else "[]"
+    points = "[\n" + body + "\n  ]" if len(grid.objective) else "[]"
     return head.replace('"points": []', f'"points": {points}', 1) + "\n"
 
 
@@ -395,7 +462,8 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
         raise ValueError("document field 'alpha_levels' must hold numbers in (0, 1), "
                          f"got {json.dumps(alpha_levels)}")
     alpha_levels = _check_alpha_levels(float(a) for a in alpha_levels)
-    points = []
+    labels = [f"{a:g}" for a in alpha_levels]
+    indexes, thetas, objectives, p_values, flags, notes = [], [], [], [], [], {}
     for i, entry in enumerate(_field(payload, "points", "document", list)):
         where = f"point {i}"
         index = _field(entry, "index", where, list)
@@ -411,28 +479,30 @@ def grid_from_dict(payload: dict) -> ConfidenceSetGrid:
             raise ValueError(f"{where} field 'theta' must hold three numbers, "
                              f"got {json.dumps(theta)}")
         try:
-            theta = tuple(_theta_array(theta).tolist())
+            thetas.append(_theta_array(theta))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{where} field 'theta': {exc}") from None
         member = _field(entry, "member", where)
-        points.append(
-            GridPoint(
-                index=tuple(index),
-                theta=theta,
-                objective=_number(entry, "objective", where),
-                p_value=_number(entry, "p_value", where),
-                memberships={a: _field(member, f"{a:g}", f"{where} member", bool)
-                             for a in alpha_levels},
-                note=note,
-            )
-        )
+        indexes.append(index)
+        objectives.append(_number(entry, "objective", where))
+        p_values.append(_number(entry, "p_value", where))
+        flags.append([_field(member, label, f"{where} member", bool) for label in labels])
+        if note is not None:
+            notes[i] = note
     grid = ConfidenceSetGrid(
         resolution=_integer(payload, "resolution", "document"),
-        points=points,
         alpha_levels=alpha_levels,
         bandwidth=_number(payload, "bandwidth", "document", null=False),
         df=_integer(payload, "df", "document"),
         n_obs=_integer(payload, "n_obs", "document"),
+        # an integer beyond int64 makes an object column, which _check_scan
+        # reports as off the lattice
+        index=np.array(indexes).reshape(-1, 2),
+        theta=np.array(thetas).reshape(-1, 3),
+        objective=np.array(objectives),
+        p_value=np.array(p_values),
+        member=np.array(flags, dtype=bool).reshape(-1, len(labels)).T,
+        notes=notes,
     )
     _check_scan(grid)
     return grid
@@ -448,9 +518,10 @@ def _check_scan(grid: ConfidenceSetGrid) -> None:
     exactly when the objective is, and else chi_square_sf(df, objective) up
     to a relative 1e-12 * max(1, objective), the slack for another platform's
     libm and for scans from earlier versions, whose tail was scipy's
-    gammaincc. df is the
-    instrument count k, which confidence_set keeps below n_obs; the bound
-    also caps the O(df) cost of the tail."""
+    gammaincc. df is the instrument count k, which confidence_set keeps below
+    n_obs; the bound also caps the O(df) cost of the tail. The columns are
+    compared whole; the message names the first offending point, and of its
+    faults the first in the order above."""
     m = grid.resolution
     if m < 1:
         raise ValueError(f"document field 'resolution' must be >= 1, got {m}")
@@ -469,42 +540,51 @@ def _check_scan(grid: ConfidenceSetGrid) -> None:
         raise ValueError("document field 'bandwidth' must be positive and finite, "
                          f"got {grid.bandwidth!r}")
     size = (m + 1) * (m + 2) // 2
-    if len(grid.points) != size:
-        raise ValueError(f"document holds {len(grid.points)} points, but the "
+    objective, p_value = grid.objective, grid.p_value
+    if len(objective) != size:
+        raise ValueError(f"document holds {len(objective)} points, but the "
                          f"resolution-{m} lattice has {size}")
     i, j, rows = _lattice(m)
-    quantiles = {a: chi_square_quantile(grid.df, 1.0 - a) for a in grid.alpha_levels}
-    objectives = np.array([p.objective for p in grid.points])
-    negative = np.flatnonzero(objectives < 0.0)
+    quantiles = [chi_square_quantile(grid.df, 1.0 - a) for a in grid.alpha_levels]
+    negative = np.flatnonzero(objective < 0.0)
     if negative.size:
         n = int(negative[0])
         raise ValueError(f"point {n} field 'objective' must be >= 0, "
-                         f"got {grid.points[n].objective!r}")
-    tails = chi_square_sf(grid.df, objectives).tolist()
-    for n, (p, index, row, tail) in enumerate(zip(
-            grid.points, zip(i.tolist(), j.tolist()), rows.tolist(), tails)):
-        if p.index != index:
-            raise ValueError(f"point {n} field 'index' is {json.dumps(p.index)}, but "
-                             f"point {n} of the lattice is {json.dumps(index)}")
-        theta = list(p.theta)
-        if theta != row:
-            raise ValueError(f"point {n} field 'theta' is {json.dumps(theta)}, but "
-                             f"point {n} of the lattice is {json.dumps(row)}")
-        for a, q in quantiles.items():
-            if p.memberships[a] != (p.objective <= q):
-                raise ValueError(
-                    f"point {n} member field '{a:g}' is {json.dumps(p.memberships[a])}, "
-                    f"but objective {p.objective!r} <= quantile {q!r} is "
-                    f"{json.dumps(not p.memberships[a])}")
-        if (p.objective != p.objective) != (p.p_value != p.p_value):
-            raise ValueError(f"point {n} field 'p_value' is {_json_number(p.p_value)}, "
-                             f"but its objective is {_json_number(p.objective)}")
-        # no slack when the tail is 0 (an infinite objective) or NaN
-        slack = 1e-12 * max(1.0, p.objective) * tail if tail > 0.0 else 0.0
-        if abs(p.p_value - tail) > slack:
-            raise ValueError(f"point {n} field 'p_value' is {p.p_value!r}, but the "
-                             f"chi-square tail of its objective {p.objective!r} at "
-                             f"df = {grid.df} is {tail!r}")
+                         f"got {objective[n].item()!r}")
+    tails = chi_square_sf(grid.df, objective)
+    # no slack when the tail is 0 (an infinite objective) or NaN
+    slack = np.zeros(size)
+    scored = tails > 0.0
+    slack[scored] = 1e-12 * np.maximum(1.0, objective[scored]) * tails[scored]
+    faults = (
+        (grid.index != np.column_stack([i, j])).any(axis=1)
+        | (grid.theta != rows).any(axis=1)
+        | (grid.member != (objective <= np.array(quantiles)[:, None])).any(axis=0)
+        | (np.isnan(objective) != np.isnan(p_value))
+        | (np.abs(p_value - tails) > slack)
+    )
+    if not faults.any():
+        return
+    n = int(np.argmax(faults))
+    index, lattice_index = grid.index[n].tolist(), [i[n].item(), j[n].item()]
+    if index != lattice_index:
+        raise ValueError(f"point {n} field 'index' is {json.dumps(index)}, but "
+                         f"point {n} of the lattice is {json.dumps(lattice_index)}")
+    theta, row = grid.theta[n].tolist(), rows[n].tolist()
+    if theta != row:
+        raise ValueError(f"point {n} field 'theta' is {json.dumps(theta)}, but "
+                         f"point {n} of the lattice is {json.dumps(row)}")
+    s, p, tail = objective[n].item(), p_value[n].item(), tails[n].item()
+    for a, q, flag in zip(grid.alpha_levels, quantiles, grid.member[:, n].tolist()):
+        if flag != (s <= q):
+            raise ValueError(
+                f"point {n} member field '{a:g}' is {json.dumps(flag)}, "
+                f"but objective {s!r} <= quantile {q!r} is {json.dumps(not flag)}")
+    if (s != s) != (p != p):
+        raise ValueError(f"point {n} field 'p_value' is {_json_number(p)}, "
+                         f"but its objective is {_json_number(s)}")
+    raise ValueError(f"point {n} field 'p_value' is {p!r}, but the chi-square "
+                     f"tail of its objective {s!r} at df = {grid.df} is {tail!r}")
 
 
 def report_to_dict(report) -> dict:
@@ -537,16 +617,13 @@ def grid_to_csv(grid: ConfidenceSetGrid) -> str:
         *(_member_header(a) for a in grid.alpha_levels),
         "note",
     ]
-    lines = [",".join(header)]
-    for p in grid.points:
-        cells = [
-            *map(_fmt_data, p.theta),
-            _fmt_data(p.objective),
-            _fmt_data(p.p_value),
-            *(str(int(p.memberships[a])) for a in grid.alpha_levels),
-            p.note or "",
-        ]
-        lines.append(",".join(cells))
+    row = ",".join(["{}"] * len(header)).format
+    theta = _distinct_text(grid.theta, _fmt_data)
+    lines = [",".join(header), *map(
+        row, theta[0::3], theta[1::3], theta[2::3],
+        map(_fmt_data, grid.objective.tolist()), map(_fmt_data, grid.p_value.tolist()),
+        *(map(("0", "1").__getitem__, flags) for flags in grid.member.tolist()),
+        _notes_text(grid, str, ""))]
     return "\n".join(lines) + "\n"
 
 
@@ -587,19 +664,16 @@ def grid_to_svg(grid: ConfidenceSetGrid) -> str:
         f'y="{_fmt_svg(verts["mode"][1] + 25)}" font-family="sans-serif" '
         'font-size="16">Mode</text>',
     ]
-    for p in grid.points:
-        mean, median, mode = p.theta
-        px = mean * verts["mean"][0] + median * verts["median"][0] + mode * verts["mode"][0]
-        py = mean * verts["mean"][1] + median * verts["median"][1] + mode * verts["mode"][1]
-        if p.memberships[by_threshold[0]]:
-            shade = _SVG_SHADES[0]
-        elif any(p.memberships[a] for a in by_threshold[1:]):
-            shade = _SVG_SHADES[1]
-        else:
-            shade = _SVG_SHADES[2]
-        parts.append(
-            f'<circle cx="{_fmt_svg(px)}" cy="{_fmt_svg(py)}" r="3" fill="{shade}"/>'
-        )
+    # the weighted sum of the vertices, added in the order mean, median, mode
+    mean, median, mode = grid.theta.T
+    px = mean * verts["mean"][0] + median * verts["median"][0] + mode * verts["mode"][0]
+    py = mean * verts["mean"][1] + median * verts["median"][1] + mode * verts["mode"][1]
+    tightest, *looser = (grid.alpha_levels.index(a) for a in by_threshold)
+    shade = np.where(grid.member[tightest], 0,
+                     np.where(grid.member[looser].any(axis=0), 1, 2))
+    parts.extend(map('<circle cx="{}" cy="{}" r="3" fill="{}"/>'.format,
+                     map(_fmt_svg, px.tolist()), map(_fmt_svg, py.tolist()),
+                     map(_SVG_SHADES.__getitem__, shade.tolist())))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

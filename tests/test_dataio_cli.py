@@ -27,7 +27,6 @@ from centest import (
     Distortion,
     ForecastDataset,
     Functional,
-    GridPoint,
     InstrumentSet,
     MissingColumnError,
     RandomStream,
@@ -43,7 +42,6 @@ from centest import (
     random_walk_forecasts,
     run_coverage_experiment,
     run_size_experiment,
-    simplex_grid,
     simulate_dgp,
     write_dataset_csv,
 )
@@ -350,16 +348,32 @@ class TestReaderInputs:
             assert (code, out, err, js) == (2, "", f"centest: error: {message}\n",
                                             None)
 
-    @pytest.mark.parametrize("rows", [40, 4000], ids=["first-block", "later-block"])
-    def test_invalid_utf8_exits_2(self, tmp_path, rows):
-        data = _survey_text(rows).encode()
+    @pytest.mark.parametrize("rows, bom, newline", [
+        (40, False, "\n"), (4000, False, "\n"), (4000, True, "\r\n"), (4000, False, "\r"),
+    ], ids=["first-block", "later-block", "byte-order-mark-crlf", "lone-cr"])
+    def test_invalid_utf8_exits_2(self, tmp_path, rows, bom, newline):
+        # the fault names the byte's row and its offset in the file, which
+        # counts the byte-order mark, not its position in a decoder's block
+        data = (b"\xef\xbb\xbf" if bom else b"") + _survey_text(rows).replace(
+            "\n", newline).encode()
         at = len(data) - 50
-        for code, out, err, js in _read_through_cli(
-                tmp_path, data[:at] + b"\xff" + data[at:]):
-            assert (code, out, js) == (2, "", None)
-            assert err.startswith("centest: error: 'utf-8' codec can't decode "
-                                  "byte 0xff in position ")
-            assert "Traceback" not in err
+        row = data[:at].count(newline.encode()) + 1
+        message = (f"centest: error: {tmp_path / 'd.csv'}: row {row} is not UTF-8: "
+                   f"byte 0xff at offset {at} of the file (invalid start byte)\n")
+        assert _read_through_cli(tmp_path, data[:at] + b"\xff" + data[at:]) == [
+            (2, "", message, None)] * 2
+
+    @pytest.mark.parametrize("row", [1, 3], ids=["header", "data-row"])
+    def test_record_csv_cannot_read_exits_2(self, tmp_path, row):
+        # a quoted line break in row 2 sends the load to the walk, whose csv
+        # reader refuses a field above its size limit
+        lines = _survey_text().split("\n")
+        lines[1] = lines[1].replace(",plain", ',"two\nlines"')
+        lines[row - 1] += ',"' + "a" * 140_000 + '"'
+        message = (f"centest: error: row {row} is not valid CSV: field larger than "
+                   f"field limit ({csv.field_size_limit()})\n")
+        assert _read_through_cli(tmp_path, "\n".join(lines).encode()) == [
+            (2, "", message, None)] * 2
 
     def test_load_memory_is_about_its_arrays(self, tmp_path):
         # The reader keeps the parsed table and its column copies, never the
@@ -638,18 +652,17 @@ class TestJsonWriter:
         # membership, as confidence_set writes it
         notes = [None, 'a "quoted" word', "back\\slash", "two\nlines", "S_T ≥ Q, θ ∉ Θ",
                  None]
-        i, j, _ = _lattice(2)
+        i, j, theta = _lattice(2)
         tail = chi_square_sf(2, 1.5)
-        points = [
-            GridPoint(index=index, theta=tuple(theta),
-                      objective=1.5 if note is None else float("nan"),
-                      p_value=tail if note is None else float("nan"),
-                      memberships={0.1: note is None, 0.05: note is None}, note=note)
-            for index, theta, note in zip(zip(i.tolist(), j.tolist()),
-                                          simplex_grid(2).tolist(), notes)
-        ]
-        grid = ConfidenceSetGrid(resolution=2, points=points, alpha_levels=(0.1, 0.05),
-                                 bandwidth=0.5, df=2, n_obs=10)
+        scored = np.array([note is None for note in notes])
+        grid = ConfidenceSetGrid(resolution=2, alpha_levels=(0.1, 0.05),
+                                 bandwidth=0.5, df=2, n_obs=10,
+                                 index=np.column_stack([i, j]), theta=theta,
+                                 objective=np.where(scored, 1.5, np.nan),
+                                 p_value=np.where(scored, tail, np.nan),
+                                 member=np.array([scored, scored]),
+                                 notes={n: note for n, note in enumerate(notes)
+                                        if note is not None})
         text = grid_to_json(grid)
         assert text == _json_dumps_layout(text)
         assert text.isascii()
@@ -662,8 +675,11 @@ class TestJsonWriter:
         assert np.isnan(back.points[1].objective) and np.isnan(back.points[1].p_value)
 
     def test_empty_grid(self):
-        grid = ConfidenceSetGrid(resolution=1, points=[], alpha_levels=(0.05,),
-                                 bandwidth=0.5, df=2, n_obs=10)
+        grid = ConfidenceSetGrid(resolution=1, alpha_levels=(0.05,), bandwidth=0.5,
+                                 df=2, n_obs=10, index=np.empty((0, 2), dtype=int),
+                                 theta=np.empty((0, 3)), objective=np.empty(0),
+                                 p_value=np.empty(0), member=np.empty((1, 0), dtype=bool),
+                                 notes={})
         text = grid_to_json(grid)
         assert text == _json_dumps_layout(text)
         assert json.loads(text)["points"] == []
