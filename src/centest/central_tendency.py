@@ -10,9 +10,11 @@ in all four identification regimes.
 S_T has one block kernel, _objective_rows: it scores every theta from the
 one Gram of a dataset's whitened mean, median and mode rows and their row
 scales c, as the quadratic form of (g c, Gram c c') (see identification).
-gmm_objective and confidence_set are its one-row call, simulation's coverage
-experiments score blocks of replications with it, and the single-functional
-tests (rationality) read the same Gram at a vertex.
+gmm_objective and confidence_set are its one-row call, simulation's grid
+coverage experiment scores blocks of replications with it, and the
+single-functional tests (rationality) read the same Gram at a vertex. The
+coverage experiment scores its one theta with _objective_at, from the k x k
+Gram of the row that combines the three at theta.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from .identification import (
     _check_instrument_count,
     _identification_matrix,
     _moment_gram,
+    _one_block,
     _row_scales,
     _wave_sums,
     _whiten,
-    forecast_errors,
 )
 from .numerics import (
     Kernel,
@@ -152,6 +154,26 @@ def _objectives_block(thetas, g, gram) -> tuple[np.ndarray, list[list[str | None
     return objectives, [notes[i * p:(i + 1) * p] for i in range(b)]
 
 
+def _scaled_rows(
+    errors: np.ndarray,
+    instruments: np.ndarray,
+    kernel: Kernel | None,
+    delta=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+    """What S_T reads of each dataset of a block, errors (B, T) and
+    instruments (B, k, T): its identification values (B, 3, T), whitened
+    instruments (B, k, T), row scales c (B, 3) and bandwidths (B,), and per
+    dataset None or the exception scoring it alone raises, in that order:
+    the bandwidth's DegenerateErrors (zero MAD, then zero sd), then the
+    SingularMatrixError of the instrument whitener, then of a row scale.
+    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth."""
+    delta, failures = _block_bandwidths(errors, delta)
+    values = _identification_matrix(errors, delta, kernel)
+    whitened, _, singular = _whiten(instruments)
+    scales, unscaled = _row_scales(values, whitened)
+    return values, whitened, scales, delta, first_failures(failures, singular, unscaled)
+
+
 def _objective_rows(
     thetas: np.ndarray,
     errors: np.ndarray,
@@ -161,23 +183,44 @@ def _objective_rows(
     cluster_labels=None,
 ) -> tuple[np.ndarray, list[list[str | None]], np.ndarray, list]:
     """S_T at every theta (P, 3) for each dataset of a block: errors (B, T),
-    instruments (B, T, k); cluster labels apply to a one-dataset block.
+    instruments (B, k, T); cluster labels apply to a one-dataset block.
 
-    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth. The
-    row scales c enter as (g c, Gram c c'). Returns the (B, P) objectives and
-    their notes (see _objectives_block), the (B,) bandwidths and, per
-    dataset, None or the exception scoring it alone raises, in that order:
-    the bandwidth's DegenerateErrors (zero MAD, then zero sd), then the
-    SingularMatrixError of the instrument whitener, then of a row scale.
+    The row scales c enter as (g c, Gram c c'). Returns the (B, P)
+    objectives and their notes (see _objectives_block), the (B,) bandwidths
+    and, per dataset, None or the exception scoring it alone raises (see
+    _scaled_rows).
     """
-    delta, failures = _block_bandwidths(errors, delta)
-    values = _identification_matrix(errors, delta, kernel)
-    whitened, _, singular = _whiten(instruments)
-    scales, unscaled = _row_scales(values, whitened)
+    values, whitened, scales, delta, failures = _scaled_rows(
+        errors, instruments, kernel, delta)
     g, gram = _moment_gram(values, whitened, cluster_labels)
     outer = scales[:, :, None, None, None] * scales[:, None, None, :, None]
     objectives, notes = _objectives_block(thetas, g * scales[..., None], gram * outer)
-    return objectives, notes, delta, first_failures(failures, singular, unscaled)
+    return objectives, notes, delta, failures
+
+
+def _objective_at(
+    theta: np.ndarray,
+    errors: np.ndarray,
+    instruments: np.ndarray,
+    kernel: Kernel | None,
+) -> tuple[np.ndarray, list[list[str | None]], list]:
+    """S_T at one theta (3,) for each dataset of a block, as _objective_rows
+    scores it, from the combined row sum_r theta_r c_r v_r alone: its moment
+    sums and k x k Gram are g(theta) and Sigma(theta), so no Gram of all
+    three rows is formed. Every row scale is still checked. Returns the
+    (B,) objectives, their notes (one per dataset) and the failures, as
+    _objective_rows does; the objectives agree with it to rounding (1e-12
+    relative), not bit for bit.
+
+    The coverage experiments score with this, not _objective_rows at one
+    row: the (B, 3k, T) product there is 3 MB per block at T = 500, k = 2,
+    and freeing and refaulting it on both threads made a Monte Carlo cycle
+    about 9% slower (BENCH_mc_memory.json)."""
+    values, whitened, scales, _, failures = _scaled_rows(errors, instruments, kernel)
+    combined = np.einsum("bn,bnt->bt", theta * scales, values)
+    g, gram = _moment_gram(combined[:, None], whitened)
+    objectives, notes = _objectives_block(np.ones((1, 1)), g, gram)
+    return objectives[:, 0], notes, failures
 
 
 def gmm_objective(
@@ -201,8 +244,7 @@ def gmm_objective(
     if delta is not None:
         _check_bandwidth(delta)
     ((s,),), ((note,),), _, failures = _objective_rows(
-        thetas, forecast_errors(dataset)[None], dataset.instruments[None], kernel,
-        delta, dataset.cluster_labels)
+        thetas, *_one_block(dataset), kernel, delta, dataset.cluster_labels)
     raise_row_failure(failures)
     if note is not None:
         raise SingularMatrixError(note)
@@ -308,8 +350,7 @@ def confidence_set(
     _check_instrument_count(dataset.n_instruments, dataset.n_obs, "a confidence set")
     k = dataset.n_instruments
     (objectives,), (notes,), (bandwidth,), failures = _objective_rows(
-        thetas, forecast_errors(dataset)[None], dataset.instruments[None], kernel,
-        delta, dataset.cluster_labels)
+        thetas, *_one_block(dataset), kernel, delta, dataset.cluster_labels)
     raise_row_failure(failures)
     thresholds = np.array([chi_square_quantile(k, 1.0 - a) for a in alpha_levels])
     # a singular point has a NaN objective, so a NaN p-value, and fails

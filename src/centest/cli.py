@@ -248,8 +248,8 @@ def _cmd_simulate(args) -> int:
     if args.out_dataset:  # replication 0, as the experiment scores it
         (y,), (x,), (h,) = _replication_maker(
             config, beta, instrument_set, **distortion)(range(1))
-        names = ["const", "xinst", "extra"][: h.shape[1]]
-        dataio.write_dataset_csv(ForecastDataset(y, x, h), args.out_dataset, names)
+        names = ["const", "xinst", "extra"][: h.shape[0]]
+        dataio.write_dataset_csv(ForecastDataset(y, x, h.T), args.out_dataset, names)
     kernel = KERNELS.get(args.kernel)
     if args.experiment == "coverage":
         report = run_coverage_experiment(

@@ -623,8 +623,16 @@ def grid_to_csv(grid: ConfidenceSetGrid) -> str:
         row, theta[0::3], theta[1::3], theta[2::3],
         map(_fmt_data, grid.objective.tolist()), map(_fmt_data, grid.p_value.tolist()),
         *(map(("0", "1").__getitem__, flags) for flags in grid.member.tolist()),
-        _notes_text(grid, str, ""))]
+        _notes_text(grid, _csv_field, ""))]
     return "\n".join(lines) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted by csv's QUOTE_MINIMAL rules: a
+    note holding a comma, a quote or a line break stays one field."""
+    line = io.StringIO()
+    csv.writer(line).writerow([text])
+    return line.getvalue()[:-2]  # the writer's "\r\n" line end
 
 
 def _triangle_vertices() -> dict[str, tuple[float, float]]:

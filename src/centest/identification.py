@@ -84,7 +84,7 @@ class ForecastDataset:
         elif instruments.ndim != 2 or instruments.shape[0] != realizations.size:
             raise ValueError(f"instruments must have shape (T, k) with T = "
                              f"{realizations.size}, got shape {instruments.shape}")
-        _check_aligned(realizations, forecasts, instruments)
+        _check_aligned(realizations, forecasts, instruments.T)
         arrays["instruments"] = instruments
         labels = arrays.get("cluster_labels")
         if labels is not None and labels.size != realizations.size:
@@ -120,17 +120,17 @@ class ForecastDataset:
 
 def _check_aligned(realizations, forecasts, instruments) -> None:
     """The length and finiteness checks every dataset passes, for one
-    dataset ((T,) outcomes and forecasts, (T, k) instruments) or for every
-    row of a block ((B, T) and (B, T, k))."""
+    dataset ((T,) outcomes and forecasts, (k, T) instruments, a row per
+    instrument) or for every row of a block ((B, T) and (B, k, T))."""
     t = realizations.shape[-1]
     if t < 2:
         raise ValueError(f"need at least 2 observations, got {t}")
-    if forecasts.shape[-1] != t or instruments.shape[-2] != t:
+    if forecasts.shape[-1] != t or instruments.shape[-1] != t:
         raise ValueError(
             "realizations, forecasts and instruments must share length "
-            f"(got {t}, {forecasts.shape[-1]}, {instruments.shape[-2]})"
+            f"(got {t}, {forecasts.shape[-1]}, {instruments.shape[-1]})"
         )
-    if instruments.shape[-1] < 1:
+    if instruments.shape[-2] < 1:
         raise ValueError("need at least one instrument column")
     for name, values in (
         ("realizations", realizations),
@@ -144,6 +144,13 @@ def _check_aligned(realizations, forecasts, instruments) -> None:
 def forecast_errors(dataset: ForecastDataset) -> np.ndarray:
     """eps_t = X_t - Y_{t+1}, the mean identification value itself."""
     return dataset.forecasts - dataset.realizations
+
+
+def _one_block(dataset: ForecastDataset) -> tuple[np.ndarray, np.ndarray]:
+    """A dataset as the block kernels take a block of one: its forecast
+    errors (1, T) and its instruments as rows (1, k, T), a transposed view
+    that _whiten copies into the Monte Carlo blocks' contiguous layout."""
+    return forecast_errors(dataset)[None], dataset.instruments.T[None]
 
 
 def identification_values(
@@ -207,14 +214,17 @@ def _identification_matrix(errors, delta, kernel) -> np.ndarray:
 
 
 def _whiten(instruments: np.ndarray) -> tuple[np.ndarray, tuple, list]:
-    """G h_t as the columns of a (B, k, T) array for instruments (B, T, k), G =
-    [(1/T) sum h h']^{-1/2}; the eigenpairs (lam, q) of (1/T) sum h h'; and per
-    dataset None or the SingularMatrixError of one below the floor (lam = 1)."""
-    h_columns = np.ascontiguousarray(np.swapaxes(instruments, 1, 2))
+    """G h_t for instruments h_t, both the columns of (B, k, T) arrays,
+    G = [(1/T) sum h h']^{-1/2}; the eigenpairs (lam, q) of (1/T) sum h h';
+    and per dataset None or the SingularMatrixError of one below the floor
+    (lam = 1)."""
+    # the Monte Carlo blocks' rows are contiguous already; a dataset's are a
+    # transposed view, copied here once, so the sums below run in one layout
+    h = np.ascontiguousarray(instruments)
     # einsum, not matmul: threaded OpenBLAS products here slow the Monte Carlo threads
-    moments = np.einsum("bkt,blt->bkl", h_columns, h_columns) / instruments.shape[1]
+    moments = np.einsum("bkt,blt->bkl", h, h) / h.shape[2]
     whitener, eigenpairs, failures = _whitener(moments)
-    return np.einsum("bkl,blt->bkt", whitener, h_columns), eigenpairs, failures
+    return np.einsum("bkl,blt->bkt", whitener, h), eigenpairs, failures
 
 
 def _whitener(moments: np.ndarray) -> tuple[np.ndarray, tuple, list]:

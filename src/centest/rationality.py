@@ -16,8 +16,9 @@ scans, where the row scale c_r cancels, so a test scores the whitened moment
 sums and Gram of its own row (identification._moment_gram) as S_T does, and
 Omega = G^{-1} Gram G^{-1} in the caller's coordinates. The block kernel
 _tests_block scores one functional on many datasets of equal length at once
-(the Monte Carlo harness passes a block of replications);
-instrument_moment_test and mode_test are its one-row case.
+(the Monte Carlo harness passes a block of replications and reads the
+p-values alone); instrument_moment_test and mode_test are its one-row case,
+and only they form a TestResult and its covariance.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .identification import (
     _check_bandwidth,
     _check_instrument_count,
     _moment_gram,
+    _one_block,
     _values,
     _whiten,
-    forecast_errors,
 )
 from .numerics import Kernel, chi_square_sf
 
@@ -92,10 +93,16 @@ def mode_test(
 def _one_row(kind: Functional, dataset: ForecastDataset, kernel,
              delta=None) -> TestResult:
     _check_instrument_count(dataset.n_instruments, dataset.n_obs, "a test")
-    (result,), failures = _tests_block(
-        kind, forecast_errors(dataset)[None], dataset.instruments[None], kernel, delta)
+    statistics, p_values, bandwidths, failures, (lam, q), grams = _tests_block(
+        kind, *_one_block(dataset), kernel, delta)
     raise_row_failure(failures)
-    return result
+    # Omega = G^{-1} Gram G^{-1}, with G^{-1} = q lam^{1/2} q'
+    root = (q * np.sqrt(lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return TestResult(
+        statistic=float(statistics[0]), df=dataset.n_instruments,
+        p_value=float(p_values[0]), functional=kind,
+        bandwidth=None if bandwidths is None else float(bandwidths[0]),
+        covariance=(root @ grams @ root)[0])
 
 
 def _tests_block(
@@ -104,38 +111,32 @@ def _tests_block(
     instruments: np.ndarray,
     kernel: Kernel | None,
     delta: float | None = None,
-) -> tuple[list[TestResult | None], list]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list, tuple, np.ndarray]:
     """Tests of one functional on a block of datasets: errors (B, T),
-    instruments (B, T, k).
+    instruments (B, k, T).
 
     For the mode, each dataset gets its own rule-of-thumb bandwidth unless
     ``delta`` is given; mean and median use neither ``delta`` nor
-    ``kernel``. Returns the TestResults and, per dataset, None or the
+    ``kernel``. Returns the (B,) statistics and p-values; the (B,) mode
+    bandwidths (None for the mean and median); per dataset None or the
     exception the one-row test raises on it, in that test's order: the mode
     bandwidth's DegenerateErrors (zero MAD, then zero sd), then the
     SingularMatrixError of the instrument whitener, then of the covariance's
-    eigenvalue floor in the whitened basis. A failed dataset's result is None
-    and leaves the others unchanged.
+    eigenvalue floor in the whitened basis; and the whitener's eigenpairs
+    (lam, q) with the (B, k, k) Grams of the whitened rows, from which
+    _one_row forms a test's covariance. A failed dataset's statistic and
+    p-value are placeholders (NaN at a floored covariance) and leave the
+    others unchanged.
     """
-    b, _, k = instruments.shape
-    bandwidths, failures = [None] * b, [None] * b
+    b, k, _ = instruments.shape
+    bandwidths, failures = None, [None] * b
     if kind is Functional.MODE:
-        delta, failures = _block_bandwidths(errors, delta)
-        bandwidths, delta = delta.tolist(), delta[:, None]
-    whitened, (lam, q), singular = _whiten(instruments)
+        bandwidths, failures = _block_bandwidths(errors, delta)
+        delta = bandwidths[:, None]
+    whitened, eigenpairs, singular = _whiten(instruments)
     g, gram = _moment_gram(_values(kind, errors, delta, kernel)[:, None], whitened)
     statistics, notes = _objectives_block(np.ones((1, 1)), g, gram)
     floored = [None if note is None else SingularMatrixError(note) for (note,) in notes]
     failures = first_failures(failures, singular, floored)
-    root = (q * np.sqrt(lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
-    covariances = root @ gram[:, 0, :, 0, :] @ root
-    p_values = chi_square_sf(k, statistics[:, 0])
-    tests = [
-        None if failure is not None else TestResult(
-            statistic=s, df=k, p_value=p, functional=kind,
-            bandwidth=bandwidth, covariance=omega)
-        for s, p, bandwidth, omega, failure in zip(
-            statistics[:, 0].tolist(), p_values.tolist(), bandwidths, covariances,
-            failures)
-    ]
-    return tests, failures
+    return (statistics[:, 0], chi_square_sf(k, statistics[:, 0]), bandwidths, failures,
+            eigenpairs, gram[:, 0, :, 0, :])

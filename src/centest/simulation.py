@@ -20,38 +20,44 @@ normals, then the innovations' (one standard normal per innovation, or two
 under skewness). One call gives the same numbers as consecutive calls, so
 a path is bitwise the same whatever block it was made in, and a single
 path is the one-row case of the same kernel. The cross-section covariates
-are filled a column at a time from every third normal of a row. The GARCH
-variance recursion is solved in closed form per span of 128 steps, from
-cumulative products and sums across the block (see _garch_sigma), and the AR
-recursion by one scaled cumulative sum per span of 512 steps (see
-_ar_filter): neither takes a Python step per time step. Forecasts and
-instruments are formed for the whole block from its arrays. A block holds
-two or three (B, burn_in + T + 2) arrays for the time-series DGPs and
-about seven (B, T) arrays' worth for the cross-section ones (four
-covariate columns among them), and its draws while it is made: at B = 128,
-T = 500 and burn_in = 1000 that is 3.6 to 5.1 MB, peaking below 8 MB.
+are filled a column at a time from every third normal of a row. The
+time-series recursions run in pieces of 128 steps on span-sized buffers
+(see _recursions): the GARCH variances in closed form per span of 128
+steps, from cumulative products and sums across the block, and the AR
+levels by one scaled cumulative sum per span of 512 steps; neither takes a
+Python step per time step. The burn-in lives only in those buffers, and the
+skew variates the experiments read are written over the draws they spent.
+Forecasts and instruments are formed for the whole block from its arrays.
+At B = 128, T = 500 and burn_in = 1000 a time-series block holds its draws
+and its windows, 2.6 to 4.6 MB, and peaks below 5 MB; a cross-section block
+holds about seven (B, T) arrays' worth (four covariate columns among them),
+3.6 to 5.1 MB with its draws, and peaks below 6.3 MB while it is made.
 
 With two or more usable cores the experiments and both passes of implied
 theta run their blocks on two threads (see _map_blocks): the caller takes
 the even blocks, the helper the odd ones, each straight through, joined
 once; either exception stops the other after its current block. Two blocks
 are live at once, whatever the replication count; implied theta also keeps
-its pooled errors and instruments, (k + 1) draws T floats, and a few small
-sums per replication. Results come back in block order and a block is the
-range of its replication indices, so the reports do not depend on the
-threads. On one core the caller runs every block.
+its pooled errors and the instruments beside the constant, k draws T
+floats, and a few small sums per replication. Results come back in block
+order and a block is the range of its replication indices, so the reports
+do not depend on the threads. On one core the caller runs every block.
 
-Each block is also scored in one pass, by the block kernels of the mode
-test (rationality._tests_block) and of S_T (central_tendency._objective_rows),
-whose one-row case are the single-dataset functions. Both read one Gram
-of each replication's whitened rows (identification._moment_gram): S_T of
-all three, the mode test of its own row alone. A block kernel returns
-its results and, per replication, None or the exception the single-dataset
-function would raise on it, found by the same checks in the same order; a
-failed replication gets finite placeholder values, so it neither warns nor
-changes the others, and the replication loop counts it by exception name.
-The coverage experiments add one rule: the first singular Sigma(theta)
-fails the replication.
+Each block's instruments are built as rows, (B, k, T), the layout the
+whitener reads. The block is scored in one pass, by the block kernels of
+the mode test (rationality._tests_block, whose p-values alone the size
+experiments read) and of S_T (central_tendency._objective_rows over the
+grid, _objective_at at the coverage experiment's one theta), whose one-row
+case are the single-dataset functions. Each reads one Gram of each
+replication's whitened rows (identification._moment_gram): the grid all
+three rows', the mode test its own row's, and _objective_at the row that
+combines the three at theta. A block kernel returns its results and, per
+replication, None or the exception the single-dataset function would raise
+on it, found by the same checks in the same order; a failed replication
+gets finite placeholder values, so it neither warns nor changes the others,
+and the replication loop counts it by exception name. The coverage
+experiments add one rule: the first singular Sigma(theta) fails the
+replication.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ from .central_tendency import (
     MEAN_VERTEX,
     MODE_VERTEX,
     _check_resolution,
+    _objective_at,
     _objective_rows,
     _theta_array,
     simplex_grid,
@@ -110,10 +117,11 @@ MAX_MOMENT_SKEWNESS = float(
 # block so that it never shares draws with the evaluation replications.
 _IMPLIED_THETA_BASE = 1 << 40
 
-# Paths simulated together. A block's arrays hold _CHUNK * (burn_in + T + 2)
-# values each. The caller takes the even blocks, the helper the odd ones, each
-# straight through, joined once; either exception stops the other after its
-# current block. Memory is two blocks' worth, whatever the replication count.
+# Paths simulated together. A block's arrays hold at most _CHUNK * (T + 2)
+# values each beside its draws, its span buffers _CHUNK * 129. The caller takes
+# the even blocks, the helper the odd ones, each straight through, joined
+# once; either exception stops the other after its current block. Memory is
+# two blocks' worth, whatever the replication count.
 _CHUNK = 128
 
 _T = TypeVar("_T")
@@ -133,13 +141,14 @@ _CROSS_SECTION_SDS = np.array([0.0, 1.0, 1.0, np.sqrt(0.1)])
 _CROSS_SECTION_ZETA = np.array([1.0, 1.0, 1.0, 1.0])
 _AR_COEF = 0.5
 _GARCH_CONST, _GARCH_PERSIST, _GARCH_ARCH = 0.1, 0.8, 0.1
-# _ar_filter scales a span of at most _AR_SPAN steps up by 2**j and back by
-# 2**-j: the largest factor, 2**511, leaves room below overflow for any
-# innovation path the DGPs draw.
+# _recursions scales an AR span of at most _AR_SPAN steps up by 2**j and back
+# by 2**-j: the largest factor, 2**511, leaves room below overflow for any
+# innovation path the DGPs draw. Its pieces of _GARCH_SPAN steps never cross
+# an AR span's edge, since _GARCH_SPAN divides _AR_SPAN.
 _AR_SPAN = 512
 _AR_UP = np.ldexp(1.0, np.arange(_AR_SPAN))
 _AR_DOWN = np.ldexp(1.0, -np.arange(_AR_SPAN))
-# _garch_sigma solves at most _GARCH_SPAN variance steps per span: the span's
+# _garch_span solves at most _GARCH_SPAN variance steps per span: the span's
 # cumulative products of q stay finite for any draws (see there).
 _GARCH_SPAN = 128
 
@@ -235,9 +244,23 @@ def _skew_normal_variates(spec: SkewNormalSpec, u: np.ndarray) -> np.ndarray:
     if spec.shape == 0.0:
         return u
     n = u.shape[-1] // 2
+    shape = u.shape[:-1] + (n,)
+    return _skew_into(spec, u[..., :n], u[..., n:], np.empty(shape), np.empty(shape))
+
+
+def _skew_into(spec: SkewNormalSpec, u1: np.ndarray, u2: np.ndarray, out: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+    """``out`` = delta |U1| + sqrt(1 - delta^2) U2, shifted and scaled to
+    the standardized variates, of the normals U1 (u1) and U2 (u2), with
+    ``scratch`` of their shape as work space."""
     d = spec.shape / np.sqrt(1.0 + spec.shape ** 2)
-    raw = d * np.abs(u[..., :n]) + np.sqrt(1.0 - d * d) * u[..., n:]
-    return (raw - spec.center) / spec.spread
+    np.abs(u1, out=out)
+    out *= d
+    np.multiply(u2, np.sqrt(1.0 - d * d), out=scratch)
+    out += scratch
+    out -= spec.center
+    out /= spec.spread
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -402,90 +425,131 @@ def _cross_section_block(
 def _time_series_block(
     config: DgpConfig, spec: SkewNormalSpec, streams: list[RandomStream]
 ) -> SimulatedPath:
-    """AR(1) or AR(1)-GARCH(1,1) paths, one row per stream."""
+    """AR(1) or AR(1)-GARCH(1,1) paths, one row per stream.
+
+    Of the n = burn_in + T + 2 steps the experiments read the last T + 2
+    levels y and the last T variances and innovations; the burn-in steps
+    live only in the span buffers of _recursions. The innovations are left
+    in the draws they consumed.
+    """
     t, b = config.n_obs, config.burn_in
-    n = b + t + 2
-    xi = _skew_normal_variates(spec, standard_normal_rows(streams, _normal_count(spec, n)))
-    if config.dgp is Dgp.AR1:
-        sig, shocks = np.broadcast_to(1.0, xi.shape), xi
-    else:
-        sig = _garch_sigma(xi)
-        shocks = sig * xi
-    # y_i = shocks_i + 0.5 y_{i-1} from y_{-1} = 0, across the block at once
-    y = _ar_filter(shocks)
+    draws = standard_normal_rows(streams, _normal_count(spec, b + t + 2))
+    y, sig = _recursions(draws, spec, config.dgp is Dgp.AR_GARCH, b)
     return SimulatedPath(
-        realizations=y[:, b + 2:],
-        cond_loc=_AR_COEF * y[:, b + 1: b + t + 1],
-        sigma_next=sig[:, b + 2:],
-        innovations=xi[:, b + 2:],
-        covariates=y[:, b + 1: b + t + 1, None],
-        extra_instrument=y[:, b: b + t],
+        realizations=y[:, 2:],
+        cond_loc=_AR_COEF * y[:, 1:t + 1],
+        sigma_next=np.broadcast_to(1.0, (len(streams), t)) if sig is None else sig,
+        innovations=draws[:, b + 2:b + t + 2],
+        covariates=y[:, 1:t + 1, None],
+        extra_instrument=y[:, :t],
     )
 
 
-def _ar_filter(x: np.ndarray) -> np.ndarray:
-    """The AR(1) recursion y_i = x_i + 0.5 y_{i-1}, y_{-1} = 0, along each
-    row of x (B, n): bitwise what scipy's ``lfilter([1], [1, -0.5], x,
-    axis=1)`` returns, unless a value overflows or becomes subnormal.
+def _recursions(
+    draws: np.ndarray, spec: SkewNormalSpec, garch: bool, first: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The levels y_i = sigma_i xi_i + 0.5 y_{i-1}, y_{-1} = 0, of the n
+    innovations a block's draws (B, _normal_count(spec, n)) make, with
+    sigma_i = 1 for AR(1) and from the GARCH(1,1) recursion s2' = c + q s2,
+    q = p + a xi^2, from s2_0 = 1 otherwise. Returns y from step ``first``
+    on and, under GARCH, sigma from step first + 2 on (else None); under
+    skewness xi from step first + 2 on is written over the spent U1 draws.
 
-    In spans of up to _AR_SPAN steps from s, y_{s+j} 2**j is the cumulative
-    sum of x_{s+j} 2**j with its first term fl(x_s + 0.5 y_{s-1}). The
-    coefficient 0.5 makes every scale a power of two, and scaling by a power
-    of two commutes with rounding, so each partial sum is the
-    recursion's rounded value times 2**j, and scaling back is exact. The
-    first term of the first span gets ``+ 0.0``, so a -0.0 shock gives
-    +0.0, as lfilter's.
+    The steps run in pieces of _GARCH_SPAN, each in whole-block calls on
+    span-sized buffers, with the carries between pieces:
+
+    - the skew variates of a piece, from its U1 and U2 (_skew_into);
+    - the GARCH variances, solved in closed form per span (_garch_span);
+    - the AR levels, by a scaled cumulative sum per span of _AR_SPAN steps.
+      From a span start s, y_{s+j} 2**j is the cumulative sum of
+      x_{s+j} 2**j (x = sigma xi) with its first term fl(x_s + 0.5
+      y_{s-1}); the coefficient 0.5 makes every scale a power of two, and
+      scaling by a power of two commutes with rounding, so each partial sum
+      is the recursion's rounded value times 2**j and scaling back is
+      exact: bitwise what scipy's ``lfilter([1], [1, -0.5], x, axis=1)``
+      returns, unless a value overflows or becomes subnormal. A span's
+      pieces continue one cumulative sum, and the first term of the first
+      span gets ``+ 0.0``, so a -0.0 shock gives +0.0, as lfilter's.
+
+    Cumulative products and sums run along each row on their own, so a
+    row's values do not depend on the other rows and a single path is the
+    one-row case.
     """
-    y = np.empty_like(x)
-    n = x.shape[1]
-    for s in range(0, n, _AR_SPAN):
-        w = min(_AR_SPAN, n - s)
-        span = x[:, s:s + w] * _AR_UP[:w]
-        span[:, 0] = x[:, s] + _AR_COEF * y[:, s - 1] if s else x[:, 0] + 0.0
-        np.cumsum(span, axis=1, out=span)
-        np.multiply(span, _AR_DOWN[:w], out=y[:, s:s + w])
-    return y
+    rows = draws.shape[0]
+    skewed = spec.shape != 0.0
+    n = draws.shape[1] // 2 if skewed else draws.shape[1]
+    y = np.empty((rows, n - first))
+    sig = np.empty((rows, n - first - 2)) if garch else None
+    # work: the skew scratch, the GARCH sums, then the scaled shocks' sums
+    work, xi = np.empty((rows, _GARCH_SPAN)), np.empty((rows, _GARCH_SPAN))
+    if garch:
+        s2, prod = np.empty((rows, _GARCH_SPAN + 1)), np.empty((rows, _GARCH_SPAN))
+        s2[:, 0] = 1.0
+    total = None  # the AR span's cumulative sum so far, at the last scale
+    for s in range(0, n, _GARCH_SPAN):
+        w = min(_GARCH_SPAN, n - s)
+        lo = max(s, first + 2)  # the piece's first step in the xi and sigma windows
+        shocks = work[:, :w]
+        if skewed:
+            x = _skew_into(spec, draws[:, s:s + w], draws[:, n + s:n + s + w],
+                           xi[:, :w], shocks)
+            if lo < s + w:
+                draws[:, lo:s + w] = x[:, lo - s:]
+        else:
+            x = draws[:, s:s + w]
+        if garch:
+            steps = min(w, n - 1 - s)
+            _garch_span(x[:, :steps], s2[:, :steps + 1], prod[:, :steps],
+                        shocks[:, :steps])
+            sigma = np.sqrt(s2[:, :w], out=s2[:, :w])
+            if lo < s + w:
+                sig[:, lo - first - 2:s + w - first - 2] = sigma[:, lo - s:]
+            np.multiply(sigma, x, out=shocks)
+            s2[:, 0] = s2[:, w]  # the next piece's first variance (unused after the last)
+        j = s % _AR_SPAN
+        np.multiply(shocks if garch else x, _AR_UP[j:j + w], out=shocks)
+        if j:
+            shocks[:, 0] += total
+        elif s:
+            shocks[:, 0] += _AR_COEF * (total * _AR_DOWN[_AR_SPAN - 1])
+        else:
+            shocks[:, 0] += 0.0
+        np.cumsum(shocks, axis=1, out=shocks)
+        total = shocks[:, w - 1].copy()
+        lo = max(s, first)  # and in the y window
+        if lo < s + w:
+            np.multiply(shocks[:, lo - s:], _AR_DOWN[j + lo - s:j + w],
+                        out=y[:, lo - first:s + w - first])
+    return y, sig
 
 
-def _garch_sigma(xi: np.ndarray) -> np.ndarray:
-    """Conditional standard deviations of the GARCH(1,1) recursion
-    s2' = c + q s2, q = p + a xi^2, for each row of innovations (B, n),
-    starting from the unconditional variance of 1.
+def _garch_span(x: np.ndarray, s2: np.ndarray, prod: np.ndarray,
+                total: np.ndarray) -> None:
+    """The GARCH(1,1) variances s2[:, 1:] of one span of innovations x (B,
+    w), w <= _GARCH_SPAN, from the variances s2[:, 0] before it; ``prod``
+    and ``total`` (B, w) are work space. With P_j the cumulative product of
+    q over the span's first j + 1 steps,
 
-    The recursion runs in spans of up to _GARCH_SPAN steps, each in
-    whole-block calls. From step s, with P_j the cumulative product of q
-    over the span's first j + 1 steps,
-
-        s2_{s+j+1} = P_j (s2_s + c sum_{m<=j} 1 / P_m).
+        s2_{j+1} = P_j (s2_0 + c sum_{m<=j} 1 / P_m).
 
     Every q lies in [0.8, 113] for any draw numpy can make (the ziggurat's
     normals stay within 13.7, so |xi| <= 33.5), so a span's products stay
     between 0.8**128 > 1e-12 and 113**128 < 1.8e308, and every term is
     finite and normal. The values agree with the step-by-step recursion to
     rounding (1e-14 relative); beyond that they can differ only where a
-    variance comes within a factor of 10 of overflow. Cumulative products
-    and sums run along each row on their own, so a row's values do not
-    depend on the other rows and a single path is the one-row case.
+    variance comes within a factor of 10 of overflow.
     """
-    rows, n = xi.shape
-    s2 = np.empty((rows, n))
-    s2[:, 0] = 1.0
-    prods, sums = np.empty((rows, _GARCH_SPAN)), np.empty((rows, _GARCH_SPAN))
-    for s in range(0, n - 1, _GARCH_SPAN):
-        w = min(_GARCH_SPAN, n - 1 - s)
-        prod, total, following = prods[:, :w], sums[:, :w], s2[:, s + 1:s + 1 + w]
-        x = xi[:, s:s + w]
-        np.multiply(x, x, out=total)
-        total *= _GARCH_ARCH
-        total += _GARCH_PERSIST
-        np.cumprod(total, axis=1, out=prod)
-        # the span's next variances serve as scratch for 1 / P until the end
-        np.reciprocal(prod, out=following)
-        np.cumsum(following, axis=1, out=total)
-        total *= _GARCH_CONST
-        total += s2[:, s:s + 1]
-        np.multiply(prod, total, out=following)
-    return np.sqrt(s2, out=s2)
+    following = s2[:, 1:]
+    np.multiply(x, x, out=total)
+    total *= _GARCH_ARCH
+    total += _GARCH_PERSIST
+    np.cumprod(total, axis=1, out=prod)
+    # the span's next variances serve as scratch for 1 / P until the end
+    np.reciprocal(prod, out=following)
+    np.cumsum(following, axis=1, out=total)
+    total *= _GARCH_CONST
+    total += s2[:, :1]
+    np.multiply(prod, total, out=following)
 
 
 def optimal_forecasts(path: SimulatedPath, config: DgpConfig, beta) -> np.ndarray:
@@ -533,14 +597,20 @@ def build_instruments(
 ) -> np.ndarray:
     """The first k of (1, X, extra) for each observation of a path or a
     block, of shape forecasts.shape + (k,)."""
-    forecasts = np.asarray(forecasts, dtype=float)
-    k = int(InstrumentSet(instrument_set))
-    out = np.empty(forecasts.shape + (k,))
-    out[..., 0] = 1.0
+    rows = _instrument_rows(path, np.asarray(forecasts, dtype=float),
+                            int(InstrumentSet(instrument_set)))
+    return np.ascontiguousarray(np.moveaxis(rows, -2, -1))
+
+
+def _instrument_rows(path: SimulatedPath, forecasts: np.ndarray, k: int) -> np.ndarray:
+    """build_instruments' values as rows, (..., k, T) for forecasts (..., T):
+    the layout the block kernels whiten."""
+    out = np.empty(forecasts.shape[:-1] + (k, forecasts.shape[-1]))
+    out[..., 0, :] = 1.0
     if k > 1:
-        out[..., 1] = forecasts
+        out[..., 1, :] = forecasts
     if k > 2:
-        out[..., 2] = path.extra_instrument
+        out[..., 2, :] = path.extra_instrument
     return out
 
 
@@ -550,7 +620,7 @@ def _replication_maker(
     path_stream: Callable[[int], int] = lambda r: 2 * r,
 ) -> Callable[[range], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``rows -> (realizations, forecasts, instruments)`` for a block of
-    replications, of shapes (B, T), (B, T) and (B, T, k).
+    replications, of shapes (B, T), (B, T) and (B, k, T).
 
     Replication r simulates its path from stream ``path_stream(r)``, forms
     the beta forecasts, distorts them with noise from stream 2r + 1 when
@@ -569,7 +639,7 @@ def _replication_maker(
                                   RandomStream(config.seed, 2 * r + 1))
                 for r, xj in zip(rows, x)
             ])
-        instruments = build_instruments(block, x, instrument_set)
+        instruments = _instrument_rows(block, x, int(instrument_set))
         _check_aligned(block.realizations, x, instruments)
         return block.realizations, x, instruments
 
@@ -669,13 +739,14 @@ def implied_theta(
     config.n_obs, in two passes over blocks of them (_map_blocks):
 
     - the first simulates each block and keeps its forecast errors (draws,
-      T) and instruments (draws, k, T), the only pooled arrays: (k + 1)
-      draws T floats, 12 MB at draws = 1000, T = 500 and k = 2. The
-      rule-of-thumb bandwidth of the pooled errors, evaluated at the config
-      sample size, then fixes delta;
-    - the second takes each block's identification values at delta and
-      keeps per replication sum v_r h and the means of v_r^2 h h', h h' and
-      v_r^2. The values and their products exist one block at a time.
+      T) and its instruments beside the constant row (draws, k - 1, T), the
+      only pooled arrays: k draws T floats, 8 MB at draws = 1000, T = 500
+      and k = 2. The rule-of-thumb bandwidth of the pooled errors,
+      evaluated at the config sample size, then fixes delta;
+    - the second rebuilds each block's instruments (B, k, T), takes its
+      identification values at delta and keeps per replication sum v_r h
+      and the means of v_r^2 h h', h h' and v_r^2. The instruments, values
+      and their products exist one block at a time.
 
     The per-replication sums, reduced once in replication order, give the
     pooled whitener G = M^{-1/2}, the row scales c_r (with tr_r = <M^{-1},
@@ -704,13 +775,15 @@ def implied_theta(
                               path_stream=lambda r: _IMPLIED_THETA_BASE + r)
     k, t = int(instrument_set), config.n_obs
     errors = np.empty((draws, t))
-    instruments = np.empty((draws, k, t))
+    # row 0 of every replication's instruments is the constant, so the pool
+    # keeps the other k - 1
+    instruments = np.empty((draws, k - 1, t))
 
     def pool(rows: range) -> None:
         block = slice(rows.start, rows.stop)
         y, x, h = make(rows)
         np.subtract(x, y, out=errors[block])
-        instruments[block] = np.swapaxes(h, 1, 2)
+        instruments[block] = h[:, 1:]
 
     _map_blocks(pool, draws)
     delta = bandwidth_rule_of_thumb(errors.reshape(-1), n_obs=t).delta
@@ -720,7 +793,9 @@ def implied_theta(
         the means of v_r^2 h h', h h' and v_r^2."""
         block = slice(rows.start, rows.stop)
         values = _identification_matrix(errors[block], delta, kernel)
-        h = instruments[block]
+        h = np.empty((len(rows), k, t))
+        h[:, 0] = 1.0
+        h[:, 1:] = instruments[block]
         g, gram = _moment_gram(values, h)
         return (g, np.einsum("brkrl->brkl", gram),
                 np.einsum("bkt,blt->bkl", h, h) / t,
@@ -897,9 +972,9 @@ def run_size_experiment(
         else "a power experiment")
 
     def rejects(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
-        tests, failures = _tests_block(Functional.MODE, errors, instruments, kernel)
-        return [None if test is None else test.p_value < nominal_alpha
-                for test in tests], failures
+        _, p_values, _, failures, *_ = _tests_block(
+            Functional.MODE, errors, instruments, kernel)
+        return (p_values < nominal_alpha).tolist(), failures
 
     return _report(
         "size" if distortion is None else "power", config, instrument_set,
@@ -947,13 +1022,9 @@ def run_coverage_experiment(
     # the instrument set's value is its column count k
     quantile = chi_square_quantile(int(instrument_set), level)
 
-    theta_row = theta[None]
-
     def covers(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
-        objectives, notes, _, failures = _objective_rows(
-            theta_row, errors, instruments, kernel)
-        return ((objectives[:, 0] <= quantile).tolist(),
-                _replication_failures(notes, failures))
+        objectives, notes, failures = _objective_at(theta, errors, instruments, kernel)
+        return (objectives <= quantile).tolist(), _replication_failures(notes, failures)
 
     return _report(
         "coverage", config, instrument_set, replications, level,

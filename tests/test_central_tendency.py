@@ -19,12 +19,12 @@ from centest import (
     mode_test,
     run_grid_coverage_experiment,
     sigma_hat,
-    forecast_errors,
     simplex_grid,
 )
 from centest.dataio import grid_to_json
 
 from centest.central_tendency import _lattice, _objective_rows, _theta_array
+from centest.identification import _one_block
 
 from conftest import make_dataset, stacked_rows
 
@@ -369,8 +369,7 @@ class TestConfidenceSet:
         ds = make_dataset(rng, t=90, k=2, skew=0.4, cluster=cluster)
         vertices = np.eye(3)
         objectives, notes, bandwidths, failures = _objective_rows(
-            vertices, forecast_errors(ds)[None], ds.instruments[None], None,
-            cluster_labels=ds.cluster_labels)
+            vertices, *_one_block(ds), None, cluster_labels=ds.cluster_labels)
         assert failures == [None] and notes == [[None] * 3]
         assert [gmm_objective(v, ds) for v in vertices] == objectives[0].tolist()
         grid = confidence_set(ds, m=1)

@@ -13,6 +13,7 @@ numpy 2.4); the writer digests of a stored document hold everywhere.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -210,7 +211,7 @@ def test_singular_points_bytes_match_recorded_digests(tmp_path, case):
 
 def _noted_document():
     """A stored m = 2 scan with three levels: four singular points, whose
-    notes need JSON escapes (the CSV writes them as they are), and two
+    notes need JSON escapes and, two of them, CSV quotes, and two
     scored ones, one outside the 90% set only. df = 2, so each p-value is
     exp(-objective / 2)."""
     notes = [None, 'a "quoted" word', "back\\slash", "two\nlines", "S_T ≥ Q, θ ∉ Θ",
@@ -232,9 +233,10 @@ def _noted_document():
             "n_obs": 10, "points": points}
 
 
+# the CSV digest was recorded again when notes became quoted CSV fields
 GOLDEN_WRITERS = (
     "c116dfd249c22ab77fe4eefa014d78a9420c9f0fb9e29bcaeef802878acf3368",
-    "e1a6d0917551dc6044cf5e6f1cb1684ce51cac563802be1180b64294ac94b39b",
+    "bda16449069c1d04073f29672724dff20aab1bff16414d26145d5a9c82ffe249",
     "0bed6ce3178dca8b68dcd20dbf6b9901bb910a44b1e3e66c163951f956ba926f",
 )
 
@@ -244,3 +246,15 @@ def test_writers_of_a_stored_scan_match_recorded_digests():
     digests = tuple(_sha(writer(grid).encode("utf-8"))
                     for writer in (grid_to_json, grid_to_csv, grid_to_svg))
     assert digests == GOLDEN_WRITERS
+
+
+def test_csv_notes_read_back_as_one_field():
+    # csv reads the stored scan back as its six points, each as wide as the
+    # header, with every note as it was written
+    doc = _noted_document()
+    rows = list(csv.reader(io.StringIO(grid_to_csv(grid_from_dict(doc)), newline="")))
+    header, *points = rows
+    assert len(points) == len(doc["points"])
+    assert {len(row) for row in points} == {len(header)}
+    assert [row[header.index("note")] for row in points] == [
+        point["note"] or "" for point in doc["points"]]

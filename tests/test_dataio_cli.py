@@ -962,7 +962,7 @@ class TestCli:
         (["--experiment", "power", "--distortion", "bias", "--kappa", "0.3"],
          "_tests_block", 1),
         (["--experiment", "coverage", "--beta", "mean-mode", "--draws", "50"],
-         "_objective_rows", 1),
+         "_objective_at", 1),
     ], ids=["size", "power-noise", "power-bias", "coverage"])
     def test_dataset_holds_the_scored_replication(self, tmp_path, monkeypatch, flags,
                                                   scorer, at):
@@ -992,7 +992,8 @@ class TestCli:
         assert np.array_equal(ds.instruments[:, 1], ds.forecasts)
         errors, instruments = scored[0]
         assert (ds.forecasts - ds.realizations).tobytes() == errors.tobytes()
-        assert ds.instruments.tobytes() == instruments.tobytes()
+        # the scorers take instruments as rows (k, T)
+        assert ds.instruments.tobytes() == instruments.T.tobytes()
 
     def test_choices_are_the_library_names(self):
         parser = build_parser()

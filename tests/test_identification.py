@@ -23,6 +23,7 @@ from centest.identification import (
     _check_bandwidth,
     _identification_matrix,
     _moment_gram,
+    _one_block,
     _row_scales,
     _scales,
     _wave_sums,
@@ -37,7 +38,7 @@ def kernel_rows(ds, delta, kernel=None):
     scales c_r, from the kernel's whitener and row scales on a block of one;
     the dataset must not fail."""
     values = _identification_matrix(forecast_errors(ds), delta, kernel)[None]
-    whitened, _, singular = _whiten(ds.instruments[None])
+    whitened, _, singular = _whiten(_one_block(ds)[1])
     scales, unscaled = _row_scales(values, whitened)
     assert singular == unscaled == [None]
     rows = scales[0][:, None, None] * values[0][:, :, None] * whitened[0].T
@@ -256,7 +257,7 @@ class TestWeightingMatrices:
     def test_zero_errors_singular_names_mean(self):
         ds = ForecastDataset([1.0, 2.0], [1.0, 2.0], np.ones((2, 1)))
         *_, (failure,) = _objective_rows(
-            np.eye(3), forecast_errors(ds)[None], ds.instruments[None], None, 1.0)
+            np.eye(3), *_one_block(ds), None, 1.0)
         assert isinstance(failure, SingularMatrixError)
         assert "mean" in str(failure)
 

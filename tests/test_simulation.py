@@ -13,6 +13,7 @@ from scipy.signal import lfilter
 
 from centest import (
     DegenerateErrors,
+    Dgp,
     DgpConfig,
     Distortion,
     ForecastDataset,
@@ -36,16 +37,18 @@ from centest.bandwidth import bandwidth_rule_of_thumb
 from centest.central_tendency import _theta_array
 from centest.dataio import report_to_dict
 from centest.identification import _identification_matrix, _row_scales, _whiten
+from centest.numerics import standard_normal_rows
 from centest.simulation import (
     _AR_SPAN,
     _GARCH_SPAN,
     _IMPLIED_THETA_BASE,
     MAX_MOMENT_SKEWNESS,
     SkewNormalSpec,
-    _ar_filter,
-    _garch_sigma,
     _implied_set,
+    _instrument_rows,
+    _recursions,
     _replication_maker,
+    _simulator,
 )
 
 from conftest import weight_matrices
@@ -68,7 +71,7 @@ def _skew_normal_draws(spec, rng, n):
 def garch_step_loop(xi):
     """GARCH(1,1) standard deviations of each row of xi (B, n), one vector
     step per time step in five ufunc calls from s2 = 1: the reference for
-    _garch_sigma's spans."""
+    garch_sigma's spans."""
     rows, n = xi.shape
     squares = np.multiply(xi.T, xi.T, out=np.empty((n, rows)))
     s2 = np.empty((n, rows))
@@ -82,6 +85,83 @@ def garch_step_loop(xi):
         np.multiply(arch, sq, arch)
         np.add(level, arch, following)
     return np.sqrt(s2, out=s2).T
+
+
+def ar_filter(x):
+    """The AR(1) recursion y_i = x_i + 0.5 y_{i-1}, y_{-1} = 0, along each
+    row of x (B, n), over the whole row: one scaled cumulative sum per span
+    of _AR_SPAN steps, scaled back by powers of two (the arithmetic of the
+    simulators' windowed recursion, kept here as its full-length
+    reference)."""
+    up = np.ldexp(1.0, np.arange(_AR_SPAN))
+    down = np.ldexp(1.0, -np.arange(_AR_SPAN))
+    y = np.empty_like(x)
+    n = x.shape[1]
+    for s in range(0, n, _AR_SPAN):
+        w = min(_AR_SPAN, n - s)
+        span = x[:, s:s + w] * up[:w]
+        span[:, 0] = x[:, s] + 0.5 * y[:, s - 1] if s else x[:, 0] + 0.0
+        np.cumsum(span, axis=1, out=span)
+        np.multiply(span, down[:w], out=y[:, s:s + w])
+    return y
+
+
+def garch_sigma(xi):
+    """GARCH(1,1) standard deviations of each row of innovations xi (B, n)
+    from the unconditional variance of 1, over the whole row: the variances
+    of each span of _GARCH_SPAN steps in closed form from cumulative
+    products and sums (the simulators' windowed recursion's arithmetic,
+    kept here as its full-length reference)."""
+    rows, n = xi.shape
+    s2 = np.empty((rows, n))
+    s2[:, 0] = 1.0
+    for s in range(0, n - 1, _GARCH_SPAN):
+        w = min(_GARCH_SPAN, n - 1 - s)
+        x = xi[:, s:s + w]
+        total = np.multiply(x, x) * 0.1 + 0.8
+        prod = np.cumprod(total, axis=1)
+        following = s2[:, s + 1:s + 1 + w]
+        np.reciprocal(prod, out=following)
+        total = np.cumsum(following, axis=1) * 0.1 + s2[:, s:s + 1]
+        np.multiply(prod, total, out=following)
+    return np.sqrt(s2)
+
+
+def library_recursions(xi, garch):
+    """The simulators' windowed recursion over every step of innovations xi
+    (B, n) given as variates: the levels y of all n steps and, under GARCH,
+    the standard deviations from step 2 on (else None)."""
+    return _recursions(xi.copy(), skew_normal_params(0.0), garch, 0)
+
+
+def time_series_paths(config, streams):
+    """The fields of an AR(1) or AR-GARCH block from full-length arrays:
+    every step's innovations, variances and levels, burn-in included, and
+    the windows the experiments read cut from them at the end."""
+    spec = skew_normal_params(config.skewness)
+    t, b = config.n_obs, config.burn_in
+    n = b + t + 2
+    if spec.shape == 0.0:
+        xi = standard_normal_rows(streams, n)
+    else:
+        u = standard_normal_rows(streams, 2 * n)
+        d = spec.shape / np.sqrt(1.0 + spec.shape ** 2)
+        raw = d * np.abs(u[:, :n]) + np.sqrt(1.0 - d * d) * u[:, n:]
+        xi = (raw - spec.center) / spec.spread
+    if config.dgp is Dgp.AR1:
+        sig, shocks = np.ones_like(xi), xi
+    else:
+        sig = garch_sigma(xi)
+        shocks = sig * xi
+    y = ar_filter(shocks)
+    return {
+        "realizations": y[:, b + 2:],
+        "cond_loc": 0.5 * y[:, b + 1:b + t + 1],
+        "sigma_next": sig[:, b + 2:],
+        "innovations": xi[:, b + 2:],
+        "covariates": y[:, b + 1:b + t + 1, None],
+        "extra_instrument": y[:, b:b + t],
+    }
 
 
 def raw_sn_pdf(shape):
@@ -328,7 +408,13 @@ class TestSimulateDgp:
         spec = skew_normal_params(skewness)
         xi = np.stack([_skew_normal_draws(spec, rng, n) for _ in range(128)])
         expected = garch_step_loop(xi)
-        assert np.max(np.abs(_garch_sigma(xi) - expected) / expected) <= 1e-14
+        assert np.max(np.abs(garch_sigma(xi) - expected) / expected) <= 1e-14
+        if n >= 2:
+            # the library's recursion returns the variances from step 2 on
+            _, sig = library_recursions(xi, True)
+            assert sig.shape == (128, n - 2)
+            assert np.max(np.abs(sig - expected[:, 2:]) / expected[:, 2:],
+                          initial=0.0) <= 1e-14
 
     @pytest.mark.parametrize("rows, n", [(24, 400), (128, 400), (129, 400), (128, 2)])
     def test_garch_row_subsets_match_block(self, rows, n):
@@ -336,12 +422,25 @@ class TestSimulateDgp:
         # first 1, 2 and 23 rows, and each single row, equal the block's rows
         # byte for byte (a full block, one past it, and a single step included)
         xi = RandomStream(13, 2).generator().standard_normal((rows, n))
-        block = _garch_sigma(xi)
+        block = garch_sigma(xi)
         assert block.shape == xi.shape
         for short in (1, 2, 23):
-            assert _garch_sigma(xi[:short]).tobytes() == block[:short].tobytes()
+            assert garch_sigma(xi[:short]).tobytes() == block[:short].tobytes()
         for j in range(rows):
-            assert _garch_sigma(xi[j:j + 1]).tobytes() == block[j:j + 1].tobytes()
+            assert garch_sigma(xi[j:j + 1]).tobytes() == block[j:j + 1].tobytes()
+        # so do the library's levels and variances, and they are the
+        # reference's, cut at step 2
+        y, sig = library_recursions(xi, True)
+        assert sig.tobytes() == block[:, 2:].tobytes()
+        assert y.tobytes() == ar_filter(block * xi).tobytes()
+        for short in (1, 2, 23):
+            y_short, sig_short = library_recursions(xi[:short], True)
+            assert y_short.tobytes() == y[:short].tobytes()
+            assert sig_short.tobytes() == sig[:short].tobytes()
+        for j in range(rows):
+            y_row, sig_row = library_recursions(xi[j:j + 1], True)
+            assert y_row.tobytes() == y[j:j + 1].tobytes()
+            assert sig_row.tobytes() == sig[j:j + 1].tobytes()
 
     @pytest.mark.parametrize("skewness", [0.0, 0.5])
     def test_cross_section_covariates_are_generator_normals(self, skewness):
@@ -504,7 +603,8 @@ GOLDEN_PATHS = {
 
 
 class TestArFilter:
-    """_ar_filter is bitwise lfilter([1], [1, -0.5], x, axis=1)."""
+    """The library's AR(1) levels and the reference ar_filter are both
+    bitwise lfilter([1], [1, -0.5], x, axis=1)."""
 
     @staticmethod
     def shocks(b, n, scale=1.0):
@@ -519,14 +619,18 @@ class TestArFilter:
     def test_equals_lfilter(self, b, n, scale):
         x = self.shocks(b, n, scale)
         expected = lfilter([1.0], [1.0, -0.5], x, axis=1)
-        assert _ar_filter(x).tobytes() == expected.tobytes()
+        assert ar_filter(x).tobytes() == expected.tobytes()
+        y, sig = library_recursions(x, False)
+        assert sig is None
+        assert y.tobytes() == expected.tobytes()
 
     def test_negative_zero_first_shock(self):
         x = self.shocks(2, 600)
         x[:, 0] = -0.0
-        y = _ar_filter(x)
-        assert y.tobytes() == lfilter([1.0], [1.0, -0.5], x, axis=1).tobytes()
-        assert not np.signbit(y[:, 0]).any()
+        expected = lfilter([1.0], [1.0, -0.5], x, axis=1)
+        for y in (ar_filter(x), library_recursions(x, False)[0]):
+            assert y.tobytes() == expected.tobytes()
+            assert not np.signbit(y[:, 0]).any()
 
 
 class TestSimulatePaths:
@@ -572,6 +676,61 @@ class TestSimulatePaths:
                     row = getattr(block, name)[j]
                     assert np.array_equal(row, getattr(single, name))
                     assert row.shape == getattr(single, name).shape
+
+
+    # burn-ins and lengths whose n = burn_in + T + 2 steps end just before,
+    # on and just past the span edges at 128 and 512 steps, with windows
+    # that start inside the first, second and fifth spans
+    @pytest.mark.parametrize("burn_in, n_obs", [
+        (1, 2), (1, 123), (1, 124), (1, 125), (1, 126), (1, 127), (1, 300),
+        (126, 2), (127, 2), (128, 2), (129, 2), (126, 130), (129, 255),
+        (510, 2), (511, 2), (512, 2), (513, 2), (510, 127), (513, 130),
+        (1000, 500),
+    ])
+    @pytest.mark.parametrize("skewness", [0.0, 0.5, -0.9])
+    @pytest.mark.parametrize("dgp", ["ar1", "ar-garch"])
+    def test_windows_match_the_full_length_recursion(self, dgp, skewness, burn_in,
+                                                     n_obs):
+        # the block keeps the burn-in in span buffers only; its windows are,
+        # byte for byte, the same cut from full-length arrays
+        self.check_windows(dgp, skewness, burn_in, n_obs, (0, 5, 9))
+
+    @pytest.mark.parametrize("skewness", [0.0, -0.9])
+    @pytest.mark.parametrize("dgp", ["ar1", "ar-garch"])
+    def test_windows_of_a_block_past_a_chunk(self, dgp, skewness):
+        # 129 rows, one more than the experiments' blocks
+        self.check_windows(dgp, skewness, 513, 130, range(129))
+
+    @staticmethod
+    def check_windows(dgp, skewness, burn_in, n_obs, rows):
+        cfg = DgpConfig(dgp=dgp, skewness=skewness, n_obs=n_obs, seed=8,
+                        burn_in=burn_in)
+        streams = [RandomStream(cfg.seed, i) for i in rows]
+        block = _simulator(cfg)(streams)
+        expected = time_series_paths(cfg, streams)
+        for name in FIELDS:
+            got = getattr(block, name)
+            assert got.shape == expected[name].shape
+            assert got.tobytes() == expected[name].tobytes(), name
+
+    @pytest.mark.parametrize("skewness", [0.0, 0.5])
+    def test_garch_block_peak_memory(self, skewness):
+        # 128 AR-GARCH paths at T = 500 and burn-in 1000 hold their normals
+        # (3.1 MB skewed), the windows they return and span buffers: the
+        # block peaks at 4.8 MB of numpy memory skewed, 3.3 MB unskewed (7.3
+        # MB when the burn-in's variances, levels and skew variates were
+        # full-length arrays)
+        cfg = DgpConfig(dgp="ar-garch", skewness=skewness, n_obs=500, seed=0)
+        simulate = _simulator(cfg)
+        streams = [RandomStream(cfg.seed, 2 * r) for r in range(128)]
+        simulate(streams[:1])
+        tracemalloc.start()
+        try:
+            simulate(streams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5e6
 
 
 class TestOptimalForecasts:
@@ -655,7 +814,8 @@ def pooled_implied_theta(config, beta, draws, instrument_set):
                               path_stream=lambda r: _IMPLIED_THETA_BASE + r)
     y, x, h = make(range(draws))
     errors = (x - y).reshape(-1)
-    h = h.reshape(-1, k)
+    # the draws' (k, T) instrument rows side by side: one (k, draws T) dataset
+    h = np.swapaxes(h, 0, 1).reshape(k, -1)
     n = errors.size
     delta = bandwidth_rule_of_thumb(errors, n_obs=config.n_obs).delta
     values = _identification_matrix(errors, delta, None)
@@ -666,7 +826,84 @@ def pooled_implied_theta(config, beta, draws, instrument_set):
     return _implied_set(rows, b, 9.0 * k / n)
 
 
+# The float.hex coordinates of implied_theta's segment ends for
+# DgpConfig(dgp, 0.5, n_obs=40, seed=11, burn_in=130) (172 steps, past the
+# first span edge, on the time-series DGPs), beta (0.5, 0, 0.5) and 200
+# draws, recorded while the pool still held the constant instrument row: set
+# 1 now pools no instrument row at all, set 3 two
+IMPLIED_SEGMENTS = {
+    ("homoskedastic-iid", 1): (
+        ("0x0.0p+0", "0x1.0df5096406286p-2", "0x1.79057b4dfcebdp-1"),
+        ("0x1.15fa83afde132p-3", "0x0.0p+0", "0x1.ba815f14087b4p-1"),
+    ),
+    ("homoskedastic-iid", 3): (
+        ("0x0.0p+0", "0x1.021a2bc95aa3fp-2", "0x1.7ef2ea1b52ae0p-1"),
+        ("0x1.0a64ba829964fp-3", "0x0.0p+0", "0x1.bd66d15f59a6cp-1"),
+    ),
+    ("heteroskedastic", 1): (
+        ("0x0.0p+0", "0x1.677e82eb8b64fp-3", "0x1.a6205f451d26cp-1"),
+        ("0x1.7221dd1512dffp-4", "0x0.0p+0", "0x1.d1bbc45d5da40p-1"),
+    ),
+    ("heteroskedastic", 3): (
+        ("0x0.0p+0", "0x1.524d72b492299p-3", "0x1.ab6ca352db75ap-1"),
+        ("0x1.5eec182ea31f4p-4", "0x0.0p+0", "0x1.d4227cfa2b9c2p-1"),
+    ),
+    ("ar1", 1): (
+        ("0x0.0p+0", "0x1.92a472f87fb79p-2", "0x1.36adc683c0244p-1"),
+        ("0x1.86e46b8e6377bp-3", "0x0.0p+0", "0x1.9e46e51c67221p-1"),
+    ),
+    ("ar1", 3): (
+        ("0x0.0p+0", "0x1.9150705e58fc8p-2", "0x1.3757c7d0d381cp-1"),
+        ("0x1.889a670f3d15fp-3", "0x0.0p+0", "0x1.9dd9663c30ba8p-1"),
+    ),
+    ("ar-garch", 1): (
+        ("0x0.0p+0", "0x1.8edb9e6e515e1p-2", "0x1.389230c8d7510p-1"),
+        ("0x1.85a208a9e4498p-3", "0x0.0p+0", "0x1.9e977dd586edap-1"),
+    ),
+    ("ar-garch", 3): (
+        ("0x0.0p+0", "0x1.99e1b0fdfc617p-2", "0x1.330f278101cf4p-1"),
+        ("0x1.c752e2a1adbb6p-3", "0x0.0p+0", "0x1.8e2b475794912p-1"),
+    ),
+}
+
+
 class TestImpliedTheta:
+    @pytest.mark.parametrize("dgp, instrument_set", sorted(IMPLIED_SEGMENTS))
+    def test_segments_match_recorded_values(self, dgp, instrument_set):
+        cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=40, seed=11, burn_in=130)
+        out = implied_theta(cfg, [0.5, 0.0, 0.5], draws=200,
+                            instrument_set=instrument_set)
+        assert out.kind is ThetaSetKind.SEGMENT
+        points = tuple(tuple(map(float.hex, p)) for p in out.points.tolist())
+        assert points == IMPLIED_SEGMENTS[dgp, instrument_set]
+        assert np.array_equal(out.evaluation_point, out.points.mean(axis=0))
+
+    @pytest.mark.parametrize("instrument_set", [1, 2, 3])
+    def test_pool_holds_k_floats_per_observation(self, monkeypatch, instrument_set):
+        # between its passes the call holds the pooled errors and the k - 1
+        # instrument rows beside the constant, k draws T floats, and a few
+        # kilobytes more ((k + 1) draws T floats when it pooled the constant)
+        import centest.simulation as simulation
+
+        real = simulation.bandwidth_rule_of_thumb
+        held = []
+
+        def measured(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real(*args, **kwargs)
+
+        cfg = DgpConfig(dgp="heteroskedastic", skewness=0.5, n_obs=200, seed=0)
+        implied_theta(cfg, [0.5, 0.0, 0.5], draws=300, instrument_set=instrument_set)
+        monkeypatch.setattr(simulation, "bandwidth_rule_of_thumb", measured)
+        tracemalloc.start()
+        try:
+            implied_theta(cfg, [0.5, 0.0, 0.5], draws=300,
+                          instrument_set=instrument_set)
+        finally:
+            tracemalloc.stop()
+        pool = instrument_set * 300 * 200 * 8
+        assert pool <= held[0] < pool + 100_000
+
     @pytest.mark.parametrize("beta", [[0.5, 0.0, 0.5], [0.2, 0.5, 0.3]])
     @pytest.mark.parametrize("instrument_set", [1, 2, 3])
     @pytest.mark.parametrize("dgp", DGPS)
@@ -684,9 +921,10 @@ class TestImpliedTheta:
 
     def test_pooled_memory_is_per_block(self):
         # the pooled rows' values, whitened copy and temporaries exist only
-        # per block: 1000 draws of T = 500 at k = 2 pool 12 MB of errors and
-        # instruments, and the call peaks near 23 MiB (38 MiB when the
-        # 500,000 rows were whitened at once)
+        # per block: 1000 draws of T = 500 at k = 2 pool 8 MB of errors and
+        # non-constant instruments, and the call peaks near 14 MB on one
+        # thread and 20 MB on two (38 MiB when the 500,000 rows were whitened
+        # at once)
         cfg = DgpConfig(dgp="heteroskedastic", skewness=0.5, n_obs=500, seed=0)
         skew_normal_params(cfg.skewness)
         tracemalloc.start()
@@ -700,12 +938,12 @@ class TestImpliedTheta:
     def test_collinear_pooled_instruments_fail_the_whitener(self, monkeypatch):
         import centest.simulation as simulation
 
-        def collinear(path, forecasts, instrument_set):
-            h = build_instruments(path, forecasts, instrument_set)
-            h[..., 1] = 2.0 * h[..., 0]
+        def collinear(path, forecasts, k):
+            h = _instrument_rows(path, forecasts, k)
+            h[..., 1, :] = 2.0 * h[..., 0, :]
             return h
 
-        monkeypatch.setattr(simulation, "build_instruments", collinear)
+        monkeypatch.setattr(simulation, "_instrument_rows", collinear)
         cfg = DgpConfig(dgp="heteroskedastic", skewness=0.5, n_obs=40, seed=12)
         message = "instrument second-moment matrix is singular (collinear instruments?)"
         with pytest.raises(SingularMatrixError, match=re.escape(message)):
@@ -1000,11 +1238,12 @@ class TestExperiments:
                 return x
 
             def recording_tests(*args, **kwargs):
-                results, failures = real_tests(*args, **kwargs)
-                first = {128: 0, 72: 128}[len(results)]
-                for i, result in enumerate(results):
-                    p_values[first + i] = None if result is None else result.p_value
-                return results, failures
+                out = real_tests(*args, **kwargs)
+                _, block_p, _, failures, *_ = out
+                first = {128: 0, 72: 128}[len(failures)]
+                for i, (p, failure) in enumerate(zip(block_p.tolist(), failures)):
+                    p_values[first + i] = None if failure is not None else p
+                return out
 
             monkeypatch.setattr(simulation, "optimal_forecasts", forecasts)
             monkeypatch.setattr(simulation, "_tests_block", recording_tests)
@@ -1064,8 +1303,9 @@ def _record(monkeypatch, name):
 
 
 def _dataset(errors, instruments):
-    # realizations 0 make forecasts - realizations the errors exactly
-    return ForecastDataset(np.zeros(errors.size), errors, instruments)
+    # realizations 0 make forecasts - realizations the errors exactly; the
+    # block kernels' instruments (k, T) are the dataset's columns
+    return ForecastDataset(np.zeros(errors.size), errors, instruments.T)
 
 
 def _failure_block(t=1000):
@@ -1080,10 +1320,10 @@ def _failure_block(t=1000):
         np.where(np.arange(t) % 2 == 0, 1.0, -1.0),
     ])
     instruments = np.stack([
-        np.column_stack([np.ones(t), z]),
-        np.column_stack([np.ones(t), z]),
-        np.column_stack([np.ones(t), np.ones(t)]),
-        np.column_stack([np.ones(t), z]),
+        np.stack([np.ones(t), z]),
+        np.stack([np.ones(t), z]),
+        np.stack([np.ones(t), np.ones(t)]),
+        np.stack([np.ones(t), z]),
     ])
     return errors, instruments
 
@@ -1106,27 +1346,36 @@ class TestBlockScoring:
         run_size_experiment(cfg, 3, 100)
         run_size_experiment(cfg, 2, 100, distortion="noise", kappa=0.3)
         assert len(seen) == 2
-        for (kind, errors, instruments, kernel), (results, failures) in seen:
+        for (kind, errors, instruments, kernel), out in seen:
+            statistics, p_values, bandwidths, failures, (lam, q), grams = out
             assert kind is Functional.MODE
             assert failures == [None] * len(errors)
-            for e, h, result in zip(errors, instruments, results):
+            # the covariances the block's parts give, as _one_row forms them
+            root = (q * np.sqrt(lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
+            covariances = root @ grams @ root
+            for e, h, statistic, p_value, bandwidth, covariance in zip(
+                    errors, instruments, statistics.tolist(), p_values.tolist(),
+                    bandwidths.tolist(), covariances):
                 single = mode_test(_dataset(e, h), kernel=kernel)
-                assert result.statistic == pytest.approx(single.statistic, rel=1e-12)
-                assert result.p_value == pytest.approx(single.p_value, rel=1e-12,
-                                                       abs=1e-300)
-                assert (result.p_value < 0.05) == (single.p_value < 0.05)
-                assert result.bandwidth == single.bandwidth
-                assert np.array_equal(result.covariance, single.covariance)
+                assert statistic == pytest.approx(single.statistic, rel=1e-12)
+                assert p_value == pytest.approx(single.p_value, rel=1e-12, abs=1e-300)
+                assert (p_value < 0.05) == (single.p_value < 0.05)
+                assert bandwidth == single.bandwidth
+                assert np.array_equal(covariance, single.covariance)
 
     @pytest.mark.parametrize("dgp", DGPS)
     def test_objective_rows_match_one_row_calls(self, monkeypatch, dgp):
         from centest import chi_square_quantile, gmm_objective
 
         seen = _record(monkeypatch, "_objective_rows")
+        seen_at = _record(monkeypatch, "_objective_at")
         cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=80, seed=42, burn_in=20)
         run_coverage_experiment(cfg, [0.5, 0.0, 0.5], 2, 100, draws=20)
         run_grid_coverage_experiment(cfg, [0, 1, 0], 2, 100, m=2)
-        assert len(seen) == 2
+        assert len(seen) == len(seen_at) == 1
+        # the coverage experiment's one theta, as a block of one row
+        ((theta, *args), (objectives, notes, failures)), = seen_at
+        seen.append(((theta[None], *args), (objectives[:, None], notes, None, failures)))
         quantile = chi_square_quantile(2, 0.90)
         for (thetas, errors, instruments, kernel), (rows, notes, _, failures) in seen:
             assert failures == [None] * len(errors)
@@ -1142,7 +1391,7 @@ class TestBlockScoring:
         import warnings
 
         from centest import get_kernel, gmm_objective, mode_test
-        from centest.central_tendency import _objective_rows
+        from centest.central_tendency import _objective_at, _objective_rows
         from centest.rationality import _tests_block
         from centest.simulation import _replication_failures
 
@@ -1151,18 +1400,19 @@ class TestBlockScoring:
         thetas = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tests, test_failures = _tests_block(Functional.MODE, errors, instruments, k)
+            statistics, _, _, test_failures, *_ = _tests_block(
+                Functional.MODE, errors, instruments, k)
             objectives, notes, _, failures = _objective_rows(
                 thetas, errors, instruments, k)
+            at_theta = [_objective_at(theta, errors, instruments, k) for theta in thetas]
         objective_failures = _replication_failures(notes, failures)
         for i, (e, h) in enumerate(zip(errors, instruments)):
             ds = _dataset(e, h)
             expected = _raised(lambda: mode_test(ds, kernel=k))
             if expected is None:
                 assert test_failures[i] is None
-                assert tests[i].statistic == mode_test(ds, kernel=k).statistic
+                assert statistics[i] == mode_test(ds, kernel=k).statistic
             else:
-                assert tests[i] is None
                 assert type(test_failures[i]) is type(expected)
                 assert str(test_failures[i]) == str(expected)
             expected = _raised(
@@ -1174,6 +1424,17 @@ class TestBlockScoring:
             else:
                 assert type(objective_failures[i]) is type(expected)
                 assert str(objective_failures[i]) == str(expected)
+            # one theta at a time, as the coverage experiment scores it
+            for theta, (at, at_notes, at_failures) in zip(thetas, at_theta):
+                expected = _raised(lambda: gmm_objective(theta, ds, kernel=k))
+                failure, = _replication_failures(at_notes[i:i + 1], at_failures[i:i + 1])
+                if expected is None:
+                    assert failure is None
+                    assert at[i] == pytest.approx(gmm_objective(theta, ds, kernel=k),
+                                                  rel=1e-12)
+                else:
+                    assert type(failure) is type(expected)
+                    assert str(failure) == str(expected)
         # every failure the checks can report occurs in the block
         assert test_failures[0] is None and objective_failures[0] is None
         assert "median absolute deviation" in str(test_failures[1])
@@ -1181,13 +1442,74 @@ class TestBlockScoring:
         if kernel == "biweight":
             assert "for the mode row is singular" in str(objective_failures[3])
 
+    @pytest.mark.parametrize("instrument_set", [1, 3])
+    @pytest.mark.parametrize("dgp", DGPS)
+    def test_combined_row_matches_the_gram_path(self, dgp, instrument_set):
+        # the coverage experiments' scorer reads S_T at its one theta off the
+        # combined row sum_r theta_r c_r v_r; the (g c, Gram c c') form of
+        # the grid scorer gives each replication the same value, notes and
+        # failures
+        from centest.central_tendency import _objective_at, _objective_rows
+
+        cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=80, seed=44, burn_in=130)
+        y, x, h = _replication_maker(cfg, _theta_array([0.5, 0.0, 0.5]),
+                                     InstrumentSet(instrument_set))(range(128))
+        for theta in (*np.eye(3), [0.5, 0.0, 0.5], [0.2, 0.3, 0.5]):
+            theta = _theta_array(theta)
+            at, at_notes, at_failures = _objective_at(theta, x - y, h, None)
+            rows, notes, _, failures = _objective_rows(theta[None], x - y, h, None)
+            assert at_notes == notes == [[None]] * 128
+            assert at_failures == failures == [None] * 128
+            # (a median row whose signs balance scores exactly 0 on both)
+            assert np.all(np.abs(at - rows[:, 0]) <= 1e-12 * rows[:, 0])
+
+    @pytest.mark.parametrize("experiment", ["size", "coverage"])
+    def test_failures_on_the_helper_thread_keep_names_and_order(self, monkeypatch,
+                                                                experiment):
+        # of 200 replications, 5 (first block, on the caller) and 131 (second
+        # block, on the helper thread) get collinear instruments and 130 zero
+        # errors: the report counts them by name in replication order, on one
+        # thread and on two alike
+        import centest.simulation as simulation
+
+        real_forecasts = simulation.optimal_forecasts
+        real_instruments = simulation._instrument_rows
+
+        def forecasts(paths, config, beta):
+            x = real_forecasts(paths, config, beta)
+            if len(x) == 72:
+                x[2] = paths.realizations[2]
+            return x
+
+        def instruments(paths, x, k):
+            h = real_instruments(paths, x, k)
+            h[{128: 5, 72: 3}[len(h)], 1] = 1.0
+            return h
+
+        monkeypatch.setattr(simulation, "optimal_forecasts", forecasts)
+        monkeypatch.setattr(simulation, "_instrument_rows", instruments)
+        cfg = DgpConfig(dgp="ar-garch", skewness=0.5, n_obs=60, seed=45, burn_in=130)
+        run = {
+            "size": lambda: run_size_experiment(cfg, 2, 200, nominal_alpha=0.5),
+            "coverage": lambda: run_coverage_experiment(cfg, [1, 0, 0], 2, 200),
+        }[experiment]
+        reports = []
+        for cores in (1, 2):
+            monkeypatch.setattr(simulation, "_cores", lambda: cores)
+            reports.append(json.dumps(report_to_dict(run())))
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert list(report["failures"].items()) == [("SingularMatrixError", 2),
+                                                    ("DegenerateErrors", 1)]
+        assert report["successes"] == 197
+
     def test_failed_rows_counted_alone(self, monkeypatch):
         # replication 3 forecasts its realizations (zero errors) and
         # replication 5 gets collinear instruments; both sit in one block
         import centest.simulation as simulation
 
         real_forecasts = simulation.optimal_forecasts
-        real_instruments = simulation.build_instruments
+        real_instruments = simulation._instrument_rows
 
         def run(experiment, broken):
             def forecasts(paths, config, beta):
@@ -1197,14 +1519,14 @@ class TestBlockScoring:
                     x[3] = paths.realizations[3]
                 return x
 
-            def instruments(paths, x, instrument_set):
-                h = real_instruments(paths, x, instrument_set)
+            def instruments(paths, x, k):
+                h = real_instruments(paths, x, k)
                 if broken:
-                    h[5, :, 1] = 1.0
+                    h[5, 1] = 1.0
                 return h
 
             monkeypatch.setattr(simulation, "optimal_forecasts", forecasts)
-            monkeypatch.setattr(simulation, "build_instruments", instruments)
+            monkeypatch.setattr(simulation, "_instrument_rows", instruments)
             return experiment()
 
         cfg = DgpConfig(dgp="heteroskedastic", skewness=0.5, n_obs=80, seed=43)
