@@ -147,10 +147,13 @@ def _find_fault(rows, header, index, label_column) -> int:
 def _scan_lines(stream) -> tuple[int, bool]:
     """The number of lines left in a text stream, a last one without a line
     break included, and whether any of them holds more than whitespace; the
-    stream is read in fixed-size chunks."""
+    stream is read in fixed-size chunks. The line breaks are counted as the
+    newline bytes of each chunk's UTF-8 encoding: byte 10 encodes "\\n" and
+    nothing else, and numpy counts bytes faster than str.count counts
+    characters."""
     n_lines, data, last = 0, False, "\n"
     while chunk := stream.read(_CHUNK_CHARS):
-        n_lines += chunk.count("\n")
+        n_lines += int(np.count_nonzero(np.frombuffer(chunk.encode(), np.uint8) == 10))
         data = data or not chunk.isspace()
         last = chunk[-1]
     return n_lines + (last != "\n"), data

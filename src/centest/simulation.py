@@ -46,18 +46,17 @@ do not depend on the threads. On one core the caller runs every block.
 Each block's instruments are built as rows, (B, k, T), the layout the
 whitener reads. The block is scored in one pass, by the block kernels of
 the mode test (rationality._tests_block, whose p-values alone the size
-experiments read) and of S_T (central_tendency._objective_rows over the
-grid, _objective_at at the coverage experiment's one theta), whose one-row
-case are the single-dataset functions. Each reads one Gram of each
-replication's whitened rows (identification._moment_gram): the grid all
-three rows', the mode test its own row's, and _objective_at the row that
-combines the three at theta. A block kernel returns its results and, per
-replication, None or the exception the single-dataset function would raise
-on it, found by the same checks in the same order; a failed replication
-gets finite placeholder values, so it neither warns nor changes the others,
-and the replication loop counts it by exception name. The coverage
-experiments add one rule: the first singular Sigma(theta) fails the
-replication.
+experiments read) and of S_T (central_tendency._objective_rows, over the
+grid or at the coverage experiment's one theta), whose one-row case are the
+single-dataset functions. Each reads one Gram of each replication's
+whitened rows (identification._moment_gram, which forms the rows of at most
+32 replications at a time): S_T all three rows', the mode test its own
+row's. A block kernel returns its results and, per replication, None or the
+exception the single-dataset function would raise on it, found by the same
+checks in the same order; a failed replication gets finite placeholder
+values, so it neither warns nor changes the others, and the replication
+loop counts it by exception name. The coverage experiments add one rule:
+the first singular Sigma(theta) fails the replication.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ from .central_tendency import (
     MEAN_VERTEX,
     MODE_VERTEX,
     _check_resolution,
-    _objective_at,
     _objective_rows,
     _theta_array,
     simplex_grid,
@@ -1023,8 +1021,10 @@ def run_coverage_experiment(
     quantile = chi_square_quantile(int(instrument_set), level)
 
     def covers(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
-        objectives, notes, failures = _objective_at(theta, errors, instruments, kernel)
-        return (objectives <= quantile).tolist(), _replication_failures(notes, failures)
+        objectives, notes, _, failures = _objective_rows(
+            theta[None], errors, instruments, kernel)
+        return ((objectives[:, 0] <= quantile).tolist(),
+                _replication_failures(notes, failures))
 
     return _report(
         "coverage", config, instrument_set, replications, level,

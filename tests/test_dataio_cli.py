@@ -278,15 +278,46 @@ class TestReaderInputs:
         lambda text: text.replace(",plain\n", ',"two\nlines"\n', 7).encode(),
         lambda text: text.replace(",plain\n", ',"two\r\nlines"\n', 3)
                          .replace("\n", "\r\n").encode(),
+        lambda text: text.replace(",plain\n", ",pla\u00een \u20ac\U0001f600\n")
+                         .encode(),
+        lambda text: text.replace(",plain\n", ",pla\u00een \u20ac\U0001f600\n")
+                         .replace("\n", "\r\n").encode(),
     ], ids=["crlf", "lone-cr", "no-final-newline", "byte-order-mark",
             "byte-order-mark-crlf", "quoted-break-in-header",
-            "quoted-break-in-unread-cells", "quoted-crlf-in-unread-cells-crlf"])
+            "quoted-break-in-unread-cells", "quoted-crlf-in-unread-cells-crlf",
+            "non-ascii-unread-cells", "non-ascii-unread-cells-crlf"])
     def test_same_json_as_the_lf_file(self, tmp_path, edit):
         text = _survey_text()
         want = _read_through_cli(tmp_path, text.encode())
         assert [code for code, *_ in want] == [0, 0]
         assert all(js is not None for *_, js in want)
         assert _read_through_cli(tmp_path, edit(text)) == want
+
+    @pytest.mark.parametrize("chunk_chars", [7, 1 << 16])
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.encode(),
+        lambda text: text.replace("\n", "\r\n").encode(),
+        lambda text: text.replace("\n", "\r").encode(),
+        lambda text: b"\xef\xbb\xbf" + text.encode(),
+        lambda text: text.replace(",plain\n", ",pla\u00een \u20ac\U0001f600\n")
+                         .encode(),
+        lambda text: text[:-1].encode(),
+    ], ids=["lf", "crlf", "lone-cr", "byte-order-mark", "non-ascii-unread-cells",
+            "no-final-newline"])
+    def test_line_count_is_the_decoded_line_breaks(self, tmp_path, monkeypatch, edit,
+                                                   chunk_chars):
+        # _scan_lines counts the newline bytes of each decoded, newline-
+        # translated chunk's UTF-8 encoding: the "\n" characters str.count
+        # finds, whether a chunk ends inside a CRLF pair or before a
+        # multi-byte character or not
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", chunk_chars)
+        f = tmp_path / "d.csv"
+        f.write_bytes(edit(_survey_text()))
+        with f.open(encoding=dataio._ENCODING) as handle:
+            text = handle.read()
+        assert text.count("\n") + (not text.endswith("\n")) == 41
+        with f.open(encoding=dataio._ENCODING) as handle:
+            assert dataio._scan_lines(handle) == (41, True)
 
     def test_file_named_like_a_compressed_one_is_read_as_text(self, tmp_path):
         # np.loadtxt would open a path ending in .gz as gzip data
@@ -962,7 +993,7 @@ class TestCli:
         (["--experiment", "power", "--distortion", "bias", "--kappa", "0.3"],
          "_tests_block", 1),
         (["--experiment", "coverage", "--beta", "mean-mode", "--draws", "50"],
-         "_objective_at", 1),
+         "_objective_rows", 1),
     ], ids=["size", "power-noise", "power-bias", "coverage"])
     def test_dataset_holds_the_scored_replication(self, tmp_path, monkeypatch, flags,
                                                   scorer, at):

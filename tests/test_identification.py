@@ -20,6 +20,7 @@ from centest import (
 )
 from centest.central_tendency import _objective_rows, sigma_hat
 from centest.identification import (
+    _GRAM_ROWS,
     _check_bandwidth,
     _identification_matrix,
     _moment_gram,
@@ -357,6 +358,28 @@ class TestStackedMoments:
         assert g[0, 1, 0] == 1.0
         assert g[0, 2, 0] == pytest.approx(0.2419707, abs=5e-8)
         assert np.array_equal(gram[0, :, 0, :, 0], np.outer(g[0, :, 0], g[0, :, 0]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("b", [1, 31, 32, 33, 129])
+    def test_sliced_gram_is_the_single_product(self, rng, b, n, k):
+        # R is formed for _GRAM_ROWS datasets at a time: g and the Gram are,
+        # bit for bit, those of the whole (B, nk, T) product, and each
+        # dataset's are those of its own one-dataset call
+        assert _GRAM_ROWS == 32
+        t = 97
+        values = rng.standard_normal((b, n, t)) * 10.0 ** rng.integers(-3, 4, (b, n, 1))
+        whitened = rng.standard_normal((b, k, t))
+        columns = (values[:, :, None, :] * whitened[:, None]).reshape(b, n * k, t)
+        want_g = (columns @ np.ones(t)).reshape(b, n, k) / np.sqrt(t)
+        want_gram = (columns @ np.swapaxes(columns, 1, 2) / t).reshape(b, n, k, n, k)
+        g, gram = _moment_gram(values, whitened)
+        assert g.tobytes() == want_g.tobytes()
+        assert gram.tobytes() == want_gram.tobytes()
+        for i in sorted({0, b // 2, b - 1}):
+            one_g, one_gram = _moment_gram(values[i:i + 1], whitened[i:i + 1])
+            assert one_g.tobytes() == g[i:i + 1].tobytes()
+            assert one_gram.tobytes() == gram[i:i + 1].tobytes()
 
     def test_balanced_signs_cancel_in_median_row(self):
         ds = ForecastDataset(np.zeros(4), [1.0, -1.0, 2.0, -2.0], np.ones((4, 1)))

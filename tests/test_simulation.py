@@ -1365,33 +1365,39 @@ class TestBlockScoring:
 
     @pytest.mark.parametrize("dgp", DGPS)
     def test_objective_rows_match_one_row_calls(self, monkeypatch, dgp):
-        from centest import chi_square_quantile, gmm_objective
+        from centest import chi_square_quantile, confidence_set, gmm_objective
 
         seen = _record(monkeypatch, "_objective_rows")
-        seen_at = _record(monkeypatch, "_objective_at")
         cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=80, seed=42, burn_in=20)
         run_coverage_experiment(cfg, [0.5, 0.0, 0.5], 2, 100, draws=20)
         run_grid_coverage_experiment(cfg, [0, 1, 0], 2, 100, m=2)
-        assert len(seen) == len(seen_at) == 1
-        # the coverage experiment's one theta, as a block of one row
-        ((theta, *args), (objectives, notes, failures)), = seen_at
-        seen.append(((theta[None], *args), (objectives[:, None], notes, None, failures)))
+        assert len(seen) == 2
         quantile = chi_square_quantile(2, 0.90)
         for (thetas, errors, instruments, kernel), (rows, notes, _, failures) in seen:
             assert failures == [None] * len(errors)
             assert notes == [[None] * len(thetas)] * len(errors)
             for e, h, s in zip(errors, instruments, rows):
-                single = np.array([gmm_objective(th, _dataset(e, h), kernel=kernel)
+                ds = _dataset(e, h)
+                single = np.array([gmm_objective(th, ds, kernel=kernel)
                                    for th in thetas])
                 assert s == pytest.approx(single, rel=1e-12)
                 assert np.array_equal(s <= quantile, single <= quantile)
+                if len(thetas) == 1:
+                    # the coverage experiment's one theta: gmm_objective's
+                    # own call, bit for bit
+                    assert s.tobytes() == single.tobytes()
+                else:
+                    # the grid: confidence_set's one-row call on the same
+                    # thetas, bit for bit
+                    grid = confidence_set(ds, m=2, kernel=kernel)
+                    assert s.tobytes() == grid.objective.tobytes()
 
     @pytest.mark.parametrize("kernel", ["gaussian", "biweight"])
     def test_failed_rows_carry_the_one_row_exception(self, kernel):
         import warnings
 
         from centest import get_kernel, gmm_objective, mode_test
-        from centest.central_tendency import _objective_at, _objective_rows
+        from centest.central_tendency import _objective_rows
         from centest.rationality import _tests_block
         from centest.simulation import _replication_failures
 
@@ -1404,7 +1410,8 @@ class TestBlockScoring:
                 Functional.MODE, errors, instruments, k)
             objectives, notes, _, failures = _objective_rows(
                 thetas, errors, instruments, k)
-            at_theta = [_objective_at(theta, errors, instruments, k) for theta in thetas]
+            at_theta = [_objective_rows(theta[None], errors, instruments, k)
+                        for theta in thetas]
         objective_failures = _replication_failures(notes, failures)
         for i, (e, h) in enumerate(zip(errors, instruments)):
             ds = _dataset(e, h)
@@ -1425,13 +1432,12 @@ class TestBlockScoring:
                 assert type(objective_failures[i]) is type(expected)
                 assert str(objective_failures[i]) == str(expected)
             # one theta at a time, as the coverage experiment scores it
-            for theta, (at, at_notes, at_failures) in zip(thetas, at_theta):
+            for theta, (at, at_notes, _, at_failures) in zip(thetas, at_theta):
                 expected = _raised(lambda: gmm_objective(theta, ds, kernel=k))
                 failure, = _replication_failures(at_notes[i:i + 1], at_failures[i:i + 1])
                 if expected is None:
                     assert failure is None
-                    assert at[i] == pytest.approx(gmm_objective(theta, ds, kernel=k),
-                                                  rel=1e-12)
+                    assert at[i, 0] == gmm_objective(theta, ds, kernel=k)
                 else:
                     assert type(failure) is type(expected)
                     assert str(failure) == str(expected)
@@ -1442,26 +1448,26 @@ class TestBlockScoring:
         if kernel == "biweight":
             assert "for the mode row is singular" in str(objective_failures[3])
 
-    @pytest.mark.parametrize("instrument_set", [1, 3])
-    @pytest.mark.parametrize("dgp", DGPS)
-    def test_combined_row_matches_the_gram_path(self, dgp, instrument_set):
-        # the coverage experiments' scorer reads S_T at its one theta off the
-        # combined row sum_r theta_r c_r v_r; the (g c, Gram c c') form of
-        # the grid scorer gives each replication the same value, notes and
-        # failures
-        from centest.central_tendency import _objective_at, _objective_rows
+    def test_coverage_scorer_peak_memory(self):
+        # S_T at the coverage experiment's one theta on a 128-row block at
+        # T = 500, k = 2 peaks at 4.25 MB with the Gram's rows formed 32
+        # replications at a time, 5.74 MB with the block's (B, 3k, T) rows
+        # formed whole
+        from centest.central_tendency import _objective_rows
 
-        cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=80, seed=44, burn_in=130)
+        cfg = DgpConfig(dgp="heteroskedastic", skewness=0.5, n_obs=500, seed=3,
+                        burn_in=20)
         y, x, h = _replication_maker(cfg, _theta_array([0.5, 0.0, 0.5]),
-                                     InstrumentSet(instrument_set))(range(128))
-        for theta in (*np.eye(3), [0.5, 0.0, 0.5], [0.2, 0.3, 0.5]):
-            theta = _theta_array(theta)
-            at, at_notes, at_failures = _objective_at(theta, x - y, h, None)
-            rows, notes, _, failures = _objective_rows(theta[None], x - y, h, None)
-            assert at_notes == notes == [[None]] * 128
-            assert at_failures == failures == [None] * 128
-            # (a median row whose signs balance scores exactly 0 on both)
-            assert np.all(np.abs(at - rows[:, 0]) <= 1e-12 * rows[:, 0])
+                                     InstrumentSet(2))(range(128))
+        theta = np.array([[0.4, 0.0, 0.6]])
+        _objective_rows(theta, x - y, h, None)
+        tracemalloc.start()
+        try:
+            _objective_rows(theta, x - y, h, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0e6
 
     @pytest.mark.parametrize("experiment", ["size", "coverage"])
     def test_failures_on_the_helper_thread_keep_names_and_order(self, monkeypatch,
