@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateErrors, raise_row_failure
+from .errors import DegenerateErrors, check_integer, raise_row_failure
 
 BANDWIDTH_EXPONENT = 0.143
 MAD_SCALE = 2.4
@@ -122,7 +122,7 @@ def bandwidth_rule_of_thumb(errors, n_obs: int | None = None) -> BandwidthReport
     e = _finite_errors(errors)
     if e.size < 2:
         raise ValueError("bandwidth rule needs at least 2 observations")
-    n = int(n_obs) if n_obs is not None else int(e.size)
+    n = int(e.size) if n_obs is None else check_integer(n_obs, "sample size")
     if n < 2:
         raise ValueError(f"sample size must be >= 2, got {n}")
     block, failures = _bandwidth_block(e[None], n)

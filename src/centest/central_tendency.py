@@ -7,14 +7,15 @@ unidentified, which rules out point estimation; the confidence set inverts
 the objective against chi-square critical values instead, which stays valid
 in all four identification regimes.
 
-S_T has one block kernel, _objective_rows: it scores every theta from the
-one Gram of a dataset's whitened mean, median and mode rows and their row
-scales c, as the quadratic form of (g c, Gram c c') (see identification).
-gmm_objective and confidence_set are its one-row call, simulation's
-coverage experiments score blocks of replications with it (the grid
-coverage experiment at every grid point, the coverage experiment at its one
-theta), and the single-functional tests (rationality) read the same Gram at
-a vertex.
+S_T has one block kernel, _objective_rows, which is also the tests' kernel:
+it scores every theta from the one Gram of a dataset's whitened mean,
+median and mode rows and their row scales c, as the quadratic form of
+(g c, Gram c c') (see identification). gmm_objective and confidence_set
+are its one-row call, simulation's coverage experiments score blocks of
+replications with it (the grid coverage experiment at every grid point, the
+coverage experiment at its one theta), and a single-functional test
+(rationality, and the size and power experiments) is its call on that
+functional's row alone, S_T at the functional's vertex.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import numpy as np
 from .bandwidth import _block_bandwidths
 from .errors import SingularMatrixError, check_integer, first_failures, raise_row_failure
 from .identification import (
+    FUNCTIONALS,
     ForecastDataset,
+    Functional,
     _check_bandwidth,
     _check_instrument_count,
     _identification_matrix,
@@ -161,25 +164,36 @@ def _objective_rows(
     kernel: Kernel | None,
     delta=None,
     cluster_labels=None,
-) -> tuple[np.ndarray, list[list[str | None]], np.ndarray, list]:
-    """S_T at every theta (P, 3) for each dataset of a block: errors (B, T),
-    instruments (B, k, T); cluster labels apply to a one-dataset block.
-    Without ``delta`` each dataset gets its own rule-of-thumb bandwidth.
+    functionals=FUNCTIONALS,
+) -> tuple[np.ndarray, list[list[str | None]], np.ndarray | None, list]:
+    """S_T at every theta (P, n) for each dataset of a block: errors (B, T),
+    instruments (B, k, T); cluster labels apply to a one-dataset block. The
+    moment rows are those of ``functionals``: all three (the default), or
+    one, whose test is the call at theta = [[1]].
 
-    The row scales c enter as (g c, Gram c c'). Returns the (B, P)
-    objectives and their notes (see _objectives_block), the (B,) bandwidths
-    and, per dataset, None or the exception scoring it alone raises, in that
-    order: the bandwidth's DegenerateErrors (zero MAD, then zero sd), then
-    the SingularMatrixError of the instrument whitener, then of a row scale.
+    With the mode among them, each dataset gets its own rule-of-thumb
+    bandwidth unless ``delta`` is given; without it the bandwidths are None,
+    and ``delta`` and ``kernel`` are not read. With more than one row, the
+    row scales c enter as (g c, Gram c c'); a single row's scale cancels and
+    is not formed. Returns the (B, P) objectives and their notes (see
+    _objectives_block), the (B,) bandwidths and, per dataset, None or the
+    exception scoring it alone raises, in that order: the bandwidth's
+    DegenerateErrors (zero MAD, then zero sd), then the SingularMatrixError
+    of the instrument whitener, then of a row scale.
     """
-    delta, failures = _block_bandwidths(errors, delta)
-    values = _identification_matrix(errors, delta, kernel)
-    whitened, _, singular = _whiten(instruments)
-    scales, unscaled = _row_scales(values, whitened)
+    bandwidths = None
+    failures = unscaled = [None] * errors.shape[0]
+    if Functional.MODE in functionals:
+        bandwidths, failures = _block_bandwidths(errors, delta)
+    values = _identification_matrix(errors, bandwidths, kernel, functionals)
+    whitened, singular = _whiten(instruments)
     g, gram = _moment_gram(values, whitened, cluster_labels)
-    outer = scales[:, :, None, None, None] * scales[:, None, None, :, None]
-    objectives, notes = _objectives_block(thetas, g * scales[..., None], gram * outer)
-    return objectives, notes, delta, first_failures(failures, singular, unscaled)
+    if len(functionals) > 1:
+        scales, unscaled = _row_scales(values, whitened)
+        g = g * scales[..., None]
+        gram = gram * (scales[:, :, None, None, None] * scales[:, None, None, :, None])
+    objectives, notes = _objectives_block(thetas, g, gram)
+    return objectives, notes, bandwidths, first_failures(failures, singular, unscaled)
 
 
 def gmm_objective(
@@ -197,11 +211,13 @@ def gmm_objective(
     combined moment. Sigma depends on theta and is recomputed at every
     point; it is wave-clustered when the dataset carries cluster labels.
     ``delta`` defaults to the rule-of-thumb bandwidth of the forecast errors.
-    A singular Sigma(theta) raises SingularMatrixError.
+    A singular Sigma(theta) raises SingularMatrixError. The instrument count
+    k must be below n_obs.
     """
     thetas = _theta_array(theta)[None]
     if delta is not None:
         _check_bandwidth(delta)
+    _check_instrument_count(dataset.n_instruments, dataset.n_obs, "an objective")
     ((s,),), ((note,),), _, failures = _objective_rows(
         thetas, *_one_block(dataset), kernel, delta, dataset.cluster_labels)
     raise_row_failure(failures)

@@ -9,14 +9,15 @@ A dataset's instruments are whitened once, by G = [(1/T) sum h h']^{-1/2}.
 Its rows R = [v_r h G] give the moment sums g and one Gram R'R/T, and row r
 gets the scale c_r = (k / tr_r)^{1/2}, tr_r the unclustered trace of its
 second moment. S_T(theta) is the quadratic form of (g, Gram) at theta * c; a
-single-functional test is its value at a vertex, where c_r cancels. G
-cancels from every such form and sets the basis of the eigenvalue floors.
+single-functional test is its value at a vertex, where c_r cancels, so it
+reads the functional's own row, unscaled. G cancels from every such form and
+sets the basis of the eigenvalue floors.
 
 Two floors guard G and c: _whitener fails a second-moment matrix whose
 eigenvalues fail the relative floor, and _scales a row whose tr_r / k is at
 or below RELATIVE_EIG_FLOOR times its mean square (1/T) sum v_r^2, so that
-neither depends on the units of the errors or the instruments. The block
-kernels and implied theta's pooled sums go through the same two helpers.
+neither depends on the units of the errors or the instruments. S_T's block
+kernel and implied theta's pooled sums go through the same two helpers.
 """
 
 from __future__ import annotations
@@ -208,36 +209,36 @@ def _values(kind: Functional, e: np.ndarray, delta, kernel: Kernel | None) -> np
     return delta ** -0.5 * (kernel or KERNELS["gaussian"]).deriv_at(-e / delta)
 
 
-def _identification_matrix(errors, delta, kernel) -> np.ndarray:
-    """Identification values with rows ordered mean/median/mode: (3, T) for
-    errors (T,) and one bandwidth, (B, 3, T) for a block (B, T) and one
-    bandwidth per row."""
+def _identification_matrix(errors, delta, kernel, functionals=FUNCTIONALS) -> np.ndarray:
+    """Identification values with a row per functional, in the order given
+    (mean/median/mode by default): (n, T) for errors (T,) and one bandwidth,
+    (B, n, T) for a block (B, T) and one bandwidth per row. The bandwidth is
+    read only for the mode."""
     e = np.asarray(errors, dtype=float)
     d = np.expand_dims(np.asarray(delta, dtype=float), -1)
-    values = np.empty(e.shape[:-1] + (3, e.shape[-1]))
-    for r, kind in enumerate(FUNCTIONALS):
+    values = np.empty(e.shape[:-1] + (len(functionals), e.shape[-1]))
+    for r, kind in enumerate(functionals):
         values[..., r, :] = _values(kind, e, d, kernel)
     return values
 
 
-def _whiten(instruments: np.ndarray) -> tuple[np.ndarray, tuple, list]:
+def _whiten(instruments: np.ndarray) -> tuple[np.ndarray, list]:
     """G h_t for instruments h_t, both the columns of (B, k, T) arrays,
-    G = [(1/T) sum h h']^{-1/2}; the eigenpairs (lam, q) of (1/T) sum h h';
-    and per dataset None or the SingularMatrixError of one below the floor
-    (lam = 1)."""
+    G = [(1/T) sum h h']^{-1/2}, and per dataset None or the
+    SingularMatrixError of one below the floor (see _whitener)."""
     # the Monte Carlo blocks' rows are contiguous already; a dataset's are a
     # transposed view, copied here once, so the sums below run in one layout
     h = np.ascontiguousarray(instruments)
     # einsum, not matmul: threaded OpenBLAS products here slow the Monte Carlo threads
     moments = np.einsum("bkt,blt->bkl", h, h) / h.shape[2]
-    whitener, eigenpairs, failures = _whitener(moments)
-    return np.einsum("bkl,blt->bkt", whitener, h), eigenpairs, failures
+    whitener, failures = _whitener(moments)
+    return np.einsum("bkl,blt->bkt", whitener, h), failures
 
 
-def _whitener(moments: np.ndarray) -> tuple[np.ndarray, tuple, list]:
-    """G = M^{-1/2} for each second-moment matrix M of a stack (B, k, k); the
-    eigenpairs (lam, q) of M; and per matrix None or the SingularMatrixError
-    of one below the eigenvalue floor, whose lam is set to one."""
+def _whitener(moments: np.ndarray) -> tuple[np.ndarray, list]:
+    """G = M^{-1/2} for each second-moment matrix M of a stack (B, k, k), and
+    per matrix None or the SingularMatrixError of one below the eigenvalue
+    floor, whose eigenvalues are taken as one."""
     lam, q, notes = floored_eigh(moments)
     failures = [
         None if note is None else SingularMatrixError(
@@ -247,7 +248,7 @@ def _whitener(moments: np.ndarray) -> tuple[np.ndarray, tuple, list]:
         for note in notes
     ]
     lam[[failure is not None for failure in failures]] = 1.0
-    return (q * lam[:, None, :] ** -0.5) @ np.swapaxes(q, 1, 2), (lam, q), failures
+    return (q * lam[:, None, :] ** -0.5) @ np.swapaxes(q, 1, 2), failures
 
 
 def _row_scales(values, whitened) -> tuple[np.ndarray, list]:

@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import check_integer
+
 # Relative eigenvalue floor for SPD inversion. No silent ridge regularization:
 # callers see SingularMatrixError and must fix their data or opt in themselves.
 RELATIVE_EIG_FLOOR = 1e-10
@@ -173,7 +175,7 @@ def chi_square_sf(df: int, x):
         an array an array of the same shape, equal element by element to the
         float calls.
     """
-    if df < 1:
+    if check_integer(df, "degrees of freedom") < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     values = np.asarray(x, dtype=float)
     if np.any(values < 0):
@@ -187,7 +189,7 @@ def chi_square_quantile(df: int, p: float) -> float:
     _brentq on the closed-form tail to a relative 4 eps. For p in
     [0.001, 0.999] it agrees with scipy's 2 gammainccinv(df/2, 1 - p) within
     1e-13 relative; below that both lose digits to the rounding of 1 - p."""
-    if df < 1:
+    if check_integer(df, "degrees of freedom") < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")

@@ -11,14 +11,13 @@ shrinking bandwidth. One-step forecast errors form an (approximate)
 martingale difference sequence, so the uncentered outer product is the right
 covariance estimator and no HAC correction is applied.
 
-J is the GMM objective S_T at a vertex of the simplex that confidence_set
-scans, where the row scale c_r cancels, so a test scores the whitened moment
-sums and Gram of its own row (identification._moment_gram) as S_T does, and
-Omega = G^{-1} Gram G^{-1} in the caller's coordinates. The block kernel
-_tests_block scores one functional on many datasets of equal length at once
-(the Monte Carlo harness passes a block of replications and reads the
-p-values alone); instrument_moment_test and mode_test are its one-row case,
-and only they form a TestResult and its covariance.
+J is the GMM objective S_T at the functional's vertex of the simplex that
+confidence_set scans, where the row scale c_r cancels, so a test is the
+one-row call of S_T's block kernel (central_tendency._objective_rows) on its
+own functional's row, at theta = [[1]]. The size and power experiments call
+the same kernel on blocks of replications and read the p-values alone;
+instrument_moment_test and mode_test also form a TestResult, whose
+covariance Omega is taken from the definition above.
 """
 
 from __future__ import annotations
@@ -27,18 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import _block_bandwidths
-from .central_tendency import _objectives_block
-from .errors import SingularMatrixError, first_failures, raise_row_failure
+from .central_tendency import _objective_rows
+from .errors import SingularMatrixError, raise_row_failure
 from .identification import (
     ForecastDataset,
     Functional,
     _check_bandwidth,
     _check_instrument_count,
-    _moment_gram,
     _one_block,
     _values,
-    _whiten,
 )
 from .numerics import Kernel, chi_square_sf
 
@@ -93,50 +89,15 @@ def mode_test(
 def _one_row(kind: Functional, dataset: ForecastDataset, kernel,
              delta=None) -> TestResult:
     _check_instrument_count(dataset.n_instruments, dataset.n_obs, "a test")
-    statistics, p_values, bandwidths, failures, (lam, q), grams = _tests_block(
-        kind, *_one_block(dataset), kernel, delta)
+    errors, instruments = _one_block(dataset)
+    ((statistic,),), ((note,),), bandwidths, failures = _objective_rows(
+        np.ones((1, 1)), errors, instruments, kernel, delta, functionals=(kind,))
     raise_row_failure(failures)
-    # Omega = G^{-1} Gram G^{-1}, with G^{-1} = q lam^{1/2} q'
-    root = (q * np.sqrt(lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
+    if note is not None:
+        raise SingularMatrixError(note)
+    bandwidth = None if bandwidths is None else float(bandwidths[0])
+    v2h = dataset.instruments * _values(kind, errors[0], bandwidth, kernel)[:, None] ** 2
     return TestResult(
-        statistic=float(statistics[0]), df=dataset.n_instruments,
-        p_value=float(p_values[0]), functional=kind,
-        bandwidth=None if bandwidths is None else float(bandwidths[0]),
-        covariance=(root @ grams @ root)[0])
-
-
-def _tests_block(
-    kind: Functional,
-    errors: np.ndarray,
-    instruments: np.ndarray,
-    kernel: Kernel | None,
-    delta: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list, tuple, np.ndarray]:
-    """Tests of one functional on a block of datasets: errors (B, T),
-    instruments (B, k, T).
-
-    For the mode, each dataset gets its own rule-of-thumb bandwidth unless
-    ``delta`` is given; mean and median use neither ``delta`` nor
-    ``kernel``. Returns the (B,) statistics and p-values; the (B,) mode
-    bandwidths (None for the mean and median); per dataset None or the
-    exception the one-row test raises on it, in that test's order: the mode
-    bandwidth's DegenerateErrors (zero MAD, then zero sd), then the
-    SingularMatrixError of the instrument whitener, then of the covariance's
-    eigenvalue floor in the whitened basis; and the whitener's eigenpairs
-    (lam, q) with the (B, k, k) Grams of the whitened rows, from which
-    _one_row forms a test's covariance. A failed dataset's statistic and
-    p-value are placeholders (NaN at a floored covariance) and leave the
-    others unchanged.
-    """
-    b, k, _ = instruments.shape
-    bandwidths, failures = None, [None] * b
-    if kind is Functional.MODE:
-        bandwidths, failures = _block_bandwidths(errors, delta)
-        delta = bandwidths[:, None]
-    whitened, eigenpairs, singular = _whiten(instruments)
-    g, gram = _moment_gram(_values(kind, errors, delta, kernel)[:, None], whitened)
-    statistics, notes = _objectives_block(np.ones((1, 1)), g, gram)
-    floored = [None if note is None else SingularMatrixError(note) for (note,) in notes]
-    failures = first_failures(failures, singular, floored)
-    return (statistics[:, 0], chi_square_sf(k, statistics[:, 0]), bandwidths, failures,
-            eigenpairs, gram[:, 0, :, 0, :])
+        statistic=float(statistic), df=dataset.n_instruments,
+        p_value=chi_square_sf(dataset.n_instruments, float(statistic)), functional=kind,
+        bandwidth=bandwidth, covariance=v2h.T @ dataset.instruments / dataset.n_obs)

@@ -44,19 +44,20 @@ order and a block is the range of its replication indices, so the reports
 do not depend on the threads. On one core the caller runs every block.
 
 Each block's instruments are built as rows, (B, k, T), the layout the
-whitener reads. The block is scored in one pass, by the block kernels of
-the mode test (rationality._tests_block, whose p-values alone the size
-experiments read) and of S_T (central_tendency._objective_rows, over the
-grid or at the coverage experiment's one theta), whose one-row case are the
-single-dataset functions. Each reads one Gram of each replication's
-whitened rows (identification._moment_gram, which forms the rows of at most
-32 replications at a time): S_T all three rows', the mode test its own
-row's. A block kernel returns its results and, per replication, None or the
-exception the single-dataset function would raise on it, found by the same
-checks in the same order; a failed replication gets finite placeholder
-values, so it neither warns nor changes the others, and the replication
-loop counts it by exception name. The coverage experiments add one rule:
-the first singular Sigma(theta) fails the replication.
+whitener reads. The block is scored in one pass by S_T's block kernel,
+central_tendency._objective_rows, whose one-row case are the single-dataset
+functions: the size and power experiments call it on the mode row alone at
+the mode vertex, as mode_test does, and read the p-values; the coverage
+experiments on all three rows, over the grid or at their one theta. It
+reads one Gram of each replication's whitened rows
+(identification._moment_gram, which forms the rows of at most 32
+replications at a time), and returns its results and, per replication,
+None or the exception the single-dataset function would raise on it, found
+by the same checks in the same order; a failed replication gets
+placeholder values (NaN at a singular Sigma(theta)), so it neither warns
+nor changes the others, and the replication loop counts it by exception
+name, a singular Sigma(theta) (the first, over a grid) as a
+SingularMatrixError.
 """
 
 from __future__ import annotations
@@ -98,9 +99,9 @@ from .numerics import (
     _ndtr,
     _owens_t,
     chi_square_quantile,
+    chi_square_sf,
     standard_normal_rows,
 )
-from .rationality import _tests_block
 
 _B = np.sqrt(2.0 / np.pi)
 
@@ -802,7 +803,7 @@ def implied_theta(
     # reduced once, in replication order, whatever the blocks and threads
     g, second, moments, squares = (np.concatenate(parts).mean(axis=0)
                                    for parts in zip(*_map_blocks(sums, draws)))
-    (whitener,), _, singular = _whitener(moments[None])
+    (whitener,), singular = _whitener(moments[None])
     # tr_r = (1/n) sum v_r^2 |G h|^2 = <M^{-1}, (1/n) sum v_r^2 h h'>
     traces = np.einsum("kl,rkl->r", whitener @ whitener, second)
     scales, unscaled = _scales(traces[None] / k, squares[None], k)
@@ -946,6 +947,19 @@ def _run_replications(
     return scores, failures
 
 
+def _replication_failures(notes: list, failures: list) -> list:
+    """Per replication scored by _objective_rows, None or the exception that
+    fails it, in the one-row path's order: its bandwidth's, whitener's or
+    row scale's failure, then a SingularMatrixError for its first singular
+    Sigma(theta)."""
+    singular = [
+        next((SingularMatrixError(note) for note in row_notes if note is not None),
+             None)
+        for row_notes in notes
+    ]
+    return first_failures(failures, singular)
+
+
 def run_size_experiment(
     config: DgpConfig,
     instrument_set: InstrumentSet | int,
@@ -961,39 +975,31 @@ def run_size_experiment(
     With ``distortion`` set this is a power experiment; kappa = 0 recovers
     the size design. Per-replication failures (degenerate errors, singular
     covariances) are counted, not fatal. The instrument count k must be
-    below n_obs.
+    below n_obs, and a nonzero kappa needs a distortion.
     """
     replications = _check_replications(replications)
     _check_nominal_alpha(nominal_alpha)
+    if distortion is not None:
+        distortion = _check_kappa(distortion, kappa)
+    elif kappa != 0.0:
+        raise ValueError(f"kappa applies to a distortion only, got {kappa} without one")
     instrument_set = _check_instrument_set(
         instrument_set, config, "a size experiment" if distortion is None
         else "a power experiment")
 
     def rejects(errors: np.ndarray, instruments: np.ndarray) -> tuple[list, list]:
-        _, p_values, _, failures, *_ = _tests_block(
-            Functional.MODE, errors, instruments, kernel)
-        return (p_values < nominal_alpha).tolist(), failures
+        statistics, notes, _, failures = _objective_rows(
+            np.ones((1, 1)), errors, instruments, kernel, functionals=(Functional.MODE,))
+        p_values = chi_square_sf(int(instrument_set), statistics[:, 0])
+        return (p_values < nominal_alpha).tolist(), _replication_failures(notes, failures)
 
     return _report(
         "size" if distortion is None else "power", config, instrument_set,
         replications, nominal_alpha,
-        {"distortion": None if distortion is None else Distortion(distortion).value,
-         "kappa": kappa},
+        {"distortion": None if distortion is None else distortion.value, "kappa": kappa},
         *_run_replications(config, replications, MODE_VERTEX, instrument_set,
                            rejects, distortion, kappa),
     )
-
-
-def _replication_failures(notes: list, failures: list) -> list:
-    """Per replication scored by _objective_rows, None or the exception that
-    fails it, in the one-row path's order: its bandwidth's or weights'
-    failure, then a SingularMatrixError for its first singular Sigma(theta)."""
-    singular = [
-        next((SingularMatrixError(note) for note in row_notes if note is not None),
-             None)
-        for row_notes in notes
-    ]
-    return first_failures(failures, singular)
 
 
 def run_coverage_experiment(

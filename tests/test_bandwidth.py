@@ -128,6 +128,17 @@ class TestBandwidthRule:
         with pytest.raises(ValueError):
             bandwidth_rule_of_thumb([1.0, 2.0], n_obs=1)
 
+    @pytest.mark.parametrize("n_obs", [500.9, 500.0, True])
+    def test_sample_size_must_be_an_integer(self, n_obs):
+        # 500.9 was once truncated to 500
+        with pytest.raises(ValueError, match="^sample size must be an integer"):
+            bandwidth_rule_of_thumb([-1.0, 0.0, 2.0], n_obs=n_obs)
+
+    def test_numpy_integer_sample_size_is_the_int(self):
+        report = bandwidth_rule_of_thumb([-1.0, 0.0, 2.0], n_obs=np.int64(500))
+        assert report == bandwidth_rule_of_thumb([-1.0, 0.0, 2.0], n_obs=500)
+        assert type(report.n_obs) is int
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "-inf"])

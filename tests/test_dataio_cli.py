@@ -984,33 +984,28 @@ class TestCli:
         ds = load_csv(data, ["const", "xinst"])
         assert ds.n_obs == 100
 
-    # the scorer of each experiment and the position of its errors argument
-    # (instruments follow)
-    @pytest.mark.parametrize("flags, scorer, at", [
-        (["--experiment", "size"], "_tests_block", 1),
-        (["--experiment", "power", "--distortion", "noise", "--kappa", "0.5"],
-         "_tests_block", 1),
-        (["--experiment", "power", "--distortion", "bias", "--kappa", "0.3"],
-         "_tests_block", 1),
-        (["--experiment", "coverage", "--beta", "mean-mode", "--draws", "50"],
-         "_objective_rows", 1),
+    # every experiment scores its blocks through _objective_rows, whose
+    # errors and instruments follow the thetas
+    @pytest.mark.parametrize("flags", [
+        ["--experiment", "size"],
+        ["--experiment", "power", "--distortion", "noise", "--kappa", "0.5"],
+        ["--experiment", "power", "--distortion", "bias", "--kappa", "0.3"],
+        ["--experiment", "coverage", "--beta", "mean-mode", "--draws", "50"],
     ], ids=["size", "power-noise", "power-bias", "coverage"])
-    def test_dataset_holds_the_scored_replication(self, tmp_path, monkeypatch, flags,
-                                                  scorer, at):
+    def test_dataset_holds_the_scored_replication(self, tmp_path, monkeypatch, flags):
         # the dump is replication 0 as scored: its x - y and instruments are,
         # bit for bit, row 0 of what the experiment's scorer gets (100
         # replications are one block)
         import centest.simulation as simulation
 
-        real = getattr(simulation, scorer)
+        real = simulation._objective_rows
         scored = []
 
-        def recording(*args):
-            errors, instruments = args[at:at + 2]
+        def recording(thetas, errors, instruments, *args, **kwargs):
             scored.append((errors[0].copy(), instruments[0].copy()))
-            return real(*args)
+            return real(thetas, errors, instruments, *args, **kwargs)
 
-        monkeypatch.setattr(simulation, scorer, recording)
+        monkeypatch.setattr(simulation, "_objective_rows", recording)
         data = tmp_path / "rep0.csv"
         code = main([
             "simulate", *flags, "--dgp", "ar1", "--gamma", "0.5",

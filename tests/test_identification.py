@@ -39,7 +39,7 @@ def kernel_rows(ds, delta, kernel=None):
     scales c_r, from the kernel's whitener and row scales on a block of one;
     the dataset must not fail."""
     values = _identification_matrix(forecast_errors(ds), delta, kernel)[None]
-    whitened, _, singular = _whiten(_one_block(ds)[1])
+    whitened, singular = _whiten(_one_block(ds)[1])
     scales, unscaled = _row_scales(values, whitened)
     assert singular == unscaled == [None]
     rows = scales[0][:, None, None] * values[0][:, :, None] * whitened[0].T

@@ -213,6 +213,18 @@ class TestChiSquare:
         with pytest.raises(ValueError, match=r"must be >= 0, got -1$"):
             chi_square_sf(2, -1)
 
+    @pytest.mark.parametrize("df", [2.5, 3.0, True, "3"])
+    def test_df_must_be_an_integer(self, df):
+        # 2.5 once gave sf(2.5, 3) = 0.0833 (scipy: 0.3058) and True df = 1
+        with pytest.raises(ValueError, match="^degrees of freedom must be an integer"):
+            chi_square_sf(df, 3.0)
+        with pytest.raises(ValueError, match="^degrees of freedom must be an integer"):
+            chi_square_quantile(df, 0.9)
+
+    def test_numpy_integer_df_is_the_int(self):
+        assert chi_square_sf(np.int64(3), 2.5) == chi_square_sf(3, 2.5)
+        assert chi_square_quantile(np.int64(3), 0.9) == chi_square_quantile(3, 0.9)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             chi_square_sf(0, 1.0)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import centest
-from centest import central_tendency, identification, numerics, simulation
+from centest import central_tendency, identification, numerics, rationality, simulation
 
 # names removed from the package: the S_T engine behind gmm_objective and
 # confidence_set replaced the pre-engine algebra, and they became the one-row
@@ -16,7 +16,9 @@ from centest import central_tendency, identification, numerics, simulation
 # build_instruments take a path or a block of paths, numerics.KERNELS names
 # the kernels (get_kernel looks them up), one span kernel makes the GARCH
 # variances of a single path or a block; a simplex point is a float triple that
-# _theta_array checks, which left SimplexWeights as a wrapper
+# _theta_array checks, which left SimplexWeights as a wrapper; the tests
+# became the one-row call of _objective_rows on their functional's row, which
+# left rationality._tests_block with no caller
 REMOVED = [
     "KernelKind",
     "SimplexWeights",
@@ -28,6 +30,7 @@ REMOVED = [
     "_eigh_above_floor",
     "_forecast_shift",
     "_path_row",
+    "_tests_block",
     "biweight_kernel",
     "combined_moment",
     "gaussian_kernel",
@@ -50,16 +53,18 @@ def test_all_is_unique_and_resolves():
 
 
 def test_removed_names_stay_removed():
-    for module in (centest, central_tendency, identification, numerics, simulation):
+    for module in (centest, central_tendency, identification, numerics, rationality,
+                   simulation):
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 
 def test_one_block_kernel_scores_s_t():
-    # the coverage experiments call the kernel behind gmm_objective and
+    # the tests and every experiment call the kernel behind gmm_objective and
     # confidence_set, not a copy of their own
     assert simulation._objective_rows is central_tendency._objective_rows
+    assert rationality._objective_rows is central_tendency._objective_rows
 
 
 # the runtime needs numpy alone: neither the import nor any command loads a

@@ -222,7 +222,7 @@ class TestInstrumentCount:
         def unreachable(*args, **kwargs):
             raise AssertionError("test kernel reached with k >= n_obs")
 
-        monkeypatch.setattr(rationality, "_tests_block", unreachable)
+        monkeypatch.setattr(rationality, "_objective_rows", unreachable)
         ds = ForecastDataset(rng.standard_normal(t), rng.standard_normal(t),
                              rng.standard_normal((t, k)))
         with pytest.raises(ValueError) as test_error:
@@ -234,6 +234,24 @@ class TestInstrumentCount:
             f"n_obs = {t}")
         assert str(test_error.value) == str(cset_error.value).replace(
             "a confidence set", "a test")
+
+    @pytest.mark.parametrize("theta", [MEAN_VERTEX, MEDIAN_VERTEX, MODE_VERTEX])
+    @pytest.mark.parametrize("t, k", [(3, 3), (2, 3)])
+    def test_objective_refuses_k_at_or_above_n_obs(self, rng, monkeypatch, theta,
+                                                    t, k):
+        # at k = n_obs, S_T would equal k wherever Sigma is nonsingular
+        import centest.central_tendency as central_tendency
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("objective kernel reached with k >= n_obs")
+
+        monkeypatch.setattr(central_tendency, "_objective_rows", unreachable)
+        ds = ForecastDataset(rng.standard_normal(t), rng.standard_normal(t),
+                             rng.standard_normal((t, k)))
+        with pytest.raises(ValueError, match=(
+                f"^an objective needs fewer instruments than observations, got "
+                f"k = {k} and n_obs = {t}$")):
+            gmm_objective(theta, ds)
 
     def test_k_below_n_obs_runs(self, rng):
         ds = ForecastDataset(rng.standard_normal(4), rng.standard_normal(4),

@@ -23,6 +23,7 @@ from centest import (
     SingularMatrixError,
     ThetaSetKind,
     build_instruments,
+    chi_square_sf,
     distort_forecasts,
     get_kernel,
     implied_theta,
@@ -47,6 +48,7 @@ from centest.simulation import (
     _implied_set,
     _instrument_rows,
     _recursions,
+    _replication_failures,
     _replication_maker,
     _simulator,
 )
@@ -819,7 +821,7 @@ def pooled_implied_theta(config, beta, draws, instrument_set):
     n = errors.size
     delta = bandwidth_rule_of_thumb(errors, n_obs=config.n_obs).delta
     values = _identification_matrix(errors, delta, None)
-    whitened, _, singular = _whiten(h[None])
+    whitened, singular = _whiten(h[None])
     scales, unscaled = _row_scales(values[None], whitened)
     assert singular == unscaled == [None]
     rows = scales[0][:, None] * np.einsum("rt,kt->rk", values, whitened[0]) / n
@@ -1042,6 +1044,29 @@ class TestExperiments:
         assert str(exc.value) == (f"{what} needs fewer instruments than observations, "
                                   f"got k = {k} and n_obs = {n_obs}")
 
+    @pytest.mark.parametrize("distortion, kappa, message", [
+        (None, 0.3, "^kappa applies to a distortion only, got 0.3 without one$"),
+        ("bias", 5.0, r"^bias kappa must lie in \(-1, 1\), got 5.0$"),
+        ("noise", -0.1, r"^noise kappa must lie in \[0, 1\), got -0.1$"),
+        ("tilt", 0.1, "'tilt' is not a valid Distortion"),
+    ], ids=["no-distortion", "bias", "noise", "unknown"])
+    def test_kappa_refused_before_any_draw(self, monkeypatch, distortion, kappa,
+                                           message):
+        import centest.simulation as simulation
+
+        def no_draws(*args):
+            raise AssertionError("drew paths")
+
+        monkeypatch.setattr(simulation, "standard_normal_rows", no_draws)
+        cfg = DgpConfig(dgp="ar1", skewness=0.5, n_obs=50, seed=1)
+        with pytest.raises(ValueError, match=message):
+            run_size_experiment(cfg, 2, 100, distortion=distortion, kappa=kappa)
+
+    def test_size_report_records_no_kappa(self):
+        cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.0, n_obs=50, seed=22)
+        report = run_size_experiment(cfg, 2, 100)
+        assert report.details == {"distortion": None, "kappa": 0.0}
+
     def test_size_report_reproducible(self):
         cfg = DgpConfig(dgp="homoskedastic-iid", skewness=0.0, n_obs=100, seed=22)
         a = run_size_experiment(cfg, 2, 100)
@@ -1223,7 +1248,7 @@ class TestExperiments:
         import centest.simulation as simulation
 
         real_forecasts = simulation.optimal_forecasts
-        real_tests = simulation._tests_block
+        real_rows = simulation._objective_rows
         monkeypatch.setattr(simulation, "_cores", lambda: 2)
         cfg = DgpConfig(dgp="ar-garch", skewness=0.25, n_obs=60, seed=35,
                         burn_in=20)
@@ -1237,16 +1262,18 @@ class TestExperiments:
                     x[2] = paths.realizations[2]
                 return x
 
-            def recording_tests(*args, **kwargs):
-                out = real_tests(*args, **kwargs)
-                _, block_p, _, failures, *_ = out
+            def recording_rows(*args, **kwargs):
+                out = real_rows(*args, **kwargs)
+                statistics, notes, _, failures = out
+                failures = _replication_failures(notes, failures)
+                block_p = chi_square_sf(2, statistics[:, 0])
                 first = {128: 0, 72: 128}[len(failures)]
                 for i, (p, failure) in enumerate(zip(block_p.tolist(), failures)):
                     p_values[first + i] = None if failure is not None else p
                 return out
 
             monkeypatch.setattr(simulation, "optimal_forecasts", forecasts)
-            monkeypatch.setattr(simulation, "_tests_block", recording_tests)
+            monkeypatch.setattr(simulation, "_objective_rows", recording_rows)
             return run_size_experiment(cfg, 2, 200, nominal_alpha=0.5), p_values
 
         clean, clean_p = run(broken=False)
@@ -1295,7 +1322,7 @@ def _record(monkeypatch, name):
 
     def recording(*args, **kwargs):
         out = real(*args, **kwargs)
-        seen.append((args, out))
+        seen.append((args, kwargs, out))
         return out
 
     monkeypatch.setattr(simulation, name, recording)
@@ -1341,27 +1368,27 @@ class TestBlockScoring:
     def test_mode_rows_match_one_row_calls(self, monkeypatch, dgp):
         from centest import mode_test
 
-        seen = _record(monkeypatch, "_tests_block")
+        seen = _record(monkeypatch, "_objective_rows")
         cfg = DgpConfig(dgp=dgp, skewness=0.5, n_obs=80, seed=41, burn_in=20)
         run_size_experiment(cfg, 3, 100)
         run_size_experiment(cfg, 2, 100, distortion="noise", kappa=0.3)
         assert len(seen) == 2
-        for (kind, errors, instruments, kernel), out in seen:
-            statistics, p_values, bandwidths, failures, (lam, q), grams = out
-            assert kind is Functional.MODE
+        for (thetas, errors, instruments, kernel), kwargs, out in seen:
+            statistics, notes, bandwidths, failures = out
+            # the mode test is S_T on the mode row alone, at theta = [[1]]
+            assert thetas.tolist() == [[1.0]]
+            assert kwargs == {"functionals": (Functional.MODE,)}
             assert failures == [None] * len(errors)
-            # the covariances the block's parts give, as _one_row forms them
-            root = (q * np.sqrt(lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
-            covariances = root @ grams @ root
-            for e, h, statistic, p_value, bandwidth, covariance in zip(
-                    errors, instruments, statistics.tolist(), p_values.tolist(),
-                    bandwidths.tolist(), covariances):
+            assert notes == [[None]] * len(errors)
+            p_values = chi_square_sf(instruments.shape[1], statistics[:, 0])
+            for e, h, statistic, p_value, bandwidth in zip(
+                    errors, instruments, statistics[:, 0].tolist(), p_values.tolist(),
+                    bandwidths.tolist()):
                 single = mode_test(_dataset(e, h), kernel=kernel)
                 assert statistic == pytest.approx(single.statistic, rel=1e-12)
                 assert p_value == pytest.approx(single.p_value, rel=1e-12, abs=1e-300)
                 assert (p_value < 0.05) == (single.p_value < 0.05)
                 assert bandwidth == single.bandwidth
-                assert np.array_equal(covariance, single.covariance)
 
     @pytest.mark.parametrize("dgp", DGPS)
     def test_objective_rows_match_one_row_calls(self, monkeypatch, dgp):
@@ -1373,7 +1400,9 @@ class TestBlockScoring:
         run_grid_coverage_experiment(cfg, [0, 1, 0], 2, 100, m=2)
         assert len(seen) == 2
         quantile = chi_square_quantile(2, 0.90)
-        for (thetas, errors, instruments, kernel), (rows, notes, _, failures) in seen:
+        for (thetas, errors, instruments, kernel), kwargs, out in seen:
+            rows, notes, _, failures = out
+            assert kwargs == {}
             assert failures == [None] * len(errors)
             assert notes == [[None] * len(thetas)] * len(errors)
             for e, h, s in zip(errors, instruments, rows):
@@ -1398,27 +1427,26 @@ class TestBlockScoring:
 
         from centest import get_kernel, gmm_objective, mode_test
         from centest.central_tendency import _objective_rows
-        from centest.rationality import _tests_block
-        from centest.simulation import _replication_failures
 
         k = get_kernel(kernel)
         errors, instruments = _failure_block()
         thetas = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            statistics, _, _, test_failures, *_ = _tests_block(
-                Functional.MODE, errors, instruments, k)
+            statistics, test_notes, _, test_failures = _objective_rows(
+                np.ones((1, 1)), errors, instruments, k, functionals=(Functional.MODE,))
             objectives, notes, _, failures = _objective_rows(
                 thetas, errors, instruments, k)
             at_theta = [_objective_rows(theta[None], errors, instruments, k)
                         for theta in thetas]
         objective_failures = _replication_failures(notes, failures)
+        test_failures = _replication_failures(test_notes, test_failures)
         for i, (e, h) in enumerate(zip(errors, instruments)):
             ds = _dataset(e, h)
             expected = _raised(lambda: mode_test(ds, kernel=k))
             if expected is None:
                 assert test_failures[i] is None
-                assert statistics[i] == mode_test(ds, kernel=k).statistic
+                assert statistics[i, 0] == mode_test(ds, kernel=k).statistic
             else:
                 assert type(test_failures[i]) is type(expected)
                 assert str(test_failures[i]) == str(expected)
@@ -1664,14 +1692,14 @@ class TestHelperThread:
     def test_helper_scoring_exception_reaches_the_caller(self, monkeypatch):
         import centest.simulation as simulation
 
-        real = simulation._tests_block
+        real = simulation._objective_rows
 
         def failing_on_the_helper(*args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
                 raise BlockFailed("scored on the helper thread")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulation, "_tests_block", failing_on_the_helper)
+        monkeypatch.setattr(simulation, "_objective_rows", failing_on_the_helper)
         cfg = DgpConfig(dgp="ar1", skewness=0.25, n_obs=60, seed=36, burn_in=20)
         before = threading.active_count()
         with pytest.raises(BlockFailed, match="^scored on the helper thread$"):
